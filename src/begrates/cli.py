@@ -124,25 +124,9 @@ def _cmd_phase_diagram(args) -> _Output:
 
 
 def _cmd_exact_law(args) -> _Output:
-    import os
-
-    from .exact import load_law, save_law
-
     out = _Output(args)
     params = ModelParams(args.beta, args.K)
-    law = None
-    if args.law_cache:
-        csv_path = args.law_cache + ".atoms.csv"
-        head_path = args.law_cache + ".json"
-        if os.path.exists(csv_path) and os.path.exists(head_path):
-            cached = load_law(csv_path, head_path)
-            if cached.n == args.n and cached.params == params:
-                law = cached
-                out.meta["law_cache_hit"] = True
-    if law is None:
-        law = build_joint_law(params, args.n, cap=args.cap)
-        if args.law_cache:
-            save_law(law, args.law_cache + ".atoms.csv", args.law_cache + ".json")
+    law = build_joint_law(params, args.n, cap=args.cap)
     out.meta["log_partition"] = law.log_partition
     out.meta["region"] = classify_region(params).tag.value
     for k in (2, 4, 6):
@@ -344,16 +328,22 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
+    if idx + 1 >= len(argv):
+        raise ValidationError("--config needs a file path")
     path = argv[idx + 1]
     rest = argv[:idx] + argv[idx + 2 :]
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise ValidationError(f"cannot read config file {path!r}: {exc.strerror}") from exc
     extra: list[str] = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            extra.extend([f"--{key.strip()}", value.strip()])
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, value = line.partition("=")
+        extra.extend([f"--{key.strip()}", value.strip()])
     # subcommand first, then file defaults, then explicit flags (argparse
     # lets later occurrences win)
     return rest[:1] + extra + rest[1:]
@@ -384,8 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-atoms-listed", type=int, default=512,
                    dest="max_atoms_listed",
                    help="omit the atom table when n exceeds this")
-    p.add_argument("--law-cache", default=None, dest="law_cache",
-                   help="path prefix for caching the law between invocations")
     _add_common(p)
     p.set_defaults(func=_cmd_exact_law)
 

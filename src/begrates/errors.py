@@ -23,7 +23,7 @@ class ScheduleUnderflowError(ComputationError):
 
 
 class CapExceededError(ComputationError):
-    """Requested n exceeds the exact-enumeration cap; use the sampler instead."""
+    """Requested n exceeds the exact-law size cap."""
 
 
 class NonIntegrableDensityError(ComputationError):

@@ -1,19 +1,26 @@
 """Exact finite-n law of the total spin.
 
 The Hamiltonian depends on a configuration only through the spin sum s and
-the number M of nonzero spins, so the full law is enumerable over the pairs
-(s, M) with |s| <= M <= n and M = s (mod 2):
+the number M of nonzero spins.  Summing the multinomial weights
+n! / (n+! n-! n0!) e^(-beta M) over M gives the s-marginal from a generating
+function, with a = e^(-beta):
 
-    log w(s, M) = log multinomial(n; n+, n-, n0) - beta*M + beta*K*s^2/n
+    P(s) ~ exp(beta K s^2 / n) c_s,    c_s = [x^s] (1 + a(x + 1/x))^n,
 
-with n+ = (M+s)/2, n- = (M-s)/2, n0 = n-M.  All weights are handled in log
-space with a single global normalisation.  The cost is O(n^2) instead of 3^n.
+and differentiating in a gives the conditional moments of M,
+
+    E[M | s]        = n a (c'_{s-1} + c'_{s+1}) / c_s,
+    E[M(M-1) | s]   = n (n-1) a^2 (c''_{s-2} + 2 c''_s + c''_{s+2}) / c_s,
+
+where c' and c'' are the coefficient rows of the (n-1)-th and (n-2)-th
+powers.  Each row comes from an all-positive three-term recurrence, so the
+law costs O(n) time and memory, and every quantity the bounds consume is a
+moment of M given s.  Single (s, M) slices are rebuilt on demand, in O(n)
+each, for atom listings and small-n oracle checks.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 from itertools import product
@@ -37,19 +44,22 @@ __all__ = [
     "pair_covariance",
     "brute_force_law",
     "tv_distance",
-    "save_law",
-    "load_law",
 ]
 
 DEFAULT_N_CAP = 20000
+# e^beta times s must stay finite in the coefficient recurrence
+_BETA_MAX = 600.0
+# ln 2 in two parts; k * _LN2_HI is exact for |k| < 2^20
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
 
 
 @dataclass
 class JointLaw:
     """Probability law of (s, M) under the finite-n Gibbs measure.
 
-    Slices are stored per spin sum s; the slice for s and -s share the same
-    array (the law is exactly symmetric in s).  ``log_partition`` is the log
+    Held as the s-marginal and the first two moments of M given s, each over
+    s = -n..n and exactly symmetric in s.  ``log_partition`` is the log
     normalising constant relative to the uniform product measure on
     {-1,0,1}^n.
     """
@@ -59,23 +69,31 @@ class JointLaw:
     log_partition: float
     s_values: np.ndarray = field(repr=False)
     s_probs: np.ndarray = field(repr=False)
-    _slices: list[np.ndarray] = field(repr=False)  # index |s|: probs over M
+    m_mean: np.ndarray = field(repr=False)  # E[M | s]
+    m_second: np.ndarray = field(repr=False)  # E[M^2 | s]
 
     def M_values(self, s: int) -> np.ndarray:
         return np.arange(abs(s), self.n + 1, 2)
 
     def slice_probs(self, s: int) -> np.ndarray:
-        return self._slices[abs(s)]
+        """P(s, M) over ``M_values(s)``: P(s) times the normalised
+        multinomial weights n!/(n+! n-! n0!) e^(-beta M) of the slice."""
+        t = abs(s)
+        Ms = self.M_values(t)
+        lw = -(gammaln((Ms + t) // 2 + 1) + gammaln((Ms - t) // 2 + 1)
+               + gammaln(self.n - Ms + 1)) - self.params.beta * Ms
+        w = np.exp(lw - lw.max())
+        return self.s_probs[self.n + t] * w / w.sum()
 
     def prob(self, s: int, M: int) -> float:
         if abs(s) > self.n or M < abs(s) or M > self.n or (M - s) % 2 != 0:
             return 0.0
-        return float(self._slices[abs(s)][(M - abs(s)) // 2])
+        return float(self.slice_probs(s)[(M - abs(s)) // 2])
 
     def iter_slices(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
         """Yield (s, M array, probability array) for every s in [-n, n]."""
         for s in range(-self.n, self.n + 1):
-            yield s, self.M_values(s), self._slices[abs(s)]
+            yield s, self.M_values(s), self.slice_probs(s)
 
     def atoms(self) -> dict[tuple[int, int], float]:
         out: dict[tuple[int, int], float] = {}
@@ -87,66 +105,108 @@ class JointLaw:
     def w_values(self, gamma: float) -> np.ndarray:
         return self.s_values / float(self.n) ** (1.0 - gamma)
 
+    def expect(self, values: np.ndarray) -> float:
+        """E[values(s)] for an array of per-s values over s = -n..n."""
+        return float((self.s_probs * values).sum())
+
     def count_moments(self) -> tuple[float, float]:
         """(E[M], E[M^2]) of the nonzero-spin count."""
-        em = 0.0
-        em2 = 0.0
-        for s in range(0, self.n + 1):
-            Ms = self.M_values(s)
-            ps = self._slices[s]
-            mult = 2.0 if s > 0 else 1.0
-            em += mult * float(np.dot(ps, Ms))
-            em2 += mult * float(np.dot(ps, Ms.astype(float) ** 2))
-        return em, em2
+        return self.expect(self.m_mean), self.expect(self.m_second)
+
+
+def _coefficient_row(m: int, inv_a: float, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """c_s / a^m for s = 0..size-1, c_s = [x^s](1 + a(x + 1/x))^m, as
+    mantissas and binary exponents (value = mantissa * 2^exponent).
+
+    Runs the all-positive downward recurrence
+    c_{s-1} = (a(m+s+1) c_{s+1} + s c_s) / (a(m-s+1)) from c_{m+1} = 0 and
+    c_m = a^m.  Anchoring every row at its top entry keeps rows of different
+    m apart by exact powers of a.  Entries above m (all of them for m < 0)
+    are zero.
+    """
+    mant = [0.0] * size
+    expo = [0] * size
+    above, here, e = 0.0, 1.0, 0  # c_{s+1} and c_s, both scaled by 2^-e
+    for s in range(m, 0, -1):
+        mant[s], expo[s] = here, e
+        here, k = math.frexp(((m + s + 1) * above + s * inv_a * here) / (m - s + 1))
+        above, e = math.ldexp(mant[s], -k), e + k
+    if m >= 0:
+        mant[0], expo[0] = here, e
+    return np.array(mant), np.array(expo)
+
+
+def _running_products(mants: np.ndarray, expos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """1, f_0, f_0 f_1, ... for factors f_i = mants[i] * 2^expos[i], as
+    mantissas and binary exponents."""
+    mant = [1.0]
+    expo = [0]
+    here, e = 1.0, 0
+    for f, fe in zip(mants.tolist(), expos.tolist()):
+        here, k = math.frexp(here * f)
+        e += k + fe
+        mant.append(here)
+        expo.append(e)
+    return np.array(mant), np.array(expo)
 
 
 def build_joint_law(params: ModelParams, n: int, *, cap: int = DEFAULT_N_CAP) -> JointLaw:
-    """Enumerate the exact (s, M) law at size n.
+    """The exact law at size n, in O(n) time and memory.
 
-    Raises CapExceededError above ``cap`` (the atom count grows like n^2/4);
-    larger sizes should fall back to the Monte Carlo sampler.
+    P(s), E[M|s] and E[M^2|s] come from the generating-function rows of
+    orders n, n-1 and n-2 (see the module docstring).  The weight of s-1
+    relative to s is (c_{s-1}/c_s) e^(-beta K (2s-1)/n), and P(s) is the
+    running product of these ratios from s = n down, normalised; no weight
+    passes through a logarithm.  Raises CapExceededError above ``cap``.
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     if n > cap:
-        raise CapExceededError(f"n={n} exceeds the enumeration cap {cap}")
+        raise CapExceededError(f"n={n} exceeds the size cap {cap}")
     beta, K = params.beta, params.K
-    lf = gammaln(np.arange(n + 2, dtype=np.float64))  # lf[m] = log((m-1)!)
-    log_n_fact = float(lf[n + 1])
-    bks = beta * K / n
+    if beta > _BETA_MAX:
+        raise ValidationError(f"the exact law needs beta <= {_BETA_MAX}, got {beta}")
+    inv_a = math.exp(beta)
+    size = n + 3
+    c0m, c0e = _coefficient_row(n, inv_a, size)
+    s = np.arange(n + 1)
 
-    log_slices: list[np.ndarray] = []
-    best = -np.inf
-    for s in range(0, n + 1):
-        Ms = np.arange(s, n + 1, 2)
-        npl = (Ms + s) // 2
-        nmi = (Ms - s) // 2
-        logc = log_n_fact - lf[npl + 1] - lf[nmi + 1] - lf[n - Ms + 1]
-        lw = logc - beta * Ms + bks * s * s
-        log_slices.append(lw)
-        if lw.size:
-            best = max(best, float(lw.max()))
+    def over_c(row, idx):
+        # row[idx] / c_s; the powers of a in the n-1 and n-2 rows cancel
+        # against the factors a and a^2 of the moment formulas
+        return np.ldexp(row[0][idx], row[1][idx] - c0e[s]) / c0m[s]
 
-    total = 0.0
-    for s, lw in enumerate(log_slices):
-        mult = 2.0 if s > 0 else 1.0
-        total += mult * float(np.exp(lw - best).sum())
-    slices = [np.exp(lw - best) / total for lw in log_slices]
-    log_partition = best + math.log(total) - n * math.log(3.0)
+    c1 = _coefficient_row(n - 1, inv_a, size)
+    c2 = _coefficient_row(n - 2, inv_a, size)
+    m_mean = n * (over_c(c1, np.abs(s - 1)) + over_c(c1, s + 1))
+    m_fact2 = n * (n - 1.0) * (over_c(c2, np.abs(s - 2)) + 2.0 * over_c(c2, s)
+                               + over_c(c2, s + 2))
 
-    s_values = np.arange(-n, n + 1)
-    s_probs = np.empty(2 * n + 1)
-    for s in range(0, n + 1):
-        ps = float(slices[s].sum())
-        s_probs[n + s] = ps
-        s_probs[n - s] = ps
+    # w_{s-1} / w_s = (c_{s-1} / c_s) e^x with x = -beta K (2s-1) / n; e^x
+    # alone underflows once beta K is large, so it is split as 2^k e^r
+    x = -beta * K * (2.0 * s[1:] - 1.0) / n
+    k = np.round(x / math.log(2.0))
+    r = (x - k * _LN2_HI) - k * _LN2_LO
+    ratio_m = c0m[:n] / c0m[1 : n + 1] * np.exp(r)
+    ratio_e = c0e[:n] - c0e[1 : n + 1] + k.astype(np.int64)
+    wm, we = _running_products(ratio_m[::-1], ratio_e[::-1])  # w_s / w_n, s = n..0
+    top = int(we.max())
+    w = np.ldexp(wm, we - top)[::-1]
+    total = 2.0 * w.sum() - w[0]
+    # w_n = c_n e^(beta K n) = e^(-beta n + beta K n)
+    log_partition = beta * (K - 1.0) * n + math.log(total) + top * math.log(2.0) - n * math.log(3.0)
+
+    def mirrored(x):
+        return np.concatenate((x[:0:-1], x))
+
     return JointLaw(
         n=n,
         params=params,
         log_partition=log_partition,
-        s_values=s_values,
-        s_probs=s_probs,
-        _slices=slices,
+        s_values=np.arange(-n, n + 1),
+        s_probs=mirrored(w / total),
+        m_mean=mirrored(m_mean),
+        m_second=mirrored(m_fact2 + m_mean),
     )
 
 
@@ -201,26 +261,31 @@ def kolmogorov_distance(
     Exact for the discrete law: the supremum is attained at an atom of W or
     at its left limit, so it suffices to compare F with the step CDF at the
     jump points.  ``cdf_left`` supplies left limits of F when F itself has
-    jumps (it defaults to F, which is correct for continuous F).
+    jumps (it defaults to F, which is correct for continuous F).  Both are
+    called once on the array of atoms and must return an array of its shape;
+    otherwise ValidationError.
     """
     _check_gamma(gamma)
     w = law.w_values(gamma)
     fn = np.cumsum(law.s_probs)
     fn_prev = np.concatenate(([0.0], fn[:-1]))
-    f_at = np.asarray(_eval_cdf(cdf, w), dtype=float)
-    f_left = f_at if cdf_left is None else np.asarray(_eval_cdf(cdf_left, w), dtype=float)
+    f_at = _eval_cdf(cdf, w)
+    f_left = f_at if cdf_left is None else _eval_cdf(cdf_left, w)
     d = np.maximum(np.abs(fn - f_at), np.abs(f_left - fn_prev))
     return float(d.max())
 
 
 def _eval_cdf(cdf: Callable, xs: np.ndarray) -> np.ndarray:
+    """F at every point of ``xs`` in one vectorised call."""
     try:
         out = np.asarray(cdf(xs), dtype=float)
-        if out.shape == xs.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(cdf(float(x))) for x in xs])
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"the CDF must accept an array of points: {exc}") from exc
+    if out.shape != xs.shape:
+        raise ValidationError(
+            f"the CDF returned shape {out.shape} for {xs.shape} points"
+        )
+    return out
 
 
 def step_cdf_pair(law: JointLaw, gamma: float) -> tuple[Callable, Callable]:
@@ -355,58 +420,3 @@ def tv_distance(
 ) -> float:
     keys = set(a) | set(b)
     return 0.5 * math.fsum(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys)
-
-
-# ---------------------------------------------------------------------------
-# serialization (atom CSV plus JSON header), for caching between CLI runs
-
-
-def save_law(law: JointLaw, csv_path: str, header_path: str) -> None:
-    with open(header_path, "w") as fh:
-        json.dump(
-            {
-                "n": law.n,
-                "beta": law.params.beta,
-                "K": law.params.K,
-                "log_partition": law.log_partition,
-            },
-            fh,
-            indent=2,
-        )
-        fh.write("\n")
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["s", "M", "probability"])
-        for s, Ms, ps in law.iter_slices():
-            for M, p in zip(Ms, ps):
-                writer.writerow([s, int(M), repr(float(p))])
-
-
-def load_law(csv_path: str, header_path: str) -> JointLaw:
-    with open(header_path) as fh:
-        header = json.load(fh)
-    n = int(header["n"])
-    params = ModelParams(float(header["beta"]), float(header["K"]))
-    slices = [np.zeros(len(np.arange(s, n + 1, 2))) for s in range(0, n + 1)]
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            s, M, p = int(row[0]), int(row[1]), float(row[2])
-            if s < 0:
-                continue  # the negative half mirrors the positive one
-            slices[s][(M - s) // 2] = p
-    s_values = np.arange(-n, n + 1)
-    s_probs = np.empty(2 * n + 1)
-    for s in range(0, n + 1):
-        ps = float(slices[s].sum())
-        s_probs[n + s] = ps
-        s_probs[n - s] = ps
-    return JointLaw(
-        n=n,
-        params=params,
-        log_partition=float(header["log_partition"]),
-        s_values=s_values,
-        s_probs=s_probs,
-        _slices=slices,
-    )

@@ -1,4 +1,4 @@
-"""Seeded single-site heat-bath sampler for sizes beyond the enumeration cap.
+"""Seeded single-site heat-bath sampler, an independent route to the law.
 
 One sweep performs n single-site updates at uniformly random sites, each
 drawing the new spin from its exact 3-point conditional given the rest.  The
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ComputationError, ValidationError
 from .model import ModelParams
 
 __all__ = ["ChainResult", "run_chain", "chain_seeds"]
@@ -96,8 +96,6 @@ def run_chain(
     s = 0
     M = 0
 
-    # conditional weights depend on u = s - spins[i] only through
-    # exp(+-2 beta K u / n); tabulate over all reachable u
     u_tab = np.exp(2.0 * beta * K * np.arange(-n, n + 1) / n)
     base = math.exp(-beta + beta * K / n)
 
@@ -106,29 +104,10 @@ def run_chain(
     hist: dict[int, int] = {}
 
     for sweep in range(sweeps):
-        sites = rng.integers(0, n, size=n)
-        draws = rng.random(n)
-        for j in range(n):
-            i = sites[j]
-            old = int(spins[i])  # keep s, M, u as plain ints (no int8 wraparound)
-            u = s - old
-            wp = base * u_tab[u + n]
-            wm = base / u_tab[u + n]
-            tot = 1.0 + wp + wm
-            x = draws[j] * tot
-            if x < wm:
-                new = -1
-            elif x < wm + 1.0:
-                new = 0
-            else:
-                new = 1
-            if new != old:
-                spins[i] = new
-                s += new - old
-                M += abs(new) - abs(old)
+        s, M = _sweep(spins, s, M, rng.integers(0, n, size=n), rng.random(n), u_tab, base)
         if (sweep + 1) % _CHECK_INTERVAL == 0:
             if s != int(spins.sum()) or M != int(np.count_nonzero(spins)):
-                raise RuntimeError("running (s, M) diverged from the spin array")
+                raise ComputationError("running (s, M) diverged from the spin array")
         if sweep >= burn_in:
             idx = sweep - burn_in
             s_series[idx] = s
@@ -160,6 +139,34 @@ def run_chain(
         s_histogram=hist if keep_histogram else None,
         trace=trace,
     )
+
+
+def _sweep(spins, s: int, M: int, sites, draws, u_tab, base: float) -> tuple[int, int]:
+    """One heat-bath update at each of ``sites``; returns the running (s, M).
+
+    Conditional weights depend on u = s - spins[i] only through
+    exp(+-2 beta K u / n), tabulated in ``u_tab`` over all reachable u.
+    """
+    n = spins.size
+    for j in range(n):
+        i = sites[j]
+        old = int(spins[i])  # keep s, M, u as plain ints (no int8 wraparound)
+        u = s - old
+        wp = base * u_tab[u + n]
+        wm = base / u_tab[u + n]
+        tot = 1.0 + wp + wm
+        x = draws[j] * tot
+        if x < wm:
+            new = -1
+        elif x < wm + 1.0:
+            new = 0
+        else:
+            new = 1
+        if new != old:
+            spins[i] = new
+            s += new - old
+            M += abs(new) - abs(old)
+    return s, M
 
 
 def _batch_means(series: np.ndarray) -> tuple[float, float]:

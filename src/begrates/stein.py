@@ -4,7 +4,8 @@ The pair (W, W') resamples one uniformly chosen spin from its exact
 conditional law.  Everything the abstract bounds consume is computable
 exactly from the (s, M) law: conditional increment moments per class, the
 regression residual R, Var(E[(W-W')^2 | W]) and the truncated tail
-expectation.  Computations stream over s-slices so memory stays O(n).
+expectation.  For fixed s each per-class increment moment is affine in M,
+so every pass is one O(n) expression in P(s), E[M|s] and E[M^2|s].
 """
 
 from __future__ import annotations
@@ -103,8 +104,8 @@ def conditional_step_moments(law: JointLaw, gamma: float) -> StepMomentTable:
     """Exact E[W - W'|class] and E[(W - W')^2|class] for every (s, M) class.
 
     Stored for s >= 0; the conditional mean is odd in s and the second moment
-    even, which ``lookup`` applies.  Memory is O(n^2/4); prefer the streaming
-    consumers below at large n.
+    even, which ``lookup`` applies.  Memory is O(n^2/4): this per-class
+    table is the small-n oracle for the O(n) passes below.
     """
     mean1: list[np.ndarray] = []
     sec: list[np.ndarray] = []
@@ -113,6 +114,42 @@ def conditional_step_moments(law: JointLaw, gamma: float) -> StepMomentTable:
         mean1.append(m1)
         sec.append(m2)
     return StepMomentTable(n=law.n, gamma=gamma, mean1=mean1, sec=sec)
+
+
+def _site_sum(n: int, s: np.ndarray, plus, minus, zero):
+    """(intercept, slope) of n+ plus + n- minus + n0 zero as a function of M,
+    with n+- = (M +- s)/2 and n0 = n - M."""
+    return 0.5 * s * (plus - minus) + n * zero, 0.5 * (plus + minus) - zero
+
+
+def _step_affine(law: JointLaw, gamma: float, thresh: float = 0.0):
+    """Per-s (intercept, slope) arrays, over s = -n..n, of the class moments
+
+        E[W - W' | s, M]                       = m0 + m1 M
+        E[(W - W')^2 ; |t - l| >= thresh | s, M] = v0 + v1 M
+
+    with t the removed and l the resampled spin.  Site groups per class:
+    n+ spins at +1 (each sees u = s - 1), n- at -1 (u = s + 1), n0 at 0
+    (u = s); ``thresh`` <= 0 gives the full second moment.
+    """
+    n = law.n
+    scale = float(n) ** (1.0 - gamma)
+    s = law.s_values.astype(float)
+    beta, K = law.params.beta, law.params.K
+    pm_p, pz_p, pp_p = _conditional_triplet(beta, K, n, s - 1.0)  # t = +1
+    pm_m, pz_m, pp_m = _conditional_triplet(beta, K, n, s + 1.0)  # t = -1
+    pm_z, pz_z, pp_z = _conditional_triplet(beta, K, n, s)  # t = 0
+    # |t - l| is 2, 1 or 0; a jump of 0 adds nothing to either moment
+    two = 4.0 if 2.0 >= thresh - 1e-15 else 0.0
+    one = 1.0 if 1.0 >= thresh - 1e-15 else 0.0
+    e0, e1 = _site_sum(n, s, pp_p - pm_p, pp_m - pm_m, pp_z - pm_z)  # sum of E[w']
+    v0, v1 = _site_sum(n, s, two * pm_p + one * pz_p, two * pp_m + one * pz_m,
+                       one * (pp_z + pm_z))
+    return ((s - e0) / (n * scale), -e1 / (n * scale)), (v0 / (n * scale**2), v1 / (n * scale**2))
+
+
+def _m_variance(law: JointLaw) -> np.ndarray:
+    return np.maximum(law.m_second - law.m_mean**2, 0.0)
 
 
 def conditional_mean_sandwich_gap(law: JointLaw) -> float:
@@ -171,26 +208,20 @@ def regression_decompose(law: JointLaw, gamma: float, case: CaseSpec) -> Regress
     beta, K = law.params.beta, law.params.K
     lam, (q1, q3, q5) = regression_at(case, n)
     scale = float(n) ** (1.0 - gamma)
+    s = law.s_values
 
-    r_max = 0.0
-    r_l2 = 0.0
-    fd_max = 0.0
-    f_cache = {u: f_single(law.params, u / n) for u in range(-n - 1, n + 2)}
-    for s in range(0, n + 1):
-        Ms, m1, _ = _slice_step_moments(law, gamma, s)
-        w = s / scale
-        drift = lam * (q1 * w + q3 * w**3 + q5 * w**5)
-        resid = m1 - drift
-        ps = law.slice_probs(s)
-        mult = 2.0 if s > 0 else 1.0  # the residual is odd in s; R^2 is even
-        r_max = max(r_max, float(np.abs(resid).max(initial=0.0)))
-        r_l2 += mult * float(np.dot(ps, resid * resid))
-        npl = (Ms + s) // 2
-        nmi = (Ms - s) // 2
-        fd = (npl * (f_cache[s - 1] - f_cache[s]) + nmi * (f_cache[s + 1] - f_cache[s])) / (
-            n * scale
-        )
-        fd_max = max(fd_max, float(np.abs(fd).max(initial=0.0)))
+    (m0, m1), _ = _step_affine(law, gamma)
+    w = s / scale
+    r0 = m0 - lam * (q1 * w + q3 * w**3 + q5 * w**5)  # R = r0 + m1 M on each class
+    # E[R^2 | s] unexpanded, so the small residual does not cancel away
+    r_l2 = law.expect((r0 + m1 * law.m_mean) ** 2 + m1**2 * _m_variance(law))
+    lo, hi = np.abs(s), n - (n - s) % 2  # extreme M per s: an affine max sits there
+    r_max = float(np.maximum(np.abs(r0 + m1 * lo), np.abs(r0 + m1 * hi)).max())
+
+    f = np.array([f_single(law.params, u / n) for u in range(-n - 1, n + 2)])
+    here = f[1:-1]  # f at s/n; f[:-2] and f[2:] at (s -+ 1)/n
+    fd0, fd1 = _site_sum(n, s, f[:-2] - here, f[2:] - here, 0.0)
+    fd_max = float(np.maximum(np.abs(fd0 + fd1 * lo), np.abs(fd0 + fd1 * hi)).max()) / (n * scale)
 
     return RegressionDecomposition(
         gamma=gamma,
@@ -211,36 +242,21 @@ def variance_term(law: JointLaw, gamma: float) -> float:
     """Var(E[(W - W')^2 | W]), exactly.
 
     W generates the same sigma-field as s, so the (s, M) conditional second
-    moments are first collapsed to s-classes through p(M | s).
+    moments are first collapsed to s-classes through E[M | s].
     """
-    n = law.n
-    h_by_s = np.empty(n + 1)
-    for s in range(0, n + 1):
-        _, _, sec = _slice_step_moments(law, gamma, s)
-        ps = law.slice_probs(s)
-        tot = float(ps.sum())
-        h_by_s[s] = float(np.dot(ps, sec)) / tot if tot > 0 else 0.0
-    idx = np.abs(law.s_values)
-    h = h_by_s[idx]
-    mean = float(np.dot(law.s_probs, h))
-    return max(0.0, float(np.dot(law.s_probs, (h - mean) ** 2)))
+    _, (v0, v1) = _step_affine(law, gamma)
+    h = v0 + v1 * law.m_mean
+    return law.expect((h - law.expect(h)) ** 2)
 
 
 def variance_term_classwise(law: JointLaw, gamma: float) -> float:
     """Var(E[(W - W')^2 | F]) over the full (s, M) classes (diagnostic).
 
-    At least as large as ``variance_term`` by conditional Jensen.
+    Equals ``variance_term`` plus the mean within-s variance, so it is at
+    least as large (conditional Jensen).
     """
-    n = law.n
-    total = 0.0
-    mean = 0.0
-    for s in range(0, n + 1):
-        _, _, sec = _slice_step_moments(law, gamma, s)
-        ps = law.slice_probs(s)
-        mult = 2.0 if s > 0 else 1.0
-        mean += mult * float(np.dot(ps, sec))
-        total += mult * float(np.dot(ps, sec * sec))
-    return max(0.0, total - mean * mean)
+    _, (_, v1) = _step_affine(law, gamma)
+    return variance_term(law, gamma) + law.expect(v1**2 * _m_variance(law))
 
 
 # ---------------------------------------------------------------------------
@@ -290,34 +306,9 @@ def _tail_expectation(law: JointLaw, gamma: float, A: float) -> float:
     Increment values are (t - l)/n^(1-gamma) with t the removed and l the
     resampled spin; |t - l| takes values 0, 1, 2.
     """
-    n = law.n
-    beta, K = law.params.beta, law.params.K
-    scale = float(n) ** (1.0 - gamma)
-    thresh = A * scale  # compare |t - l| against this
-    total = 0.0
-    for s in range(0, n + 1):
-        Ms = law.M_values(s)
-        npl = (Ms + s) // 2
-        nmi = (Ms - s) // 2
-        nz = n - Ms
-        us = np.array([s - 1.0, s + 1.0, s])
-        pm, pz, pp = _conditional_triplet(beta, K, n, us)
-        # per group: sum over l of (t-l)^2 pi_l 1{|t-l| >= thresh}
-        def g(diffs, probs):
-            acc = 0.0
-            for dlt, pr in zip(diffs, probs):
-                if abs(dlt) >= thresh - 1e-15:
-                    acc += dlt * dlt * pr
-            return acc
-
-        gp = g((2.0, 1.0, 0.0), (pm[0], pz[0], pp[0]))  # t=+1 vs l=-1,0,+1
-        gm = g((2.0, 1.0, 0.0), (pp[1], pz[1], pm[1]))  # t=-1 vs l=+1,0,-1
-        gz = g((1.0, 1.0, 0.0), (pp[2], pm[2], pz[2]))  # t=0 vs l=+1,-1,0
-        per_class = (npl * gp + nmi * gm + nz * gz) / (n * scale * scale)
-        ps = law.slice_probs(s)
-        mult = 2.0 if s > 0 else 1.0
-        total += mult * float(np.dot(ps, per_class))
-    return total
+    scale = float(law.n) ** (1.0 - gamma)
+    _, (v0, v1) = _step_affine(law, gamma, thresh=A * scale)
+    return law.expect(v0 + v1 * law.m_mean)
 
 
 def evaluate_bound(

@@ -9,9 +9,11 @@ deliberately avoid the package's own code paths except for elementary inputs.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
+from scipy.special import gammaln
 
 from begrates.model import ModelParams
 
@@ -39,6 +41,80 @@ def brute_joint_law(params: ModelParams, n: int) -> dict[tuple[int, int], float]
         M = sum(1 for v in cfg if v != 0)
         out[(s, M)] = out.get((s, M), 0.0) + p
     return out
+
+
+@dataclass
+class EnumeratedLaw:
+    """The (s, M) law for s >= 0 (it is symmetric in s) and its s-statistics."""
+
+    slices: list  # slices[s][j] = P(s, M = s + 2j)
+    s_probs: np.ndarray  # P(s), s = 0..n
+    m_mean: np.ndarray  # E[M | s]
+    m_second: np.ndarray  # E[M^2 | s]
+    log_partition: float
+
+
+def enumerated_joint_law(params: ModelParams, n: int) -> EnumeratedLaw:
+    """O(n^2) enumeration of the (s, M) classes in log space.
+
+    log w(s, M) = log multinomial(n; n+, n-, n0) - beta M + beta K s^2 / n with
+    one global normalisation; conditional moments of M are slice averages.
+    """
+    beta, K = params.beta, params.K
+    lf = gammaln(np.arange(n + 2, dtype=np.float64))  # lf[m] = log((m-1)!)
+    log_slices = []
+    for s in range(n + 1):
+        Ms = np.arange(s, n + 1, 2)
+        logc = lf[n + 1] - lf[(Ms + s) // 2 + 1] - lf[(Ms - s) // 2 + 1] - lf[n - Ms + 1]
+        log_slices.append(logc - beta * Ms + beta * K / n * s * s)
+    best = max(float(lw.max()) for lw in log_slices)
+    raw = [np.exp(lw - best) for lw in log_slices]
+    total = float(raw[0].sum()) + 2.0 * math.fsum(float(r.sum()) for r in raw[1:])
+    slices = [r / total for r in raw]
+    s_probs = np.array([float(p.sum()) for p in slices])
+    m_mean = np.zeros(n + 1)
+    m_second = np.zeros(n + 1)
+    for s, p in enumerate(slices):
+        if s_probs[s] > 0.0:
+            Ms = np.arange(s, n + 1, 2, dtype=float)
+            m_mean[s] = float(p @ Ms) / s_probs[s]
+            m_second[s] = float(p @ (Ms * Ms)) / s_probs[s]
+    log_partition = best + math.log(total) - n * math.log(3.0)
+    return EnumeratedLaw(slices, s_probs, m_mean, m_second, log_partition)
+
+
+def mpmath_joint_law(params: ModelParams, n: int, dps: int = 40):
+    """(P(s), E[M|s], E[M^2|s]) for s = 0..n at ``dps`` digits.
+
+    Runs the generating-function recurrence for c_s = [x^s](1 + a(x + 1/x))^m
+    (a = e^-beta) at m = n, n-1, n-2 in mpmath, whose exponent range is
+    unbounded, so no weight needs rescaling.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        a = mp.exp(-mp.mpf(params.beta))
+
+        def row(m):
+            c = [mp.mpf(0)] * (n + 3)
+            if m >= 0:
+                c[m] = a**m
+                for s in range(m, 0, -1):
+                    c[s - 1] = (a * (m + s + 1) * c[s + 1] + s * c[s]) / (a * (m - s + 1))
+            return c
+
+        c0, c1, c2 = row(n), row(n - 1), row(n - 2)
+        bk = mp.mpf(params.beta) * mp.mpf(params.K) / n
+        w = [mp.exp(bk * s * s) * c0[s] for s in range(n + 1)]
+        total = w[0] + 2 * mp.fsum(w[1:])
+        em = [n * a * (c1[abs(s - 1)] + c1[s + 1]) / c0[s] for s in range(n + 1)]
+        emm = [n * (n - 1) * a * a * (c2[abs(s - 2)] + 2 * c2[s] + c2[s + 2]) / c0[s]
+               for s in range(n + 1)]
+        return (
+            np.array([float(x / total) for x in w]),
+            np.array([float(x) for x in em]),
+            np.array([float(x + y) for x, y in zip(emm, em)]),
+        )
 
 
 def brute_moment(params: ModelParams, n: int, gamma: float, k: int) -> float:

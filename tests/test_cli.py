@@ -1,5 +1,7 @@
 import json
+from types import SimpleNamespace
 
+from begrates import cli, mcmc
 from begrates.cli import main
 
 
@@ -49,20 +51,6 @@ class TestExactLawCommand:
         assert code == 3
         assert "kind=computation" in err
 
-    def test_law_cache_round_trip(self, capsys, tmp_path):
-        prefix = str(tmp_path / "cache")
-        args = ("exact-law", "--n", "10", "--beta", "1.0", "--K", "0.6",
-                "--law-cache", prefix, "--format", "json")
-        code, out1, _ = run_cli(capsys, *args)
-        assert code == 0
-        code, out2, _ = run_cli(capsys, *args)
-        assert code == 0
-        doc = json.loads(out2)
-        assert doc["meta"]["law_cache_hit"] is True
-        m1 = json.loads(out1)["meta"]["moment_w2"]
-        m2 = doc["meta"]["moment_w2"]
-        assert abs(float(m1) - float(m2)) < 1e-14
-
 
 class TestKolmogorovCommand:
     def test_self_comparison_zero(self, capsys):
@@ -73,6 +61,16 @@ class TestKolmogorovCommand:
         assert code == 0
         doc = json.loads(out)
         assert float(doc["rows"][0]["d_k"]) == 0.0
+
+    def test_scalar_only_cdf_is_a_validation_error(self, capsys, monkeypatch):
+        # a CDF that only takes one float at a time is rejected, not looped over
+        scalar_only = SimpleNamespace(cdf_at_sorted=lambda t: float(t))
+        monkeypatch.setattr(cli, "normalize_density", lambda *b: scalar_only)
+        code, _, err = run_cli(
+            capsys, "kolmogorov", "--n", "16", "--beta", "1.0", "--K", "0.6",
+        )
+        assert code == 2
+        assert "kind=validation" in err
 
 
 class TestDeterminism:
@@ -118,6 +116,19 @@ class TestConfigFile:
         assert code == 0
         doc = json.loads(out)
         assert doc["config"]["n"] == 5
+
+
+    def test_config_without_path(self, capsys):
+        code, _, err = run_cli(capsys, "exact-law", "--n", "4", "--config")
+        assert code == 2
+        assert "kind=validation" in err
+
+    def test_unreadable_config(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "exact-law", "--config", str(tmp_path / "missing.cfg"),
+        )
+        assert code == 2
+        assert "kind=validation" in err
 
 
 class TestOtherCommands:
@@ -175,6 +186,22 @@ class TestOtherCommands:
         data = [l for l in out.splitlines() if l and not l.startswith("#")]
         assert data[0] == "sweep,s,M,w,w2"
         assert len(data) == 1 + 100  # one row per measured sweep
+
+    def test_mcmc_state_drift_is_a_computation_error(self, capsys, monkeypatch):
+        sweep = mcmc._sweep
+
+        def corrupting_sweep(*args):
+            s, M = sweep(*args)
+            return s + 1, M
+
+        monkeypatch.setattr(mcmc, "_sweep", corrupting_sweep)
+        monkeypatch.setattr(mcmc, "_CHECK_INTERVAL", 4)
+        code, _, err = run_cli(
+            capsys, "mcmc", "--n", "10", "--beta", "1.0", "--K", "0.6",
+            "--sweeps", "100", "--burn-in", "10",
+        )
+        assert code == 3
+        assert "kind=computation" in err
 
     def test_rate_scan_json_full_report(self, capsys):
         code, out, _ = run_cli(

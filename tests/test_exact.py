@@ -9,16 +9,21 @@ from begrates.exact import (
     build_joint_law,
     hs_check,
     kolmogorov_distance,
-    load_law,
     moment,
     moment_set,
     pair_covariance,
-    save_law,
     step_cdf_pair,
     tv_distance,
 )
 from begrates.model import BETA_C, ModelParams, critical_K
-from oracles import brute_joint_law, brute_moment, brute_pair_covariance, grid_scan_kolmogorov
+from oracles import (
+    brute_joint_law,
+    brute_moment,
+    brute_pair_covariance,
+    enumerated_joint_law,
+    grid_scan_kolmogorov,
+    mpmath_joint_law,
+)
 
 POINT_A = ModelParams(1.0, 0.6)
 
@@ -63,6 +68,8 @@ class TestBuildJointLaw:
             build_joint_law(POINT_A, 101, cap=100)
         with pytest.raises(ValidationError):
             build_joint_law(POINT_A, 0)
+        with pytest.raises(ValidationError):
+            build_joint_law(ModelParams(700.0, 0.5), 4)
 
     def test_log_partition_against_brute_force(self):
         # Z = 3^-n sum exp(-beta H); n = 4 is enough to pin the constant
@@ -76,6 +83,51 @@ class TestBuildJointLaw:
             for cfg in product((-1, 0, 1), repeat=n)
         ) / 3.0**n
         assert abs(law.log_partition - math.log(z)) < 1e-12
+
+
+class TestGeneratingFunctionLaw:
+    """P(s), E[M|s] and E[M^2|s] from the O(n) recurrences against the O(n^2)
+    enumeration and a 40-digit evaluation of the same generating function."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 64, 1024, 4096])
+    @pytest.mark.parametrize("params", TEST_PARAMS, ids=str)
+    def test_matches_enumeration(self, params, n):
+        law = build_joint_law(params, n)
+        ref = enumerated_joint_law(params, n)
+        keep = ref.s_probs > 1e-250
+        for got, want in ((law.s_probs, ref.s_probs), (law.m_mean, ref.m_mean),
+                          (law.m_second, ref.m_second)):
+            np.testing.assert_allclose(got[n:][keep], want[keep], rtol=1e-11, atol=0.0)
+        assert abs(law.log_partition - ref.log_partition) <= 1e-11 * abs(ref.log_partition)
+
+    @pytest.mark.parametrize(
+        "params,n",
+        [(ModelParams(BETA_C, critical_K(BETA_C)), 4096), (ModelParams(2.0, 1.2), 4096)]
+        # large beta K, where e^(-beta K (2s-1)/n) alone underflows
+        + [(params, n) for params in (ModelParams(400.0, 1.0), ModelParams(600.0, 0.8),
+                                      ModelParams(300.0, 1.3), ModelParams(1.0, 500.0))
+           for n in (64, 1024)],
+        ids=str,
+    )
+    def test_matches_mpmath(self, params, n):
+        law = build_joint_law(params, n)
+        probs, m_mean, m_second = mpmath_joint_law(params, n)
+        keep = probs > 1e-250
+        np.testing.assert_allclose(law.s_probs[n:][keep], probs[keep], rtol=1e-12, atol=0.0)
+        # every slice, deep tails included, unless the moment itself is
+        # below the normal range of a double
+        for got, want in ((law.m_mean[n:], m_mean), (law.m_second[n:], m_second)):
+            normal = want > 1e-290
+            np.testing.assert_allclose(got[normal], want[normal], rtol=1e-13, atol=0.0)
+
+    def test_slices_rebuild_the_conditional_moments(self):
+        n = 40
+        law = build_joint_law(ModelParams(2.0, 1.2), n)
+        for s in (-7, 0, 3, n):
+            ps = law.slice_probs(s)
+            Ms = law.M_values(s)
+            assert abs(ps.sum() - law.s_probs[n + s]) <= 1e-15 * law.s_probs[n + s]
+            assert abs(ps @ Ms / ps.sum() - law.m_mean[n + s]) <= 1e-13 * n
 
 
 class TestMoments:
@@ -119,6 +171,16 @@ class TestKolmogorov:
         far = float(law.w_values(0.5)[0]) - 10.0
         cdf = lambda t: np.where(np.asarray(t) >= far, 1.0, 0.0)
         assert kolmogorov_distance(law, 0.5, cdf) == 1.0
+
+    def test_scalar_only_cdf_rejected(self):
+        law = build_joint_law(POINT_A, 12)
+        with pytest.raises(ValidationError):
+            kolmogorov_distance(law, 0.5, lambda t: 0.5 * math.erfc(-t / math.sqrt(2.0)))
+
+    def test_wrong_shape_cdf_rejected(self):
+        law = build_joint_law(POINT_A, 12)
+        with pytest.raises(ValidationError):
+            kolmogorov_distance(law, 0.5, lambda t: 0.5)
 
     def test_matches_dense_grid_scan(self):
         # n = 6 law against the standard normal, oracle = 1e6-point sup scan
@@ -184,20 +246,3 @@ class TestPairCovariance:
             for n in (64, 256, 1024, 4096)
         ]
         assert max(vals) <= 10.0 * vals[0]
-
-
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        law = build_joint_law(POINT_A, 15)
-        csv_path = tmp_path / "law.csv"
-        head_path = tmp_path / "law.json"
-        save_law(law, str(csv_path), str(head_path))
-        back = load_law(str(csv_path), str(head_path))
-        assert back.n == law.n
-        assert back.params == law.params
-        assert back.log_partition == law.log_partition
-        for (k1, p1), (k2, p2) in zip(
-            sorted(law.atoms().items()), sorted(back.atoms().items())
-        ):
-            assert k1 == k2
-            assert abs(p1 - p2) < 1e-15

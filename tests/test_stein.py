@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from begrates.cases import case_by_id, comparison_density, params_at
+from begrates.cases import case_by_id, comparison_density, params_at, regression_at
 from begrates.density import estimate_stein_constants
 from begrates.errors import ValidationError
 from begrates.exact import build_joint_law, moment
 from begrates.model import BETA_C, ModelParams, critical_K, f_single
 from begrates.stein import (
+    _tail_expectation,
     conditional_mean_sandwich_gap,
     conditional_step_moments,
     evaluate_bound,
@@ -18,7 +19,7 @@ from begrates.stein import (
     variance_term,
     variance_term_classwise,
 )
-from oracles import brute_step_moments, brute_variance_term
+from oracles import brute_step_moments, brute_variance_term, conditional_law, enumerated_joint_law
 
 POINT_A = ModelParams(1.0, 0.6)
 
@@ -156,6 +157,81 @@ class TestRegressionDecomposition:
         law = build_joint_law(POINT_A, 32)
         dec = regression_decompose(law, 0.5, case)
         assert abs(dec.sigma2 - 1.0 / dec.psi_coeffs[0]) < 1e-15
+
+
+def _per_class_passes(case, params, n, gamma, thresholds):
+    """The four Stein passes as explicit sums over the (s, M) classes, from
+    the per-class table and the enumerated law (s >= 0, mirrored)."""
+    ref = enumerated_joint_law(params, n)
+    table = conditional_step_moments(build_joint_law(params, n), gamma)
+    lam, (q1, q3, q5) = regression_at(case, n)
+    scale = n ** (1.0 - gamma)
+    f = {u: f_single(params, u / n) for u in range(-n - 1, n + 2)}
+    mult = np.where(np.arange(n + 1) > 0, 2.0, 1.0)
+    r_max = r_l2 = fd_max = 0.0
+    sec_mean = math.fsum(mult[s] * (ref.slices[s] @ table.sec[s]) for s in range(n + 1))
+    h = np.empty(n + 1)
+    classwise = 0.0
+    tails = dict.fromkeys(thresholds, 0.0)
+    for s in range(n + 1):
+        Ms = np.arange(s, n + 1, 2)
+        npl, nmi, nz = (Ms + s) // 2, (Ms - s) // 2, n - Ms
+        p = ref.slices[s]
+        w = s / scale
+        resid = table.mean1[s] - lam * (q1 * w + q3 * w**3 + q5 * w**5)
+        r_max = max(r_max, float(np.abs(resid).max()))
+        r_l2 += mult[s] * float(p @ resid**2)
+        fd = (npl * (f[s - 1] - f[s]) + nmi * (f[s + 1] - f[s])) / (n * scale)
+        fd_max = max(fd_max, float(np.abs(fd).max()))
+        h[s] = float(p @ table.sec[s]) / ref.s_probs[s]
+        classwise += mult[s] * float(p @ (table.sec[s] - sec_mean) ** 2)
+        groups = [(npl, 1, s - 1), (nmi, -1, s + 1), (nz, 0, s)]
+        for thresh in thresholds:
+            per_class = 0.0
+            for count, t, u in groups:
+                law_l = conditional_law(params, n, u)
+                jump2 = sum((t - l) ** 2 * pl for l, pl in zip((-1, 0, 1), law_l)
+                            if abs(t - l) >= thresh)
+                per_class = per_class + count * jump2
+            tails[thresh] += mult[s] * float(p @ per_class) / (n * scale**2)
+    var_w = math.fsum(mult * ref.s_probs * (h - sec_mean) ** 2)
+    return r_max, math.sqrt(r_l2), fd_max, var_w, classwise, tails
+
+
+class TestVectorisedPasses:
+    """The O(n) affine-in-M passes against explicit per-class sums."""
+
+    @pytest.mark.parametrize("n", [64, 512])
+    @pytest.mark.parametrize("case_id", ["fixed-A", "fixed-C", "B1.k-"])
+    def test_match_per_class_sums(self, case_id, n):
+        case = case_by_id(case_id)
+        params = params_at(case, n)
+        gamma = case.gamma
+        scale = n ** (1.0 - gamma)
+        # thresholds A n^(1-gamma) in [0, 1], (1, 2] and above 2: jumps of
+        # size 1 and 2, of size 2 only, and none count
+        halfwidths = [t / scale for t in (0.5, 1.5, 3.0)]
+        thresholds = [A * scale for A in halfwidths]
+        r_max, r_l2, fd_max, var_w, classwise, tails = _per_class_passes(
+            case, params, n, gamma, thresholds
+        )
+        law = build_joint_law(params, n)
+        dec = regression_decompose(law, gamma, case)
+
+        def close(got, want):
+            return abs(got - want) <= 1e-9 * abs(want)
+
+        assert close(dec.remainder_max, r_max)
+        assert close(dec.remainder_l2, r_l2)
+        assert close(dec.fdiff_max, fd_max)
+        assert close(variance_term(law, gamma), var_w)
+        assert close(variance_term_classwise(law, gamma), classwise)
+        for A, thresh in zip(halfwidths, thresholds):
+            got = _tail_expectation(law, gamma, A)
+            if thresh > 2.0:
+                assert got == 0.0 == tails[thresh]
+            else:
+                assert close(got, tails[thresh])
 
 
 def _bound_inputs(case_id, n):
