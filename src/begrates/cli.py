@@ -67,8 +67,11 @@ class _Output:
         if path is None or path == "-":
             sys.stdout.write(text)
         else:
-            with open(path, "w") as fh:
-                fh.write(text)
+            try:
+                with open(path, "w") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ValidationError(f"cannot write output file {path!r}: {exc.strerror}") from exc
 
     def _to_json(self) -> str:
         doc = {

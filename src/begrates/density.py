@@ -10,8 +10,8 @@ The Stein machinery lives here too: the solution f_z of
 
     f'(x) + psi(x) f(x) = 1{x <= z} - P(z),      psi = p'/p,
 
-and grid-maximised envelopes for |f_z|, |f_z'|, the oscillation of f_z' and
-|(psi f_z)'|.
+and envelopes for |f_z|, |f_z'|, the oscillation of f_z' and |(psi f_z)'|:
+exact maxima over a declared (z, x) grid, in O(N) from prefix/suffix extrema.
 """
 
 from __future__ import annotations
@@ -38,6 +38,23 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 _LOG_FLOOR = 600.0  # switch to tail asymptotics once exp(-(poly-min)) < e^-600
 
 
+def _poly_of_square(y, b1, b2, b3):
+    """The exponent b1 x^2 + b2 x^4 + b3 x^6 in Horner form in y = x^2."""
+    return y * (b1 + y * (b2 + y * b3))
+
+
+def _segment_integrals(a, b, coeffs, shift: float, k: int = 0) -> np.ndarray:
+    """Integral of x^k exp(-(poly(x) - shift)) over each [a_i, b_i], k even, by
+    24-point Gauss-Legendre."""
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    Y = mid[:, None] + half[:, None] * _GL_NODES[None, :]
+    Y *= Y  # square the nodes in place: no second node-sized array stays alive
+    V = np.exp(-(_poly_of_square(Y, *coeffs) - shift))
+    if k:
+        V *= Y ** (k // 2)
+    return (V * _GL_WEIGHTS[None, :]).sum(axis=1) * half
+
+
 @dataclass(frozen=True)
 class PolyDensity:
     b1: float
@@ -55,7 +72,7 @@ class PolyDensity:
 
     def poly(self, x):
         x = np.asarray(x, dtype=float)
-        return self.b1 * x * x + self.b2 * x**4 + self.b3 * x**6
+        return _poly_of_square(x * x, self.b1, self.b2, self.b3)
 
     def logpdf(self, x):
         return -(self.poly(x) + self.log_norm)
@@ -66,56 +83,38 @@ class PolyDensity:
     def psi(self, x):
         """Logarithmic derivative p'/p = -(2 b1 x + 4 b2 x^3 + 6 b3 x^5)."""
         x = np.asarray(x, dtype=float)
-        return -(2.0 * self.b1 * x + 4.0 * self.b2 * x**3 + 6.0 * self.b3 * x**5)
+        y = x * x
+        return -(x * (2.0 * self.b1 + y * (4.0 * self.b2 + y * (6.0 * self.b3))))
 
     # -- cumulative quantities -----------------------------------------------
 
     def cdf(self, t):
-        scalar = np.ndim(t) == 0
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = self._cumulative(t, self._grid, self._cdf, from_left=True)
-        return float(out[0]) if scalar else out
+        return self._cumulative(t, self._cdf, from_left=True)
 
     def sf(self, t):
         """Survival function 1 - CDF, accumulated from the right tail."""
+        return self._cumulative(t, self._sf, from_left=False)
+
+    def _cumulative(self, t, table, *, from_left: bool):
         scalar = np.ndim(t) == 0
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = self._cumulative(t, self._grid, self._sf, from_left=False)
+        T = self.truncation
+        t = np.clip(np.atleast_1d(np.asarray(t, dtype=float)), -T, T)
+        # anchor at the grid point at or below t
+        idx = np.clip(np.searchsorted(self._grid, t, side="right") - 1, 0, self._grid.size - 1)
+        partial = self._segment_mass(self._grid[idx], t)
+        out = np.clip(table[idx] + partial if from_left else table[idx] - partial, 0.0, 1.0)
         return float(out[0]) if scalar else out
 
-    def _cumulative(self, t, grid, table, *, from_left: bool) -> np.ndarray:
-        T = self.truncation
-        t = np.clip(t, -T, T)
-        idx = np.searchsorted(grid, t, side="left")
-        idx = np.clip(idx, 0, grid.size - 1)
-        # snap to the anchor grid point at or below t
-        below = grid[idx] > t
-        idx[below] -= 1
-        idx = np.clip(idx, 0, grid.size - 1)
-        anchor = grid[idx]
-        partial = self._segment_mass(anchor, t)
-        if from_left:
-            out = table[idx] + partial
-        else:
-            out = table[idx] - partial
-        return np.clip(out, 0.0, 1.0)
-
-    def _segment_mass(self, a, b) -> np.ndarray:
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        X = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-        V = np.exp(-(self.poly(X) - self.poly_min))
-        total = (V * _GL_WEIGHTS[None, :]).sum(axis=1) * half
-        return total * math.exp(-self.poly_min - self.log_norm)
+    def _segment_mass(self, a, b, k: int = 0) -> np.ndarray:
+        """E[X^k; a_i < X < b_i] for each segment."""
+        seg = _segment_integrals(a, b, (self.b1, self.b2, self.b3), self.poly_min, k)
+        return seg * math.exp(-self.poly_min - self.log_norm)
 
     def cdf_at_sorted(self, ts: np.ndarray) -> np.ndarray:
         """CDF at an ascending array, by cumulative quadrature between points."""
-        ts = np.asarray(ts, dtype=float)
         T = self.truncation
-        inner = np.clip(ts, -T, T)
-        xs = np.concatenate(([-T], inner))
-        mass = self._segment_mass(xs[:-1], xs[1:])
-        return np.clip(np.cumsum(mass), 0.0, 1.0)
+        xs = np.concatenate(([-T], np.clip(np.asarray(ts, dtype=float), -T, T)))
+        return np.clip(np.cumsum(self._segment_mass(xs[:-1], xs[1:])), 0.0, 1.0)
 
     def moment(self, k: int) -> float:
         """E[X^k] by quadrature on the cached grid; odd k is exactly zero."""
@@ -125,13 +124,7 @@ class PolyDensity:
             return 1.0
         if k % 2 == 1:
             return 0.0
-        a, b = self._grid[:-1], self._grid[1:]
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        X = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-        V = X**k * np.exp(-(self.poly(X) - self.poly_min))
-        seg = (V * _GL_WEIGHTS[None, :]).sum(axis=1) * half
-        return float(seg.sum()) * math.exp(-self.poly_min - self.log_norm)
+        return float(self._segment_mass(self._grid[:-1], self._grid[1:], k).sum())
 
     def to_json_dict(self) -> dict:
         return {
@@ -158,7 +151,7 @@ def _poly_minimum(b1: float, b2: float, b3: float) -> tuple[float, list[float]]:
         y = -b1 / (2.0 * b2)
         if y > 0.0:
             candidates.extend([math.sqrt(y), -math.sqrt(y)])
-    vals = [b1 * x * x + b2 * x**4 + b3 * x**6 for x in candidates]
+    vals = [_poly_of_square(x * x, b1, b2, b3) for x in candidates]
     return min(vals), candidates
 
 
@@ -184,23 +177,13 @@ def normalize_density(
 
     pmin, crit = _poly_minimum(b1, b2, b3)
 
-    def poly(x: float) -> float:
-        return b1 * x * x + b2 * x**4 + b3 * x**6
-
     T = max(1.0, 2.0 * max(abs(c) for c in crit) + 1.0)
-    while poly(T) - pmin < 760.0:
+    while _poly_of_square(T * T, b1, b2, b3) - pmin < 760.0:
         T *= 1.5
 
     points = sorted({c for c in crit if -T < c < T})
-    shifted, err = quad(
-        lambda x: math.exp(-(poly(x) - pmin)),
-        -T,
-        T,
-        points=points or None,
-        epsabs=quadrature_tol * 0.1,
-        epsrel=1e-13,
-        limit=500,
-    )
+    shifted, _ = quad(lambda x: math.exp(-(_poly_of_square(x * x, b1, b2, b3) - pmin)), -T, T,
+                      points=points or None, epsabs=quadrature_tol * 0.1, epsrel=1e-13, limit=500)
     if not (shifted > 0.0 and math.isfinite(shifted)):
         raise NonIntegrableDensityError("normalisation quadrature failed")
     log_norm = math.log(shifted) + (-pmin)
@@ -209,19 +192,13 @@ def normalize_density(
     width = min(T, max(0.05, 1.0 / math.sqrt(abs(b1) + abs(b2) + abs(b3))))
     npts = int(min(16385, max(4097, 8 * math.ceil(2 * T / (0.05 * width)))))
     grid = np.linspace(-T, T, npts)
-    mass = np.zeros(npts)
-    a, b = grid[:-1], grid[1:]
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    X = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    V = np.exp(-(b1 * X * X + b2 * X**4 + b3 * X**6 - pmin))
-    seg = (V * _GL_WEIGHTS[None, :]).sum(axis=1) * half
+    seg = _segment_integrals(grid[:-1], grid[1:], (b1, b2, b3), pmin)
     total = float(seg.sum())
     if abs(total * math.exp(-pmin - log_norm) - 1.0) > 1e-9:
         raise NonIntegrableDensityError("cumulative grid disagrees with the adaptive norm")
     # normalise the cache against its own total so CDF(T) == 1 exactly
-    mass[1:] = np.cumsum(seg) / total
-    sf = np.zeros(npts)
-    sf[:-1] = np.cumsum(seg[::-1])[::-1] / total
+    mass = np.concatenate(([0.0], np.cumsum(seg) / total))
+    sf = np.concatenate((np.cumsum(seg[::-1])[::-1] / total, [0.0]))
 
     return PolyDensity(
         b1=b1,
@@ -303,9 +280,9 @@ class SteinConstants:
     """Grid-maximised envelopes for the Stein solution of one density.
 
     d1 bounds |f_z|, d2 bounds |f_z'|, d3 bounds the oscillation
-    |f_z'(x) - f_z'(y)| and d4 bounds |(psi f_z)'|, with the supremum taken
-    over the recorded (z, x) grid.  Derivatives are one-sided chord slopes,
-    which keeps the kink of f_z' at x = z from polluting neighbouring values.
+    |f_z'(x) - f_z'(y)| and d4 bounds |(psi f_z)'|: exact maxima over the
+    recorded (z, x) grid, in O(N) from prefix and suffix extrema.  Derivatives
+    are one-sided chord slopes, so the kink of f_z' at x = z stays out.
     """
 
     d1: float
@@ -319,14 +296,29 @@ class SteinConstants:
                 "grid_spec": self.grid_spec}
 
 
-def estimate_stein_constants(
-    d: PolyDensity,
-    *,
-    half_range: float = 10.0,
-    step: float = 0.005,
-    z_chunk: int = 64,
-) -> SteinConstants:
-    """Maximise the Stein-solution envelopes over a declared (z, x) grid."""
+def _suffix(ufunc, a: np.ndarray) -> np.ndarray:
+    """ufunc.accumulate from the right: out[i] = ufunc over a[i:]."""
+    return ufunc.accumulate(a[::-1])[::-1]
+
+
+def _chord_extremes(ufunc, fill: float, S, left, F, right) -> np.ndarray:
+    """Per-row ufunc over S_j * left[i] for chords i < j and F_j * right[i] for i >= j."""
+    out = np.full(S.size, fill)
+    out[1:] = S[1:] * ufunc.accumulate(left)
+    out[:-1] = ufunc(out[:-1], F[:-1] * _suffix(ufunc, right))
+    return out
+
+
+def estimate_stein_constants(d: PolyDensity, *, half_range: float = 10.0,
+                             step: float = 0.005) -> SteinConstants:
+    """Exact maxima of the Stein-solution envelopes over a declared (z, x) grid.
+
+    At z = x_j, f_z(x_i) = S_j A_i for i <= j and F_j B_i for i > j, with
+    A = F/p, B = S/p, and f_z is continuous at z.  So row j's chord slopes
+    are S_j dA_i left of z and F_j dB_i from z on (d(psi A), d(psi B) for
+    psi f_z), and as S, F >= 0 prefix and suffix extrema give every row's
+    maximum and minimum in O(N) for N grid points.
+    """
     reach = half_range
     # keep the grid inside the representable part of the density
     if d.poly(reach) - d.poly_min > _LOG_FLOOR:
@@ -345,22 +337,14 @@ def estimate_stein_constants(
     S = d.sf(xs)
     pdf = np.exp(d.logpdf(xs))
     psi = d.psi(xs)
+    A, B = F / pdf, S / pdf
 
-    d1 = d2 = d3 = d4 = 0.0
-    for start in range(0, npts, z_chunk):
-        zi = slice(start, min(start + z_chunk, npts))
-        Fz = F[zi][:, None]
-        Sz = S[zi][:, None]
-        left = xs[None, :] <= xs[zi][:, None]
-        num = np.where(left, F[None, :] * Sz, Fz * S[None, :])
-        f = num / pdf[None, :]
-        d1 = max(d1, float(np.abs(f).max()))
-        slopes = np.diff(f, axis=1) / h
-        d2 = max(d2, float(np.abs(slopes).max()))
-        osc = slopes.max(axis=1) - slopes.min(axis=1)
-        d3 = max(d3, float(osc.max()))
-        g = psi[None, :] * f
-        d4 = max(d4, float(np.abs(np.diff(g, axis=1) / h).max()))
+    d1 = max((S * np.maximum.accumulate(A)).max(), (F[:-1] * _suffix(np.maximum, B[1:])).max())
+    dA, dB = np.diff(A) / h, np.diff(B) / h
+    hi = _chord_extremes(np.maximum, -np.inf, S, dA, F, dB)
+    lo = _chord_extremes(np.minimum, np.inf, S, dA, F, dB)
+    dC, dD = np.abs(np.diff(psi * A) / h), np.abs(np.diff(psi * B) / h)
+    d4 = _chord_extremes(np.maximum, 0.0, S, dC, F, dD).max()
 
     spec = {
         "z_min": -reach,
@@ -370,4 +354,5 @@ def estimate_stein_constants(
         "step": float(h),
         "points": npts,
     }
-    return SteinConstants(d1=d1, d2=d2, d3=d3, d4=d4, grid_spec=spec)
+    return SteinConstants(d1=float(d1), d2=float(max(hi.max(), -lo.min())),
+                          d3=float((hi - lo).max()), d4=float(d4), grid_spec=spec)

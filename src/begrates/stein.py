@@ -19,7 +19,7 @@ from .cases import CaseSpec, regression_at
 from .density import PolyDensity, SteinConstants, normalize_density
 from .errors import ValidationError
 from .exact import JointLaw, kolmogorov_distance, moment
-from .model import f_single
+from .model import ModelParams
 
 __all__ = [
     "StepMomentTable",
@@ -48,6 +48,14 @@ def _conditional_triplet(beta: float, K: float, n: int, u: np.ndarray):
     wm = np.exp(base - 2.0 * beta * K * u / n)
     tot = 1.0 + wp + wm
     return wm / tot, 1.0 / tot, wp / tot
+
+
+def _f_kernel(params: ModelParams, x: np.ndarray) -> np.ndarray:
+    """``model.f_single`` over an array: the same formula and exp clamp."""
+    u = params.two_beta_K * x
+    a = np.abs(u)
+    den = np.exp(np.minimum(params.beta - a, 700.0)) + 1.0 + np.exp(-2.0 * a)
+    return np.sign(u) * -np.expm1(-2.0 * a) / den
 
 
 def max_increment(n: int, gamma: float) -> float:
@@ -165,7 +173,7 @@ def conditional_mean_sandwich_gap(law: JointLaw) -> float:
     us = np.arange(-n, n + 1, dtype=float)
     pm, _, pp = _conditional_triplet(beta, K, n, us)
     exact = pp - pm
-    f = np.array([f_single(law.params, float(u) / n) for u in us])
+    f = _f_kernel(law.params, us / n)
     lo = np.minimum(f * math.exp(-2.0 * beta * K / n), f * math.exp(2.0 * beta * K / n))
     hi = np.maximum(f * math.exp(-2.0 * beta * K / n), f * math.exp(2.0 * beta * K / n))
     gap = np.maximum(lo - exact, exact - hi)
@@ -218,7 +226,7 @@ def regression_decompose(law: JointLaw, gamma: float, case: CaseSpec) -> Regress
     lo, hi = np.abs(s), n - (n - s) % 2  # extreme M per s: an affine max sits there
     r_max = float(np.maximum(np.abs(r0 + m1 * lo), np.abs(r0 + m1 * hi)).max())
 
-    f = np.array([f_single(law.params, u / n) for u in range(-n - 1, n + 2)])
+    f = _f_kernel(law.params, np.arange(-n - 1, n + 2) / n)
     here = f[1:-1]  # f at s/n; f[:-2] and f[2:] at (s -+ 1)/n
     fd0, fd1 = _site_sum(n, s, f[:-2] - here, f[2:] - here, 0.0)
     fd_max = float(np.maximum(np.abs(fd0 + fd1 * lo), np.abs(fd0 + fd1 * hi)).max()) / (n * scale)

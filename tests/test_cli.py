@@ -177,6 +177,15 @@ class TestOtherCommands:
         assert out == ""
         assert path.read_text().startswith("# schema_version=1")
 
+    def test_unwritable_output(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "exact-law", "--n", "8", "--beta", "1", "--K", "0.6",
+            "--output", str(tmp_path / "missing" / "x.txt"),
+        )
+        assert code == 2
+        assert "kind=validation" in err
+        assert "Traceback" not in err
+
     def test_mcmc_trace_rows(self, capsys):
         code, out, _ = run_cli(
             capsys, "mcmc", "--n", "12", "--beta", "1.0", "--K", "0.6",

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from begrates import density as density_module
+from begrates.cases import case_by_id, comparison_density, params_at
 from begrates.density import (
     density_from_regression,
     estimate_stein_constants,
@@ -11,7 +13,29 @@ from begrates.density import (
     stein_solution,
 )
 from begrates.errors import NonIntegrableDensityError
-from oracles import gaussian_stein_solution, trapezoid_moment
+from begrates.exact import build_joint_law, moment
+from oracles import gaussian_stein_solution, scan_stein_constants, trapezoid_moment
+
+# one case per comparison-density shape: Gaussian, quartic, sextic and the
+# mixed and double-well boundary shapes
+SHAPE_CASES = ("fixed-A", "fixed-B", "fixed-C", "B1.k+", "B1.k-", "C1.k+b-", "C1.k-b-",
+               "C6.1.b+", "C6.1.b-", "C7.1.k+", "C7.1.k-")
+
+
+@pytest.fixture(scope="module")
+def shape_densities():
+    """The comparison densities of SHAPE_CASES at n = 64."""
+    n = 64
+    out = {}
+    for case_id in SHAPE_CASES:
+        case = case_by_id(case_id)
+        law = build_joint_law(params_at(case, n), n)
+        out[case_id] = comparison_density(case, n, {k: moment(law, case.gamma, k) for k in (2, 4, 6)})
+    return out
+
+
+def _power_form(y, b1, b2, b3):
+    return b1 * y + b2 * y * y + b3 * y * y * y
 
 
 class TestNormalization:
@@ -95,6 +119,29 @@ class TestCdfAndMoments:
         for x in np.linspace(-2.0, 2.0, 17):
             fd = (d.logpdf(x + 5e-7) - d.logpdf(x - 5e-7)) / 1e-6
             assert abs(d.psi(x) - fd) < 1e-6
+
+    @pytest.mark.parametrize("coeffs", [(0.5, 0.0, 0.0), (0.0, 0.25, 0.0), (0.3, 0.1, 0.05),
+                                        (-1.0, 0.0, 1.0), (0.5, -2.0, 1.0), (-0.4, 0.3, 0.0)])
+    def test_horner_poly_and_psi_match_power_form(self, coeffs):
+        b1, b2, b3 = coeffs
+        d = normalize_density(*coeffs)
+        xs = np.linspace(-4.0, 4.0, 2001)
+        power = b1 * xs * xs + b2 * xs**4 + b3 * xs**6
+        scale = abs(b1) * xs * xs + abs(b2) * xs**4 + abs(b3) * xs**6  # absolute near zeros
+        assert np.all(np.abs(d.poly(xs) - power) <= 1e-13 * scale)
+        dpower = -(2.0 * b1 * xs + 4.0 * b2 * xs**3 + 6.0 * b3 * xs**5)
+        dscale = np.abs(2.0 * b1 * xs) + np.abs(4.0 * b2 * xs**3) + np.abs(6.0 * b3 * xs**5)
+        assert np.all(np.abs(d.psi(xs) - dpower) <= 1e-13 * dscale)
+
+    @pytest.mark.parametrize("case_id", SHAPE_CASES)
+    def test_horner_normalisation_matches_power_form(self, case_id, shape_densities, monkeypatch):
+        d = shape_densities[case_id]
+        got = {k: d.moment(k) for k in (2, 4, 6)}
+        monkeypatch.setattr(density_module, "_poly_of_square", _power_form)
+        ref = normalize_density(d.b1, d.b2, d.b3)
+        assert abs(d.log_norm - ref.log_norm) <= 1e-12 * max(1.0, abs(ref.log_norm))
+        for k in (2, 4, 6):
+            assert abs(got[k] - ref.moment(k)) <= 1e-12 * ref.moment(k)
 
     def test_cdf_at_sorted_agrees_with_scalar(self):
         d = normalize_density(0.1, 0.0, 0.02)
@@ -180,6 +227,22 @@ class TestSteinConstants:
         assert consts.d2 <= 1.01
         assert consts.d3 <= 2.0 * consts.d2 + 1e-12
         assert consts.grid_spec["points"] > 1000
+
+    @staticmethod
+    def _assert_matches_scan(d, step):
+        got = estimate_stein_constants(d, step=step)
+        want = scan_stein_constants(d, 10.0, step)
+        assert got.grid_spec == want["grid_spec"]
+        for key in ("d1", "d2", "d3", "d4"):
+            assert abs(getattr(got, key) - want[key]) <= 1e-12 * want[key], key
+
+    @pytest.mark.parametrize("case_id", SHAPE_CASES)
+    def test_matches_full_scan_on_comparison_densities(self, case_id, shape_densities):
+        self._assert_matches_scan(shape_densities[case_id], 0.02)
+
+    @pytest.mark.parametrize("coeffs", [(0.5, 0.0, 0.0), (-1.0, 0.0, 1.0)])
+    def test_matches_full_scan_at_default_step(self, coeffs):
+        self._assert_matches_scan(normalize_density(*coeffs), 0.005)
 
     def test_narrow_density_grid_clipped(self):
         d = normalize_density(0.0, 0.0, 0.225)

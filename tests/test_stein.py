@@ -9,6 +9,7 @@ from begrates.errors import ValidationError
 from begrates.exact import build_joint_law, moment
 from begrates.model import BETA_C, ModelParams, critical_K, f_single
 from begrates.stein import (
+    _f_kernel,
     _tail_expectation,
     conditional_mean_sandwich_gap,
     conditional_step_moments,
@@ -157,6 +158,15 @@ class TestRegressionDecomposition:
         law = build_joint_law(POINT_A, 32)
         dec = regression_decompose(law, 0.5, case)
         assert abs(dec.sigma2 - 1.0 / dec.psi_coeffs[0]) < 1e-15
+
+
+@pytest.mark.parametrize("params", TEST_PARAMS, ids=str)
+@pytest.mark.parametrize("n", [64, 8192])
+def test_f_kernel_matches_scalar_f_single(params, n):
+    us = np.arange(-n - 1, n + 2)
+    got = _f_kernel(params, us / n)
+    want = np.array([f_single(params, u / n) for u in range(-n - 1, n + 2)])
+    assert np.all(np.abs(got - want) <= 4.0 * np.spacing(np.abs(want)))
 
 
 def _per_class_passes(case, params, n, gamma, thresholds):
