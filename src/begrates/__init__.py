@@ -28,12 +28,10 @@ from .errors import (
 )
 from .exact import (
     JointLaw,
-    MomentSet,
     build_joint_law,
     hs_check,
     kolmogorov_distance,
     moment,
-    moment_set,
     pair_covariance,
 )
 from .mcmc import ChainResult, chain_seeds, run_chain

@@ -11,13 +11,16 @@ rate exponent r with d_K <= const * n^-r.  The catalog covers:
 
 Multi-branch rate tables contribute one catalog entry per branch; cases whose
 mixed density changes shape with the sign of k or b contribute one entry per
-sign.  Branch predicates are enforced by ``predicted_rate``.
+sign.  Each fact is stated once: ``predicted_rate`` derives r from gamma and
+the schedule, and enforces the branch predicate, whenever a case is built;
+``regression_at`` takes lambda = n^(2 gamma - 2) and the active regression
+coefficients from gamma and the density pattern.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 from .density import PolyDensity, density_from_regression
@@ -43,7 +46,6 @@ __all__ = [
     "phase_speed",
 ]
 
-_FIXED_THEOREMS = ("fixed-A", "fixed-B", "fixed-C")
 _GAUSSIAN = "x2"
 
 # default fixed-parameter points
@@ -57,9 +59,11 @@ class CaseSpec:
     """One convergence-rate case.
 
     ``density_pattern`` lists the active exponent monomials ("x2", "x2+x4",
-    ...); ``predicted_exponent`` is the r in d_K <= const * n^-r; ``validity``
-    describes the branch predicate the defaults were chosen to satisfy.
-    ``ladder_max_exp`` is the top power of two of the default ladder.
+    ...); ``validity`` describes the branch predicate the defaults were
+    chosen to satisfy.  ``ladder_max_exp`` is the top power of two of the
+    default ladder.  ``predicted_exponent``, the r in d_K <= const * n^-r, is
+    computed by ``predicted_rate`` on construction, so a case outside its
+    branch predicate cannot be built.
     """
 
     case_id: str
@@ -67,11 +71,14 @@ class CaseSpec:
     subcase: str
     gamma: float
     density_pattern: str
-    predicted_exponent: float
     validity: str
     schedule: Schedule | None = None
     fixed_params: ModelParams | None = None
     ladder_max_exp: int = 12
+    predicted_exponent: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "predicted_exponent", predicted_rate(self))
 
     @property
     def uses_schedule(self) -> bool:
@@ -106,47 +113,27 @@ def regression_at(case: CaseSpec, n: int) -> tuple[float, tuple[float, float, fl
     """(lambda, (q1, q3, q5)) of the exchangeable-pair regression at size n.
 
     The pair satisfies E[W - W'|F] = lambda*(q1 W + q3 W^3 + q5 W^5) + R with
-    the coefficients read off the Taylor expansion of G at the origin:
-    q1 from G''(0) (equal to k/K_c(beta_n) under the schedule), q3 from
-    G''''(0) and q5 from G^(6)(0).
+    lambda = n^(2 gamma - 2) for every case; under each branch predicate this
+    is the exponent its theorem states.  The coefficients of the monomials in
+    ``density_pattern`` are read off the Taylor expansion of G at the origin,
+    q_(2j-1) = G^(2j)(0) / ((2j-1)! 2 beta K), and the others are zero.  Under
+    a schedule q1 is k/K_c(beta_n), and a moving-beta schedule scales q3 by
+    n^delta1, since there G''''(0) vanishes like b/n^delta1.
     """
     p = params_at(case, n)
     b2k = p.two_beta_K
     g2, g4, g6 = g_derivs_at_zero(p)
-    th = case.theorem
     s = case.schedule
-
-    if th in ("fixed-A", "seq-A"):
-        return 1.0 / n, (g2 / b2k, 0.0, 0.0)
-    if th == "fixed-B":
-        return float(n) ** -1.5, (0.0, g4 / (6.0 * b2k), 0.0)
-    if th == "fixed-C":
-        return float(n) ** (-5.0 / 3.0), (0.0, 0.0, g6 / (120.0 * b2k))
-    if th == "B1":
-        return float(n) ** -1.5, (s.k / critical_K(p.beta), g4 / (6.0 * b2k), 0.0)
-    if th == "B2":
-        return float(n) ** -(1.0 + s.delta2), (s.k / critical_K(p.beta), 0.0, 0.0)
-    if th == "B3":
-        return float(n) ** -1.5, (0.0, g4 / (6.0 * b2k), 0.0)
-    if th == "C1":
-        q3 = g4 * float(n) ** s.delta1 / (6.0 * b2k)
-        return float(n) ** (-5.0 / 3.0), (s.k / critical_K(p.beta), q3, g6 / (120.0 * b2k))
-    if th in ("C2", "C3"):
-        return float(n) ** -(1.0 + s.delta2), (s.k / critical_K(p.beta), 0.0, 0.0)
-    if th == "C4":
-        return float(n) ** (-5.0 / 3.0), (0.0, 0.0, g6 / (120.0 * b2k))
-    if th == "C5":
-        lam = float(n) ** -(1.0 + 2.0 * case.gamma + s.delta1)
-        return lam, (0.0, g4 * float(n) ** s.delta1 / (6.0 * b2k), 0.0)
-    if th == "C6":
-        q3 = g4 * float(n) ** s.delta1 / (6.0 * b2k)
-        return float(n) ** (-5.0 / 3.0), (0.0, q3, g6 / (120.0 * b2k))
-    if th == "C7":
-        return float(n) ** (-5.0 / 3.0), (s.k / critical_K(p.beta), 0.0, g6 / (120.0 * b2k))
-    if th == "C8":
-        q3 = g4 * float(n) ** s.delta1 / (6.0 * b2k)
-        return float(n) ** -(1.0 + s.delta2), (s.k / critical_K(p.beta), q3, 0.0)
-    raise InvalidCaseParametersError(f"unknown theorem tag {th!r}")
+    active = case.density_pattern.split("+")
+    q1 = q3 = q5 = 0.0
+    if "x2" in active:
+        q1 = g2 / b2k if s is None else s.k / critical_K(p.beta)
+    if "x4" in active:
+        moving = s is not None and s.mode is ScheduleMode.MOVING_BETA
+        q3 = g4 * (float(n) ** s.delta1 if moving else 1.0) / (6.0 * b2k)
+    if "x6" in active:
+        q5 = g6 / (120.0 * b2k)
+    return float(n) ** (2.0 * case.gamma - 2.0), (q1, q3, q5)
 
 
 def comparison_density(case: CaseSpec, n: int, moments: Mapping[int, float]) -> PolyDensity:
@@ -298,20 +285,20 @@ def case_catalog() -> list[CaseSpec]:
 
     cases.append(CaseSpec(
         case_id="fixed-A", theorem="fixed-A", subcase="(beta, K) in region A",
-        gamma=0.5, density_pattern=_GAUSSIAN, predicted_exponent=0.5,
+        gamma=0.5, density_pattern=_GAUSSIAN,
         validity="K < K_c(beta), beta <= log 4", fixed_params=_POINT_A))
     cases.append(CaseSpec(
         case_id="fixed-B", theorem="fixed-B", subcase="(beta, K_c(beta)), beta < log 4",
-        gamma=0.25, density_pattern="x4", predicted_exponent=0.25,
+        gamma=0.25, density_pattern="x4",
         validity="on the critical curve below the tricritical point",
         fixed_params=_POINT_B))
     cases.append(CaseSpec(
         case_id="fixed-C", theorem="fixed-C", subcase="tricritical point",
-        gamma=1.0 / 6.0, density_pattern="x6", predicted_exponent=1.0 / 6.0,
+        gamma=1.0 / 6.0, density_pattern="x6",
         validity="(log 4, 3/(2 log 4))", fixed_params=_POINT_C, ladder_max_exp=13))
     cases.append(CaseSpec(
         case_id="seq-A", theorem="seq-A", subcase="bounded sequence into region A",
-        gamma=0.5, density_pattern=_GAUSSIAN, predicted_exponent=0.5,
+        gamma=0.5, density_pattern=_GAUSSIAN,
         validity="any positive bounded sequence converging into A",
         fixed_params=_POINT_A))
 
@@ -319,26 +306,26 @@ def case_catalog() -> list[CaseSpec]:
     for sign, tag in ((1.0, "k+"), (-1.0, "k-")):
         cases.append(CaseSpec(
             case_id=f"B1.{tag}", theorem="B1", subcase=f"critical speed, {tag}",
-            gamma=0.25, density_pattern="x2+x4", predicted_exponent=0.25,
+            gamma=0.25, density_pattern="x2+x4",
             validity="gamma=1/4, delta2=1/2",
             schedule=_fixed_beta(k=sign, delta2=0.5)))
     cases.append(CaseSpec(
         case_id="B2.1", theorem="B2", subcase="gamma in (1/4, 1/3]",
-        gamma=0.3, density_pattern=_GAUSSIAN, predicted_exponent=0.2,
+        gamma=0.3, density_pattern=_GAUSSIAN,
         validity="2 gamma = 1 - delta2, slow K_n",
         schedule=_fixed_beta(k=1.0, delta2=0.4)))
     cases.append(CaseSpec(
         case_id="B2.2", theorem="B2", subcase="gamma in [1/3, 1/2)",
-        gamma=0.4, density_pattern=_GAUSSIAN, predicted_exponent=0.4,
+        gamma=0.4, density_pattern=_GAUSSIAN,
         validity="2 gamma = 1 - delta2, slow K_n",
         schedule=_fixed_beta(k=1.0, delta2=0.2)))
     cases.append(CaseSpec(
         case_id="B3.1", theorem="B3", subcase="delta2 in (1/2, 3/4)",
-        gamma=0.25, density_pattern="x4", predicted_exponent=0.1,
+        gamma=0.25, density_pattern="x4",
         validity="gamma=1/4, fast K_n", schedule=_fixed_beta(k=1.0, delta2=0.6)))
     cases.append(CaseSpec(
         case_id="B3.2", theorem="B3", subcase="delta2 >= 3/4",
-        gamma=0.25, density_pattern="x4", predicted_exponent=0.25,
+        gamma=0.25, density_pattern="x4",
         validity="gamma=1/4, fastest K_n", schedule=_fixed_beta(k=1.0, delta2=1.0)))
 
     # family C: (beta_n, K_n) into the tricritical point
@@ -349,34 +336,33 @@ def case_catalog() -> list[CaseSpec]:
             cases.append(CaseSpec(
                 case_id=f"C1.{tag}", theorem="C1", subcase=f"critical speeds, {tag}",
                 gamma=1.0 / 6.0, density_pattern="x2+x4+x6",
-                predicted_exponent=1.0 / 6.0,
                 validity="gamma=1/6, delta1=1/3, delta2=2/3",
                 schedule=_moving(k=k, b=b, delta1=third, delta2=two_thirds),
                 ladder_max_exp=13))
 
     c2 = [
-        ("C2.1", 0.3, 0.05, "gamma in (1/4, 1/3], delta1 < 1 - 3 gamma", 0.25),
-        ("C2.2", 0.3, 0.30, "gamma in (1/4, 1/3], delta1 >= 1 - 3 gamma", 0.3),
-        ("C2.3", 0.4, 0.20, "gamma in [1/3, 1/2)", 0.4),
+        ("C2.1", 0.3, 0.05, "gamma in (1/4, 1/3], delta1 < 1 - 3 gamma"),
+        ("C2.2", 0.3, 0.30, "gamma in (1/4, 1/3], delta1 >= 1 - 3 gamma"),
+        ("C2.3", 0.4, 0.20, "gamma in [1/3, 1/2)"),
     ]
-    for cid, g, d1, desc, rate in c2:
+    for cid, g, d1, desc in c2:
         cases.append(CaseSpec(
             case_id=cid, theorem="C2", subcase=desc, gamma=g,
-            density_pattern=_GAUSSIAN, predicted_exponent=rate,
+            density_pattern=_GAUSSIAN,
             validity="2 gamma = 1 - delta2, delta1 > 0",
             schedule=_moving(k=1.0, b=1.0, delta1=d1, delta2=1.0 - 2.0 * g),
             ladder_max_exp=13))
 
     c3 = [
-        ("C3.1", 0.19, 0.34, "gamma in (1/6, 1/5], 1-4g < delta1 < 2g", 0.10),
-        ("C3.2", 0.19, 0.50, "gamma in (1/6, 1/5], delta1 >= 2 gamma", 6 * 0.19 - 1.0),
-        ("C3.3", 0.22, 0.25, "gamma in [1/5, 1/4], 1-4g < delta1 < 1-3g", 0.13),
-        ("C3.4", 0.22, 0.50, "gamma in [1/5, 1/4], delta1 >= 1 - 3 gamma", 0.22),
+        ("C3.1", 0.19, 0.34, "gamma in (1/6, 1/5], 1-4g < delta1 < 2g"),
+        ("C3.2", 0.19, 0.50, "gamma in (1/6, 1/5], delta1 >= 2 gamma"),
+        ("C3.3", 0.22, 0.25, "gamma in [1/5, 1/4], 1-4g < delta1 < 1-3g"),
+        ("C3.4", 0.22, 0.50, "gamma in [1/5, 1/4], delta1 >= 1 - 3 gamma"),
     ]
-    for cid, g, d1, desc, rate in c3:
+    for cid, g, d1, desc in c3:
         cases.append(CaseSpec(
             case_id=cid, theorem="C3", subcase=desc, gamma=g,
-            density_pattern=_GAUSSIAN, predicted_exponent=rate,
+            density_pattern=_GAUSSIAN,
             validity="2 gamma = 1 - delta2, delta1 > 2 delta2 - 1",
             schedule=_moving(k=1.0, b=1.0, delta1=d1, delta2=1.0 - 2.0 * g),
             ladder_max_exp=13))
@@ -389,10 +375,9 @@ def case_catalog() -> list[CaseSpec]:
         ("C4.5", 0.70, 1.00, "delta1 >= 1/2, delta2 >= 5/6"),
     ]
     for cid, d1, d2, desc in c4:
-        rate = min(1.0 / 6.0, d1 - third, d2 - two_thirds)
         cases.append(CaseSpec(
             case_id=cid, theorem="C4", subcase=desc, gamma=1.0 / 6.0,
-            density_pattern="x6", predicted_exponent=rate,
+            density_pattern="x6",
             validity="gamma=1/6, delta1 > 1/3, delta2 > 2/3",
             schedule=_moving(k=1.0, b=1.0, delta1=d1, delta2=d2),
             ladder_max_exp=13))
@@ -404,10 +389,9 @@ def case_catalog() -> list[CaseSpec]:
         ("C5.4", 0.22, 0.90, "gamma in [1/5, 1/4), delta2 >= 1 - gamma"),
     ]
     for cid, g, d2, desc in c5:
-        rate = min(g, 2 * g + d2 - 1.0, 6 * g - 1.0)
         cases.append(CaseSpec(
             case_id=cid, theorem="C5", subcase=desc, gamma=g,
-            density_pattern="x4", predicted_exponent=rate,
+            density_pattern="x4",
             validity="4 gamma = 1 - delta1, 2 delta2 > delta1 + 1, b > 0",
             schedule=_moving(k=1.0, b=1.0, delta1=1.0 - 4.0 * g, delta2=d2),
             ladder_max_exp=13))
@@ -415,11 +399,10 @@ def case_catalog() -> list[CaseSpec]:
     for br, d2 in (("1", 0.75), ("2", 1.0)):
         for b in (1.0, -1.0):
             tag = "b+" if b > 0 else "b-"
-            rate = min(1.0 / 6.0, d2 - two_thirds)
             cases.append(CaseSpec(
                 case_id=f"C6.{br}.{tag}", theorem="C6",
                 subcase=f"delta2 {'in (2/3, 5/6)' if br == '1' else '>= 5/6'}, {tag}",
-                gamma=1.0 / 6.0, density_pattern="x4+x6", predicted_exponent=rate,
+                gamma=1.0 / 6.0, density_pattern="x4+x6",
                 validity="gamma=1/6, delta1=1/3, delta2 > 2/3",
                 schedule=_moving(k=1.0, b=b, delta1=third, delta2=d2),
                 ladder_max_exp=13))
@@ -427,11 +410,10 @@ def case_catalog() -> list[CaseSpec]:
     for br, d1 in (("1", 0.45), ("2", 0.70)):
         for k in (1.0, -1.0):
             tag = "k+" if k > 0 else "k-"
-            rate = min(1.0 / 6.0, d1 - third)
             cases.append(CaseSpec(
                 case_id=f"C7.{br}.{tag}", theorem="C7",
                 subcase=f"delta1 {'in (1/3, 1/2)' if br == '1' else '>= 1/2'}, {tag}",
-                gamma=1.0 / 6.0, density_pattern="x2+x6", predicted_exponent=rate,
+                gamma=1.0 / 6.0, density_pattern="x2+x6",
                 validity="gamma=1/6, delta1 > 1/3, delta2=2/3",
                 schedule=_moving(k=k, b=1.0, delta1=d1, delta2=two_thirds),
                 ladder_max_exp=13))
@@ -443,11 +425,10 @@ def case_catalog() -> list[CaseSpec]:
         for k in (1.0, -0.25):
             tag = "k+" if k > 0 else "k-"
             d1 = 1.0 - 4.0 * g
-            rate = min(g, 6 * g - 1.0)
             cases.append(CaseSpec(
                 case_id=f"C8.{br}.{tag}", theorem="C8",
                 subcase=f"gamma {'in (1/6, 1/5]' if br == '1' else 'in [1/5, 1/4)'}, {tag}",
-                gamma=g, density_pattern="x2+x4", predicted_exponent=rate,
+                gamma=g, density_pattern="x2+x4",
                 validity="4 gamma = 1 - delta1, 2 delta2 = delta1 + 1, b > 0",
                 schedule=_moving(k=k, b=1.0, delta1=d1, delta2=(d1 + 1.0) / 2.0),
                 ladder_max_exp=13))
@@ -464,6 +445,4 @@ def case_by_id(case_id: str) -> CaseSpec:
 
 def with_schedule(case: CaseSpec, **schedule_updates) -> CaseSpec:
     """Copy of a case with modified schedule fields (rate recomputed)."""
-    new_sched = replace(case.schedule, **schedule_updates)
-    out = replace(case, schedule=new_sched)
-    return replace(out, predicted_exponent=predicted_rate(out))
+    return replace(case, schedule=replace(case.schedule, **schedule_updates))

@@ -19,7 +19,7 @@ import json
 import sys
 
 from . import __version__
-from .cases import case_by_id, case_catalog, comparison_density, params_at, predicted_rate
+from .cases import case_by_id, case_catalog, comparison_density, params_at
 from .density import estimate_stein_constants, normalize_density
 from .errors import ComputationError, ValidationError
 from .exact import (
@@ -283,7 +283,7 @@ def _cmd_case_catalog(args) -> _Output:
         row = {
             "case_id": case.case_id, "theorem": case.theorem, "subcase": case.subcase,
             "gamma": case.gamma, "density_pattern": case.density_pattern,
-            "predicted_exponent": predicted_rate(case), "validity": case.validity,
+            "predicted_exponent": case.predicted_exponent, "validity": case.validity,
             "ladder_max_exp": case.ladder_max_exp,
             "mode": "", "beta_fixed": "", "b": "", "k": "", "delta1": "", "delta2": "",
         }
@@ -327,7 +327,11 @@ def _cmd_hs_check(args) -> _Output:
 
 
 def _apply_config_file(argv: list[str]) -> list[str]:
-    """Prepend defaults from --config FILE (key=value per line); flags win."""
+    """Prepend defaults from --config FILE (key=value per line); flags win.
+
+    Keys are flag names without the dashes; ``_`` may stand for ``-``, so
+    ``burn_in`` and ``burn-in`` both set ``--burn-in``.
+    """
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
@@ -346,7 +350,7 @@ def _apply_config_file(argv: list[str]) -> list[str]:
         if not line or line.startswith("#"):
             continue
         key, _, value = line.partition("=")
-        extra.extend([f"--{key.strip()}", value.strip()])
+        extra.extend([f"--{key.strip().replace('_', '-')}", value.strip()])
     # subcommand first, then file defaults, then explicit flags (argparse
     # lets later occurrences win)
     return rest[:1] + extra + rest[1:]

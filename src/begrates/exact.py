@@ -35,10 +35,8 @@ from .model import ModelParams
 __all__ = [
     "DEFAULT_N_CAP",
     "JointLaw",
-    "MomentSet",
     "build_joint_law",
     "moment",
-    "moment_set",
     "kolmogorov_distance",
     "hs_check",
     "pair_covariance",
@@ -223,21 +221,6 @@ def moment(law: JointLaw, gamma: float, k: int) -> float:
         return 1.0
     w = law.w_values(gamma)
     return math.fsum(law.s_probs * w**k)
-
-
-@dataclass(frozen=True)
-class MomentSet:
-    """Moments of the rescaled spin sum at a fixed gamma."""
-
-    gamma: float
-    moments: dict[int, float]
-
-    def __getitem__(self, k: int) -> float:
-        return self.moments[k]
-
-
-def moment_set(law: JointLaw, gamma: float, orders: tuple[int, ...] = (2, 4, 6)) -> MomentSet:
-    return MomentSet(gamma=gamma, moments={k: moment(law, gamma, k) for k in orders})
 
 
 def _check_gamma(gamma: float) -> None:

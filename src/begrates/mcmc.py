@@ -2,10 +2,12 @@
 
 One sweep performs n single-site updates at uniformly random sites, each
 drawing the new spin from its exact 3-point conditional given the rest.  The
-running pair (s, M) makes every update O(1); it is re-derived from the spin
-array periodically as a consistency check.  Runs are deterministic given the
-64-bit seed (numpy PCG64); per-chain seeds for parallel sweeps should come
-from ``chain_seeds``.
+Hamiltonian sees a configuration only through (s, M), and the measure is
+exchangeable, so the chain is run lumped on the counts (n+, n-) of +1 and -1
+spins: site index i < n+ holds a +1, i < n+ + n- a -1, and the rest 0s.  This
+is the law of the spin-array chain with no spin array; every update is O(1).
+Runs are deterministic given the 64-bit seed (numpy PCG64); per-chain seeds
+for parallel sweeps should come from ``chain_seeds``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .model import ModelParams
 
 __all__ = ["ChainResult", "run_chain", "chain_seeds"]
 
-_CHECK_INTERVAL = 1024  # sweeps between (s, M) consistency checks
 _BATCHES = 32
 
 
@@ -92,22 +93,29 @@ def run_chain(
 
     beta, K = params.beta, params.K
     rng = np.random.default_rng(seed)
-    spins = np.zeros(n, dtype=np.int8)
-    s = 0
-    M = 0
+    n_plus = n_minus = 0
 
-    u_tab = np.exp(2.0 * beta * K * np.arange(-n, n + 1) / n)
-    base = math.exp(-beta + beta * K / n)
+    # cumulative conditional law (P(-1), P(-1) + P(0)) of a site whose other
+    # spins sum to u, for u = -n..n; the log weights of -1, 0 and +1 are
+    # -beta + beta K (1 - 2u)/n, 0 and -beta + beta K (1 + 2u)/n
+    shift = 2.0 * beta * K * np.arange(-n, n + 1) / n
+    base = -beta + beta * K / n
+    log_w = np.stack((base - shift, np.zeros_like(shift), base + shift))
+    cum = np.cumsum(np.exp(log_w - log_w.max(axis=0)), axis=0)
+    cum_minus, cum_zero = (cum[:2] / cum[2]).tolist()
 
     s_series = np.empty(measured, dtype=np.int64)
     m_series = np.empty(measured, dtype=np.int64)
     hist: dict[int, int] = {}
 
     for sweep in range(sweeps):
-        s, M = _sweep(spins, s, M, rng.integers(0, n, size=n), rng.random(n), u_tab, base)
-        if (sweep + 1) % _CHECK_INTERVAL == 0:
-            if s != int(spins.sum()) or M != int(np.count_nonzero(spins)):
-                raise ComputationError("running (s, M) diverged from the spin array")
+        n_plus, n_minus = _sweep(n_plus, n_minus, rng.integers(0, n, size=n).tolist(),
+                                 rng.random(n).tolist(), cum_minus, cum_zero)
+        if not (n_plus >= 0 and n_minus >= 0 and n_plus + n_minus <= n):
+            raise ComputationError(
+                f"sampler counts left the simplex: n+={n_plus}, n-={n_minus}, n={n}"
+            )
+        s, M = n_plus - n_minus, n_plus + n_minus
         if sweep >= burn_in:
             idx = sweep - burn_in
             s_series[idx] = s
@@ -141,32 +149,22 @@ def run_chain(
     )
 
 
-def _sweep(spins, s: int, M: int, sites, draws, u_tab, base: float) -> tuple[int, int]:
-    """One heat-bath update at each of ``sites``; returns the running (s, M).
+def _sweep(n_plus: int, n_minus: int, sites: list, draws: list,
+           cum_minus: list, cum_zero: list) -> tuple[int, int]:
+    """One heat-bath update at each of ``sites``; returns the new (n+, n-).
 
-    Conditional weights depend on u = s - spins[i] only through
-    exp(+-2 beta K u / n), tabulated in ``u_tab`` over all reachable u.
+    The site's spin is read off its index, and the new spin from the draw
+    against the cumulative conditional law at u = s - spin (offset by n).
     """
-    n = spins.size
-    for j in range(n):
-        i = sites[j]
-        old = int(spins[i])  # keep s, M, u as plain ints (no int8 wraparound)
-        u = s - old
-        wp = base * u_tab[u + n]
-        wm = base / u_tab[u + n]
-        tot = 1.0 + wp + wm
-        x = draws[j] * tot
-        if x < wm:
-            new = -1
-        elif x < wm + 1.0:
-            new = 0
-        else:
-            new = 1
+    n = len(sites)
+    for i, x in zip(sites, draws):
+        old = 1 if i < n_plus else (-1 if i < n_plus + n_minus else 0)
+        j = n_plus - n_minus - old + n
+        new = -1 if x < cum_minus[j] else (0 if x < cum_zero[j] else 1)
         if new != old:
-            spins[i] = new
-            s += new - old
-            M += abs(new) - abs(old)
-    return s, M
+            n_plus += (new == 1) - (old == 1)
+            n_minus += (new == -1) - (old == -1)
+    return n_plus, n_minus
 
 
 def _batch_means(series: np.ndarray) -> tuple[float, float]:

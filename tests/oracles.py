@@ -15,7 +15,8 @@ from itertools import product
 import numpy as np
 from scipy.special import gammaln
 
-from begrates.model import ModelParams
+from begrates.cases import params_at
+from begrates.model import ModelParams, critical_K, g_derivs_at_zero
 
 
 def brute_configs(params: ModelParams, n: int):
@@ -31,16 +32,6 @@ def brute_configs(params: ModelParams, n: int):
     weights = [math.exp(v - best) for v in logw]
     total = math.fsum(weights)
     return cfgs, [w / total for w in weights]
-
-
-def brute_joint_law(params: ModelParams, n: int) -> dict[tuple[int, int], float]:
-    cfgs, probs = brute_configs(params, n)
-    out: dict[tuple[int, int], float] = {}
-    for cfg, p in zip(cfgs, probs):
-        s = sum(cfg)
-        M = sum(1 for v in cfg if v != 0)
-        out[(s, M)] = out.get((s, M), 0.0) + p
-    return out
 
 
 @dataclass
@@ -115,6 +106,54 @@ def mpmath_joint_law(params: ModelParams, n: int, dps: int = 40):
             np.array([float(x) for x in em]),
             np.array([float(x + y) for x, y in zip(emm, em)]),
         )
+
+
+def branch_regression_at(case, n: int) -> tuple[float, tuple[float, float, float]]:
+    """(lambda, (q1, q3, q5)) restated theorem by theorem, as the reference
+    for the pattern-driven ``cases.regression_at``.
+
+    The pair satisfies E[W - W'|F] = lambda*(q1 W + q3 W^3 + q5 W^5) + R with
+    the coefficients read off the Taylor expansion of G at the origin:
+    q1 from G''(0) (equal to k/K_c(beta_n) under the schedule), q3 from
+    G''''(0) and q5 from G^(6)(0).
+    """
+    p = params_at(case, n)
+    b2k = p.two_beta_K
+    g2, g4, g6 = g_derivs_at_zero(p)
+    th = case.theorem
+    s = case.schedule
+
+    if th in ("fixed-A", "seq-A"):
+        return 1.0 / n, (g2 / b2k, 0.0, 0.0)
+    if th == "fixed-B":
+        return float(n) ** -1.5, (0.0, g4 / (6.0 * b2k), 0.0)
+    if th == "fixed-C":
+        return float(n) ** (-5.0 / 3.0), (0.0, 0.0, g6 / (120.0 * b2k))
+    if th == "B1":
+        return float(n) ** -1.5, (s.k / critical_K(p.beta), g4 / (6.0 * b2k), 0.0)
+    if th == "B2":
+        return float(n) ** -(1.0 + s.delta2), (s.k / critical_K(p.beta), 0.0, 0.0)
+    if th == "B3":
+        return float(n) ** -1.5, (0.0, g4 / (6.0 * b2k), 0.0)
+    if th == "C1":
+        q3 = g4 * float(n) ** s.delta1 / (6.0 * b2k)
+        return float(n) ** (-5.0 / 3.0), (s.k / critical_K(p.beta), q3, g6 / (120.0 * b2k))
+    if th in ("C2", "C3"):
+        return float(n) ** -(1.0 + s.delta2), (s.k / critical_K(p.beta), 0.0, 0.0)
+    if th == "C4":
+        return float(n) ** (-5.0 / 3.0), (0.0, 0.0, g6 / (120.0 * b2k))
+    if th == "C5":
+        lam = float(n) ** -(1.0 + 2.0 * case.gamma + s.delta1)
+        return lam, (0.0, g4 * float(n) ** s.delta1 / (6.0 * b2k), 0.0)
+    if th == "C6":
+        q3 = g4 * float(n) ** s.delta1 / (6.0 * b2k)
+        return float(n) ** (-5.0 / 3.0), (0.0, q3, g6 / (120.0 * b2k))
+    if th == "C7":
+        return float(n) ** (-5.0 / 3.0), (s.k / critical_K(p.beta), 0.0, g6 / (120.0 * b2k))
+    if th == "C8":
+        q3 = g4 * float(n) ** s.delta1 / (6.0 * b2k)
+        return float(n) ** -(1.0 + s.delta2), (s.k / critical_K(p.beta), q3, 0.0)
+    raise ValueError(f"unknown theorem tag {th!r}")
 
 
 def brute_moment(params: ModelParams, n: int, gamma: float, k: int) -> float:

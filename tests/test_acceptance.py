@@ -15,6 +15,7 @@ import pytest
 from begrates.cases import case_by_id, case_catalog, comparison_density, params_at, with_schedule
 from begrates.density import estimate_stein_constants
 from begrates.exact import (
+    brute_force_law,
     build_joint_law,
     hs_check,
     moment,
@@ -33,7 +34,7 @@ from begrates.model import (
 )
 from begrates.rates import fit_loglog, run_case
 from begrates.stein import conditional_mean_sandwich_gap, conditional_step_moments, evaluate_bound, variance_term
-from oracles import brute_joint_law, brute_step_moments, brute_variance_term, series_g6_oracle
+from oracles import brute_step_moments, brute_variance_term, series_g6_oracle
 
 SIX_POINTS = [
     ModelParams(1.0, 0.6),
@@ -103,7 +104,7 @@ def test_criterion_1_exhaustive_equivalence():
     for params in SIX_POINTS:
         for n in range(1, 9):
             law = build_joint_law(params, n)
-            assert tv_distance(law.atoms(), brute_joint_law(params, n)) < 1e-12
+            assert tv_distance(law.atoms(), brute_force_law(params, n)) < 1e-12
         # conditional step moments and the variance term at a midsize n
         for n in (4, 6):
             law = build_joint_law(params, n)

@@ -16,6 +16,24 @@ from begrates.cases import (
 from begrates.errors import InvalidCaseParametersError
 from begrates.exact import build_joint_law, moment
 from begrates.model import BETA_C, critical_K, g_derivs_at_zero
+from oracles import branch_regression_at
+
+SIXTH, TWELFTH = 1.0 / 6.0, 1.0 / 12.0
+
+# the Kolmogorov rate r of every catalog case at its default parameters
+PAPER_RATES = {
+    "fixed-A": 0.5, "fixed-B": 0.25, "fixed-C": SIXTH, "seq-A": 0.5,
+    "B1.k+": 0.25, "B1.k-": 0.25, "B2.1": 0.2, "B2.2": 0.4, "B3.1": 0.1, "B3.2": 0.25,
+    "C1.k+b+": SIXTH, "C1.k+b-": SIXTH, "C1.k-b+": SIXTH, "C1.k-b-": SIXTH,
+    "C2.1": 0.25, "C2.2": 0.3, "C2.3": 0.4,
+    "C3.1": 0.1, "C3.2": 0.14, "C3.3": 0.13, "C3.4": 0.22,
+    "C4.1": 1.0 / 15.0, "C4.2": 1.0 / 30.0, "C4.3": 1.0 / 15.0, "C4.4": TWELFTH,
+    "C4.5": SIXTH,
+    "C5.1": 0.04, "C5.2": 0.08, "C5.3": 0.14, "C5.4": 0.22,
+    "C6.1.b+": TWELFTH, "C6.1.b-": TWELFTH, "C6.2.b+": SIXTH, "C6.2.b-": SIXTH,
+    "C7.1.k+": 7.0 / 60.0, "C7.1.k-": 7.0 / 60.0, "C7.2.k+": SIXTH, "C7.2.k-": SIXTH,
+    "C8.1.k+": 0.14, "C8.1.k-": 0.14, "C8.2.k+": 0.22, "C8.2.k-": 0.22,
+}
 
 
 class TestCatalogShape:
@@ -43,9 +61,11 @@ class TestCatalogShape:
         for c in case_catalog():
             assert abs(phase_speed(c)) < 1e-12, c.case_id
 
-    def test_stored_rates_match_predicted(self):
-        for c in case_catalog():
-            assert abs(predicted_rate(c) - c.predicted_exponent) < 1e-12, c.case_id
+    def test_rates_match_the_paper_table(self):
+        got = {c.case_id: c.predicted_exponent for c in case_catalog()}
+        assert got.keys() == PAPER_RATES.keys()
+        for cid, r in PAPER_RATES.items():
+            assert abs(got[cid] - r) < 1e-12, cid
 
     def test_gamma_ranges(self):
         for c in case_catalog():
@@ -97,6 +117,14 @@ class TestParamsAt:
 
 
 class TestRegression:
+    @pytest.mark.parametrize("n", [64, 1024, 8192])
+    def test_matches_the_per_theorem_table(self, n):
+        for case in case_catalog():
+            lam, q = regression_at(case, n)
+            ref_lam, ref_q = branch_regression_at(case, n)
+            assert q == ref_q, case.case_id
+            assert abs(lam - ref_lam) <= 1e-14 * ref_lam, case.case_id
+
     def test_b1_coefficients(self):
         c = case_by_id("B1.k+")
         n = 256

@@ -118,6 +118,17 @@ class TestConfigFile:
         assert doc["config"]["n"] == 5
 
 
+    def test_underscore_keys_spell_flags(self, capsys, tmp_path):
+        outs = []
+        for key in ("burn-in", "burn_in"):
+            cfg = tmp_path / f"{key}.cfg"
+            cfg.write_text(f"n=10\nbeta=1.0\nK=0.6\nsweeps=200\n{key}=50\nseed=3\n")
+            code, out, err = run_cli(capsys, "mcmc", "--config", str(cfg))
+            assert code == 0, err
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert "# config burn_in=50" in outs[0]
+
     def test_config_without_path(self, capsys):
         code, _, err = run_cli(capsys, "exact-law", "--n", "4", "--config")
         assert code == 2
@@ -200,17 +211,26 @@ class TestOtherCommands:
         sweep = mcmc._sweep
 
         def corrupting_sweep(*args):
-            s, M = sweep(*args)
-            return s + 1, M
+            n_plus, _ = sweep(*args)
+            return n_plus, -1
 
         monkeypatch.setattr(mcmc, "_sweep", corrupting_sweep)
-        monkeypatch.setattr(mcmc, "_CHECK_INTERVAL", 4)
         code, _, err = run_cli(
             capsys, "mcmc", "--n", "10", "--beta", "1.0", "--K", "0.6",
             "--sweeps", "100", "--burn-in", "10",
         )
         assert code == 3
         assert "kind=computation" in err
+
+    def test_rate_scan_worker_error_is_a_computation_error(self, capsys):
+        # three-rung ladders are too short to fit, inside the worker processes
+        code, _, err = run_cli(
+            capsys, "rate-scan", "--all", "--threads", "2", "--min-exp", "2",
+            "--max-exp", "4",
+        )
+        assert code == 3
+        assert "kind=computation" in err
+        assert "Traceback" not in err
 
     def test_rate_scan_json_full_report(self, capsys):
         code, out, _ = run_cli(

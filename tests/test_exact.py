@@ -6,18 +6,17 @@ from scipy.stats import norm
 
 from begrates.errors import CapExceededError, ValidationError
 from begrates.exact import (
+    brute_force_law,
     build_joint_law,
     hs_check,
     kolmogorov_distance,
     moment,
-    moment_set,
     pair_covariance,
     step_cdf_pair,
     tv_distance,
 )
 from begrates.model import BETA_C, ModelParams, critical_K
 from oracles import (
-    brute_joint_law,
     brute_moment,
     brute_pair_covariance,
     enumerated_joint_law,
@@ -52,7 +51,7 @@ class TestBuildJointLaw:
     @pytest.mark.parametrize("params", TEST_PARAMS, ids=str)
     def test_matches_brute_force(self, params, n):
         law = build_joint_law(params, n)
-        assert tv_distance(law.atoms(), brute_joint_law(params, n)) < 1e-12
+        assert tv_distance(law.atoms(), brute_force_law(params, n)) < 1e-12
 
     def test_normalised_and_symmetric(self):
         law = build_joint_law(POINT_A, 40)
@@ -152,12 +151,6 @@ class TestMoments:
             moment(law, 0.7, 2)
         with pytest.raises(ValidationError):
             moment(law, 0.5, 13)
-
-    def test_moment_set(self):
-        law = build_joint_law(POINT_A, 20)
-        ms = moment_set(law, 0.5)
-        assert set(ms.moments) == {2, 4, 6}
-        assert ms[2] == moment(law, 0.5, 2)
 
 
 class TestKolmogorov:

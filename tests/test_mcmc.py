@@ -37,6 +37,14 @@ class TestAgainstExactLaw:
         assert se > 0.0
         assert abs(est - exact) < 4.0 * se
 
+    @pytest.mark.parametrize("n, seed", [(20, 11), (50, 22)])
+    def test_nonzero_fraction_within_four_stderr(self, n, seed):
+        exact_m, _ = build_joint_law(POINT_A, n).count_moments()
+        res = run_chain(POINT_A, n, 12000, 1200, seed=seed)
+        est, se = res.m_fraction
+        assert se > 0.0
+        assert abs(est - exact_m / n) < 4.0 * se
+
     def test_fourth_moment_too(self):
         n = 25
         law = build_joint_law(POINT_A, n)
@@ -52,6 +60,14 @@ class TestFreezing:
         warm = run_chain(ModelParams(0.3, 0.5), 40, 3000, 300, seed=5)
         assert frozen.m_fraction[0] < 0.01
         assert warm.m_fraction[0] > 0.5
+
+    def test_ordered_phase_at_large_beta_k(self):
+        # e^(2 beta K u / n) overflows here; the exact law sits on s = +-n
+        params, n = ModelParams(1.0, 400.0), 10
+        law = build_joint_law(params, n)
+        assert law.s_probs[0] + law.s_probs[-1] > 1.0 - 1e-12
+        res = run_chain(params, n, 200, 100, seed=1, keep_histogram=True)
+        assert set(res.s_histogram) <= {-n, n}
 
 
 class TestValidation:
