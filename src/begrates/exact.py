@@ -212,15 +212,32 @@ def build_joint_law(params: ModelParams, n: int, *, cap: int = DEFAULT_N_CAP) ->
 # moments
 
 
+def _fsum_largest_first(terms: np.ndarray) -> float:
+    """``math.fsum`` of the terms, fed in order of decreasing magnitude.
+
+    fsum is correctly rounded, so the order does not change the result, only
+    the cost: fed in s order, terms spanning 1e-321..1 grow fsum's list of
+    partial sums long.  At n = 8192 a sum takes ~1-2 ms largest first against
+    7-17 ms in s order.
+    """
+    return math.fsum(terms[np.argsort(-np.abs(terms))].tolist())
+
+
 def moment(law: JointLaw, gamma: float, k: int) -> float:
-    """E[W^k] for W = S_n / n^(1-gamma), accumulated with exact summation."""
+    """E[W^k] for W = S_n / n^(1-gamma), accumulated with exact summation.
+
+    The terms P(s) w^k are summed by ``math.fsum``, correctly rounded, and
+    fed largest first: in s order fsum is about ten times slower on these
+    terms, which span hundreds of orders of magnitude.  The result is the
+    same in any order.
+    """
     _check_gamma(gamma)
     if not (0 <= k <= 12):
         raise ValidationError(f"moment order must lie in [0, 12], got {k}")
     if k == 0:
         return 1.0
     w = law.w_values(gamma)
-    return math.fsum(law.s_probs * w**k)
+    return _fsum_largest_first(law.s_probs * w**k)
 
 
 def _check_gamma(gamma: float) -> None:
@@ -365,10 +382,14 @@ def hs_check(
 
 
 def pair_covariance(params: ModelParams, n: int, *, law: JointLaw | None = None) -> float:
-    """Cov(w_i^2, w_j^2) for i != j, exactly, via exchangeability.
+    """Cov(w_i^2, w_j^2) for i != j, via exchangeability.
 
     Sum(w_i^2) = M and Sum_{i != j} w_i^2 w_j^2 = M^2 - M, so the covariance
-    equals (E[M^2] - E[M]) / (n(n-1)) - (E[M]/n)^2.
+    equals (E[M^2] - E[M]) / (n(n-1)) - (E[M]/n)^2.  The identity is exact,
+    but the result is not: the two terms are O(1) and nearly equal while the
+    covariance is O(1/n), so rounding in the count moments is magnified.
+    Against a 40-digit evaluation in region A the relative error is 4e-9 at
+    n = 1024, 2e-7 at n = 4096 and 1e-6 at n = 8192.
     """
     if n < 2:
         raise ValidationError("pair covariance needs n >= 2")

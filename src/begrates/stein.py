@@ -18,7 +18,7 @@ import numpy as np
 from .cases import CaseSpec, regression_at
 from .density import PolyDensity, SteinConstants, normalize_density
 from .errors import ValidationError
-from .exact import JointLaw, kolmogorov_distance, moment
+from .exact import JointLaw, _fsum_largest_first, kolmogorov_distance, moment
 from .model import ModelParams
 
 __all__ = [
@@ -352,7 +352,7 @@ def evaluate_bound(
 
     var_cond = variance_term(law, gamma)
     w = law.w_values(gamma)
-    e_abs_psi = math.fsum(law.s_probs * np.abs(q1 * w + q3 * w**3 + q5 * w**5))
+    e_abs_psi = _fsum_largest_first(law.s_probs * np.abs(q1 * w + q3 * w**3 + q5 * w**5))
     tail = _tail_expectation(law, gamma, A)
 
     terms = {

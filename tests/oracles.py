@@ -289,6 +289,34 @@ def trapezoid_moment(b1: float, b2: float, b3: float, k: int, T: float,
     return float(np.trapezoid(xs**k * pdf, xs) / z)
 
 
+def quad_cdf(b1: float, b2: float, b3: float, T: float, xs) -> np.ndarray:
+    """CDF of exp(-(b1 x^2 + b2 x^4 + b3 x^6)) on [-T, T] at each of ``xs``,
+    by adaptive quadrature of the power form at (near) full double precision.
+
+    The exponent is shifted by its minimum on a fine grid, and the local
+    extrema found there are passed to ``quad`` as break points, so double
+    wells keep their full accuracy.
+    """
+    from scipy.integrate import quad
+
+    def poly(x):
+        return b1 * x * x + b2 * x**4 + b3 * x**6
+
+    fine = np.linspace(-T, T, 20001)
+    vals = poly(fine)
+    slope = np.diff(vals)
+    extrema = fine[1:-1][slope[:-1] * slope[1:] <= 0.0].tolist()
+    shift = float(vals.min())
+
+    def mass(lo, hi):
+        inner = [c for c in extrema if lo < c < hi]
+        return quad(lambda x: math.exp(-(poly(x) - shift)), lo, hi, points=inner or None,
+                    epsabs=0.0, epsrel=2e-14, limit=200)[0]
+
+    total = mass(-T, T)
+    return np.array([mass(-T, float(x)) / total for x in xs])
+
+
 def gaussian_stein_solution(z: float, x: np.ndarray) -> np.ndarray:
     """Closed-form Stein solution for the standard normal (scipy oracle)."""
     from scipy.stats import norm

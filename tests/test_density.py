@@ -14,7 +14,7 @@ from begrates.density import (
 )
 from begrates.errors import NonIntegrableDensityError
 from begrates.exact import build_joint_law, moment
-from oracles import gaussian_stein_solution, scan_stein_constants, trapezoid_moment
+from oracles import gaussian_stein_solution, quad_cdf, scan_stein_constants, trapezoid_moment
 
 # one case per comparison-density shape: Gaussian, quartic, sextic and the
 # mixed and double-well boundary shapes
@@ -32,6 +32,13 @@ def shape_densities():
         law = build_joint_law(params_at(case, n), n)
         out[case_id] = comparison_density(case, n, {k: moment(law, case.gamma, k) for k in (2, 4, 6)})
     return out
+
+
+# Gaussian, quartic, sextic, three double wells, a very wide and a very
+# narrow Gaussian, a narrow sextic and a mixed shape
+TABLE_SHAPES = [(0.5, 0.0, 0.0), (0.0, 0.25, 0.0), (0.0, 0.0, 0.2), (-1.0, 0.5, 0.0),
+                (-1.0, 0.0, 1.0), (0.5, -2.0, 1.0), (1e-3, 0.0, 0.0), (50.0, 0.0, 0.0),
+                (0.0, 0.0, 200.0), (-3.0, 0.5, 0.02)]
 
 
 def _power_form(y, b1, b2, b3):
@@ -149,6 +156,35 @@ class TestCdfAndMoments:
         batch = d.cdf_at_sorted(ts)
         single = np.array([d.cdf(float(t)) for t in ts])
         np.testing.assert_allclose(batch, single, atol=1e-11)
+
+
+class TestCumulativeTable:
+    """The CDF/SF table is summed from a 6-point rule per grid cell; the norm,
+    the moments and ``cdf_at_sorted`` keep the 24-point rule."""
+
+    @pytest.mark.parametrize("coeffs", TABLE_SHAPES, ids=str)
+    def test_table_matches_adaptive_quadrature(self, coeffs):
+        # the 1e-9 total check alone passes a midpoint-rule table whose CDF
+        # is off by ~8e-7; this catches a 2-point rule (~8e-13)
+        d = normalize_density(*coeffs)
+        sd = math.sqrt(d.moment(2))
+        idx = np.searchsorted(d._grid, np.linspace(-3.0 * sd, 3.0 * sd, 13))
+        want = quad_cdf(*coeffs, d.truncation, d._grid[idx])
+        assert np.abs(d._cdf[idx] - want).max() <= 1e-13
+        assert np.abs(d._sf[idx] - (1.0 - want)).max() <= 1e-13
+
+    @pytest.mark.parametrize("coeffs", TABLE_SHAPES, ids=str)
+    def test_only_the_table_differs_from_a_24_point_build(self, coeffs, monkeypatch):
+        d = normalize_density(*coeffs)
+        monkeypatch.setattr(density_module, "_GL6", density_module._GL24)
+        ref = normalize_density(*coeffs)
+        assert np.abs(d._cdf - ref._cdf).max() <= 1e-15
+        assert np.abs(d._sf - ref._sf).max() <= 1e-15
+        assert d.log_norm == ref.log_norm
+        for k in (2, 4, 6):
+            assert d.moment(k) == ref.moment(k)
+        ts = np.linspace(-3.0, 3.0, 41) * math.sqrt(d.moment(2))
+        np.testing.assert_array_equal(d.cdf_at_sorted(ts), ref.cdf_at_sorted(ts))
 
 
 class TestRegressionDensity:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from begrates.cases import case_catalog, params_at
 from begrates.errors import CapExceededError, ValidationError
 from begrates.exact import (
     brute_force_law,
@@ -145,6 +146,21 @@ class TestMoments:
         for k in (2, 4, 6):
             assert abs(moment(law, gamma, k) - brute_moment(params, n, gamma, k)) < 1e-12
 
+    @pytest.mark.parametrize("n", [64, 1024, 8192])
+    def test_bit_identical_to_plain_fsum(self, n):
+        # fsum is correctly rounded, so feeding the terms largest first
+        # changes its cost, never its result.  Odd orders are rounding noise
+        # rather than exactly 0: numpy's vectorised power does not always
+        # give (-x)**k == -(x**k) bit for bit.
+        for case in case_catalog():
+            law = build_joint_law(params_at(case, n), n)
+            w = law.w_values(case.gamma)
+            for k in range(1, 13):
+                got = moment(law, case.gamma, k)
+                assert got == math.fsum((law.s_probs * w**k).tolist()), (case.case_id, k)
+                if k % 2:
+                    assert abs(got) <= 1e-15 * law.expect(np.abs(w) ** k), (case.case_id, k)
+
     def test_validation(self):
         law = build_joint_law(POINT_A, 10)
         with pytest.raises(ValidationError):
@@ -225,6 +241,21 @@ class TestPairCovariance:
             got = pair_covariance(params, n)
             want = brute_pair_covariance(params, n)
             assert abs(got - want) < 1e-12
+
+    def test_region_a_against_mpmath(self):
+        # the two O(1) terms cancel to a covariance of ~1e-8, so the float
+        # result keeps about 7 digits; the reference combines the 40-digit
+        # law's count moments without rounding
+        import mpmath as mp
+
+        n = 4096
+        probs, m_mean, m_second = mpmath_joint_law(POINT_A, n)
+        with mp.workdps(40):
+            mult = [1] + [2] * n  # s and -s share P(s) and the moments of M
+            em = mp.fsum(c * mp.mpf(p) * mp.mpf(m) for c, p, m in zip(mult, probs, m_mean))
+            em2 = mp.fsum(c * mp.mpf(p) * mp.mpf(m) for c, p, m in zip(mult, probs, m_second))
+            want = float((em2 - em) / (n * (n - 1)) - (em / n) ** 2)
+        assert abs(pair_covariance(POINT_A, n) - want) <= 1e-6 * abs(want)
 
     def test_region_a_scaling(self):
         # |Cov| * n stays bounded in the single-phase region (min(4g,1) = 1)

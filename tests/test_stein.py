@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from begrates.cases import case_by_id, comparison_density, params_at, regression_at
-from begrates.density import estimate_stein_constants
+from begrates.density import SteinConstants, estimate_stein_constants
 from begrates.errors import ValidationError
 from begrates.exact import build_joint_law, moment
 from begrates.model import BETA_C, ModelParams, critical_K, f_single
@@ -21,6 +21,7 @@ from begrates.stein import (
     variance_term_classwise,
 )
 from oracles import brute_step_moments, brute_variance_term, conditional_law, enumerated_joint_law
+from test_density import SHAPE_CASES
 
 POINT_A = ModelParams(1.0, 0.6)
 
@@ -296,6 +297,21 @@ class TestEvaluateBound:
             rep = evaluate_bound(law, case.gamma, case, density, consts)
             scaled.append(rep.total * math.sqrt(n))
         assert max(scaled) <= 100.0 * scaled[0]
+
+    @pytest.mark.parametrize("case_id", SHAPE_CASES)
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_psi_term_is_the_plain_exact_sum(self, case_id, n):
+        # E|psi(W)| is summed largest term first; fsum is correctly rounded,
+        # so it must equal the sum in s order bit for bit
+        case = case_by_id(case_id)
+        law = build_joint_law(params_at(case, n), n)
+        density = comparison_density(case, n, {k: moment(law, case.gamma, k) for k in (2, 4, 6)})
+        unit = SteinConstants(d1=1.0, d2=1.0, d3=1.0, d4=1.0, grid_spec={})
+        report = evaluate_bound(law, case.gamma, case, density, unit)
+        q1, q3, q5 = regression_at(case, n)[1]
+        w = law.w_values(case.gamma)
+        plain = math.fsum(law.s_probs * np.abs(q1 * w + q3 * w**3 + q5 * w**5))
+        assert report.terms["psi_term"] == 1.5 * report.a_halfwidth * plain
 
     def test_positive_halfwidth_required(self):
         case, law, density, consts = _bound_inputs("fixed-A", 64)
