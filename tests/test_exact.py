@@ -244,8 +244,9 @@ class TestPairCovariance:
 
     def test_region_a_against_mpmath(self):
         # the two O(1) terms cancel to a covariance of ~1e-8, so the float
-        # result keeps about 7 digits; the reference combines the 40-digit
-        # law's count moments without rounding
+        # result keeps about 7 digits; the reference sums the mpmath law's
+        # count moments and cancels them at 40 digits, so only their
+        # rounding to doubles (~1e-9 after the cancellation) remains
         import mpmath as mp
 
         n = 4096
