@@ -58,7 +58,6 @@ from .rates import RateReport, fit_loglog, run_all, run_case
 from .stein import (
     BoundReport,
     RegressionDecomposition,
-    conditional_step_moments,
     evaluate_bound,
     normal_bound,
     regression_decompose,

@@ -80,10 +80,6 @@ class CaseSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "predicted_exponent", predicted_rate(self))
 
-    @property
-    def uses_schedule(self) -> bool:
-        return self.schedule is not None
-
 
 def params_at(case: CaseSpec, n: int) -> ModelParams:
     """Model parameters of the case at size n."""

@@ -229,11 +229,13 @@ def moment(law: JointLaw, gamma: float, k: int) -> float:
     The terms P(s) w^k are summed by ``math.fsum``, correctly rounded, and
     fed largest first: in s order fsum is about ten times slower on these
     terms, which span hundreds of orders of magnitude.  The result is the
-    same in any order.
+    same in any order.  The law is symmetric in s, so odd k is exactly zero.
     """
     _check_gamma(gamma)
     if not (0 <= k <= 12):
         raise ValidationError(f"moment order must lie in [0, 12], got {k}")
+    if k % 2:
+        return 0.0
     if k == 0:
         return 1.0
     w = law.w_values(gamma)

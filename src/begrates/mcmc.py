@@ -41,22 +41,7 @@ class ChainResult:
     moments: dict[int, tuple[float, float]]  # order -> (estimate, stderr)
     m_fraction: tuple[float, float]  # (E[M]/n estimate, stderr)
     batch_count: int
-    s_histogram: dict[int, int] | None = None
     trace: list[tuple[int, int, int]] | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "beta": self.params.beta,
-            "K": self.params.K,
-            "n": self.n,
-            "gamma": self.gamma,
-            "sweeps": self.sweeps,
-            "burn_in": self.burn_in,
-            "seed": self.seed,
-            "moments": {str(k): list(v) for k, v in self.moments.items()},
-            "m_fraction": list(self.m_fraction),
-            "batch_count": self.batch_count,
-        }
 
 
 def chain_seeds(master_seed: int, count: int) -> list[int]:
@@ -73,11 +58,10 @@ def run_chain(
     seed: int,
     *,
     gamma: float = 0.5,
-    orders: tuple[int, ...] = (1, 2, 4),
-    keep_histogram: bool = False,
     keep_trace: bool = False,
 ) -> ChainResult:
-    """Run one heat-bath chain and estimate moments of W = S_n / n^(1-gamma).
+    """Run one heat-bath chain and estimate E[W^k], k = 1, 2, 4, for
+    W = S_n / n^(1-gamma).
 
     Measurements are taken once per sweep after ``burn_in`` sweeps; standard
     errors come from 32 batch means.  ``sweeps`` counts total sweeps including
@@ -106,7 +90,6 @@ def run_chain(
 
     s_series = np.empty(measured, dtype=np.int64)
     m_series = np.empty(measured, dtype=np.int64)
-    hist: dict[int, int] = {}
 
     for sweep in range(sweeps):
         n_plus, n_minus = _sweep(n_plus, n_minus, rng.integers(0, n, size=n).tolist(),
@@ -120,13 +103,9 @@ def run_chain(
             idx = sweep - burn_in
             s_series[idx] = s
             m_series[idx] = M
-            if keep_histogram:
-                hist[s] = hist.get(s, 0) + 1
 
     w = s_series / float(n) ** (1.0 - gamma)
-    moments: dict[int, tuple[float, float]] = {}
-    for k in orders:
-        moments[k] = _batch_means(w**k)
+    moments = {k: _batch_means(w**k) for k in (1, 2, 4)}
     m_frac = _batch_means(m_series / n)
     trace = None
     if keep_trace:
@@ -144,7 +123,6 @@ def run_chain(
         moments=moments,
         m_fraction=m_frac,
         batch_count=_BATCHES,
-        s_histogram=hist if keep_histogram else None,
         trace=trace,
     )
 

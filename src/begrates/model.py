@@ -142,12 +142,7 @@ def f_single(params: ModelParams, x: float) -> float:
     f(x) = 2 e^{-beta} sinh(2 beta K x) / (1 + 2 e^{-beta} cosh(2 beta K x));
     odd, bounded by 1 in absolute value, and equal to x - G'(x)/(2 beta K).
     """
-    u = params.two_beta_K * _check_finite("x", x)
-    a = abs(u)
-    sign = 1.0 if u > 0 else (-1.0 if u < 0 else 0.0)
-    num = -math.expm1(-2.0 * a)
-    den = math.exp(min(params.beta - a, 700.0)) + 1.0 + math.exp(-2.0 * a)
-    return sign * num / den
+    return cumulant_gf_prime(params.beta, params.two_beta_K * _check_finite("x", x))
 
 
 def G_eval(params: ModelParams, x: float) -> float:

@@ -11,7 +11,7 @@ so every pass is one O(n) expression in P(s), E[M|s] and E[M^2|s].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,14 +22,11 @@ from .exact import JointLaw, _fsum_largest_first, kolmogorov_distance, moment
 from .model import ModelParams
 
 __all__ = [
-    "StepMomentTable",
     "RegressionDecomposition",
     "BoundReport",
-    "conditional_step_moments",
     "conditional_mean_sandwich_gap",
     "regression_decompose",
     "variance_term",
-    "variance_term_classwise",
     "evaluate_bound",
     "normal_bound",
     "max_increment",
@@ -61,67 +58,6 @@ def _f_kernel(params: ModelParams, x: np.ndarray) -> np.ndarray:
 def max_increment(n: int, gamma: float) -> float:
     """Almost-sure bound on |W - W'|: one resampled spin moves by at most 2."""
     return 2.0 / float(n) ** (1.0 - gamma)
-
-
-@dataclass
-class StepMomentTable:
-    """Materialised per-class conditional increment moments.
-
-    For every (s, M) class: mean1 = E[W - W' | class] and
-    sec = E[(W - W')^2 | class].  Stored for s >= 0 only; the mean is odd in
-    s and the second moment even, which ``lookup`` applies.
-    """
-
-    n: int
-    gamma: float
-    mean1: list[np.ndarray] = field(repr=False)  # index |s|, per-M arrays
-    sec: list[np.ndarray] = field(repr=False)
-
-    def lookup(self, s: int, M: int) -> tuple[float, float]:
-        j = (M - abs(s)) // 2
-        sign = 1.0 if s >= 0 else -1.0
-        return sign * float(self.mean1[abs(s)][j]), float(self.sec[abs(s)][j])
-
-
-def _slice_step_moments(law: JointLaw, gamma: float, s: int):
-    """Per-class (mean1, sec) arrays over M for one nonnegative spin sum s.
-
-    Site groups per class: n+ spins at +1 (each sees u = s - 1), n- at -1
-    (u = s + 1), n0 at 0 (u = s).
-    """
-    n = law.n
-    beta, K = law.params.beta, law.params.K
-    scale = float(n) ** (1.0 - gamma)
-    Ms = law.M_values(s)
-    npl = (Ms + s) // 2
-    nmi = (Ms - s) // 2
-    nz = n - Ms
-    us = np.array([s - 1.0, s + 1.0, s])
-    pm, pz, pp = _conditional_triplet(beta, K, n, us)
-    e_mean = pp - pm  # E[w'] at each of the three u values
-    # E[(t - w')^2] for t = +1, -1, 0
-    sq_p = 4.0 * pm[0] + pz[0]  # t=+1: (1-l)^2
-    sq_m = 4.0 * pp[1] + pz[1]  # t=-1: (l+1)^2
-    sq_z = pp[2] + pm[2]  # t=0: l^2
-    mean1 = (s - (npl * e_mean[0] + nmi * e_mean[1] + nz * e_mean[2])) / (n * scale)
-    sec = (npl * sq_p + nmi * sq_m + nz * sq_z) / (n * scale * scale)
-    return Ms, mean1, sec
-
-
-def conditional_step_moments(law: JointLaw, gamma: float) -> StepMomentTable:
-    """Exact E[W - W'|class] and E[(W - W')^2|class] for every (s, M) class.
-
-    Stored for s >= 0; the conditional mean is odd in s and the second moment
-    even, which ``lookup`` applies.  Memory is O(n^2/4): this per-class
-    table is the small-n oracle for the O(n) passes below.
-    """
-    mean1: list[np.ndarray] = []
-    sec: list[np.ndarray] = []
-    for s in range(0, law.n + 1):
-        _, m1, m2 = _slice_step_moments(law, gamma, s)
-        mean1.append(m1)
-        sec.append(m2)
-    return StepMomentTable(n=law.n, gamma=gamma, mean1=mean1, sec=sec)
 
 
 def _site_sum(n: int, s: np.ndarray, plus, minus, zero):
@@ -257,16 +193,6 @@ def variance_term(law: JointLaw, gamma: float) -> float:
     return law.expect((h - law.expect(h)) ** 2)
 
 
-def variance_term_classwise(law: JointLaw, gamma: float) -> float:
-    """Var(E[(W - W')^2 | F]) over the full (s, M) classes (diagnostic).
-
-    Equals ``variance_term`` plus the mean within-s variance, so it is at
-    least as large (conditional Jensen).
-    """
-    _, (_, v1) = _step_affine(law, gamma)
-    return variance_term(law, gamma) + law.expect(v1**2 * _m_variance(law))
-
-
 # ---------------------------------------------------------------------------
 # the bounds
 
@@ -290,22 +216,6 @@ class BoundReport:
 
     def dominates(self) -> bool:
         return self.total >= self.exact_dk
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "case_id": self.case_id,
-            "n": self.n,
-            "gamma": self.gamma,
-            "lambda": self.lam,
-            "A": self.a_halfwidth,
-            "terms": dict(self.terms),
-            "total": self.total,
-            "exact_dk": self.exact_dk,
-            "drift_scale": self.drift_scale,
-            "constants": dict(self.constants),
-            "grid_spec": self.grid_spec,
-        }
 
 
 def _tail_expectation(law: JointLaw, gamma: float, A: float) -> float:

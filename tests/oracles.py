@@ -17,6 +17,7 @@ from scipy.special import gammaln
 
 from begrates.cases import params_at
 from begrates.model import ModelParams, critical_K, g_derivs_at_zero
+from begrates.stein import _step_affine, variance_term
 
 
 def brute_configs(params: ModelParams, n: int):
@@ -216,6 +217,43 @@ def brute_variance_term(params: ModelParams, n: int, gamma: float) -> float:
     return var
 
 
+@dataclass
+class StepMomentTable:
+    """Per-class E[W - W' | s, M] (``mean1``) and E[(W - W')^2 | s, M]
+    (``sec``) for s >= 0, as arrays over M = s, s + 2, ..., n; the mean is
+    odd in s and the second moment even."""
+
+    mean1: list
+    sec: list
+
+
+def conditional_step_moments(params: ModelParams, n: int, gamma: float) -> StepMomentTable:
+    """The O(n^2) per-(s, M) table of class step moments, summed site group
+    by site group: n+ spins at +1 (each sees u = s - 1), n- at -1 (u = s + 1)
+    and n0 at 0 (u = s), each resampled from the scalar 3-point law."""
+    scale = n ** (1.0 - gamma)
+    mean1, sec = [], []
+    for s in range(n + 1):
+        Ms = np.arange(s, n + 1, 2)
+        m1, m2 = np.full(Ms.size, float(s)), np.zeros(Ms.size)
+        for count, t in (((Ms + s) // 2, 1), ((Ms - s) // 2, -1), (n - Ms, 0)):
+            pm, pz, pp = conditional_law(params, n, s - t)
+            m1 -= count * (pp - pm)
+            m2 += count * ((t + 1) ** 2 * pm + t * t * pz + (t - 1) ** 2 * pp)
+        mean1.append(m1 / (n * scale))
+        sec.append(m2 / (n * scale * scale))
+    return StepMomentTable(mean1, sec)
+
+
+def variance_term_classwise(law, gamma: float) -> float:
+    """Var(E[(W - W')^2 | F]) over the full (s, M) classes: ``variance_term``
+    plus the mean within-s variance of the affine class moment, so at least
+    as large (conditional Jensen)."""
+    _, (_, v1) = _step_affine(law, gamma)
+    m_var = np.maximum(law.m_second - law.m_mean**2, 0.0)
+    return variance_term(law, gamma) + law.expect(v1**2 * m_var)
+
+
 def brute_pair_covariance(params: ModelParams, n: int) -> float:
     """Cov(w_1^2, w_2^2) directly from the 3^n enumeration."""
     cfgs, probs = brute_configs(params, n)
@@ -351,7 +389,7 @@ def scan_stein_constants(d, half_range: float, step: float) -> dict:
     npts = int(round(2 * reach / step)) + 1
     xs = np.linspace(-reach, reach, npts)
     h = xs[1] - xs[0]
-    F = d.cdf_at_sorted(xs)
+    F = d.cdf(xs)
     S = d.sf(xs)
     pdf = np.exp(d.logpdf(xs))
     psi = d.psi(xs)

@@ -13,7 +13,7 @@ from begrates.density import (
     stein_solution,
 )
 from begrates.errors import NonIntegrableDensityError
-from begrates.exact import build_joint_law, moment
+from begrates.exact import build_joint_law, kolmogorov_distance, moment
 from oracles import gaussian_stein_solution, quad_cdf, scan_stein_constants, trapezoid_moment
 
 # one case per comparison-density shape: Gaussian, quartic, sextic and the
@@ -159,8 +159,9 @@ class TestCdfAndMoments:
 
 
 class TestCumulativeTable:
-    """The CDF/SF table is summed from a 6-point rule per grid cell; the norm,
-    the moments and ``cdf_at_sorted`` keep the 24-point rule."""
+    """The CDF/SF table is summed from a 6-point rule per grid cell and is the
+    only source of the CDF (``cdf_at_sorted`` is ``cdf``); the norm, the
+    moments and the partial cell of a CDF query keep the 24-point rule."""
 
     @pytest.mark.parametrize("coeffs", TABLE_SHAPES, ids=str)
     def test_table_matches_adaptive_quadrature(self, coeffs):
@@ -184,7 +185,16 @@ class TestCumulativeTable:
         for k in (2, 4, 6):
             assert d.moment(k) == ref.moment(k)
         ts = np.linspace(-3.0, 3.0, 41) * math.sqrt(d.moment(2))
-        np.testing.assert_array_equal(d.cdf_at_sorted(ts), ref.cdf_at_sorted(ts))
+        assert np.abs(d.cdf(ts) - ref.cdf(ts)).max() <= 1e-15
+
+    @pytest.mark.parametrize("case_id,n", [("C3.2", 128), ("C3.1", 128), ("B2.1", 64)])
+    def test_kolmogorov_distance_against_adaptive_quadrature(self, case_id, n):
+        case = case_by_id(case_id)
+        law = build_joint_law(params_at(case, n), n)
+        d = comparison_density(case, n, {k: moment(law, case.gamma, k) for k in (2, 4, 6)})
+        want = kolmogorov_distance(law, case.gamma,
+                                   lambda xs: quad_cdf(d.b1, d.b2, d.b3, d.truncation, xs))
+        assert abs(kolmogorov_distance(law, case.gamma, d.cdf_at_sorted) - want) <= 1e-13
 
 
 class TestRegressionDensity:
@@ -255,6 +265,16 @@ class TestSteinSolution:
 
 
 class TestSteinConstants:
+    @pytest.mark.parametrize("step", [5e-3, 1e-3])
+    def test_standard_normal_envelopes_within_the_proved_bounds(self, step):
+        # Chen, Goldstein & Shao (2011), Lemma 2.3: for N(0, 1) the Stein
+        # solution has sup |f_z| = sqrt(2 pi)/4, attained at z = x = 0, and
+        # |f_z'| <= 1 and |f_z'(x) - f_z'(y)| <= 1
+        consts = estimate_stein_constants(normalize_density(0.5, 0.0, 0.0), step=step)
+        assert abs(consts.d1 - math.sqrt(2.0 * math.pi) / 4.0) <= 1e-15
+        assert consts.d2 <= 1.0
+        assert consts.d3 <= 1.0
+
     def test_gaussian_envelopes(self):
         d = normalize_density(0.5, 0.0, 0.0)
         consts = estimate_stein_constants(d)

@@ -138,7 +138,7 @@ class TestMoments:
     @pytest.mark.parametrize("k", [1, 3, 5, 7])
     def test_odd_orders_vanish(self, k):
         law = build_joint_law(POINT_A, 25)
-        assert abs(moment(law, 0.5, k)) < 1e-14
+        assert moment(law, 0.5, k) == 0.0
 
     def test_against_brute_force(self):
         params, n, gamma = POINT_A, 4, 0.5
@@ -149,17 +149,18 @@ class TestMoments:
     @pytest.mark.parametrize("n", [64, 1024, 8192])
     def test_bit_identical_to_plain_fsum(self, n):
         # fsum is correctly rounded, so feeding the terms largest first
-        # changes its cost, never its result.  Odd orders are rounding noise
-        # rather than exactly 0: numpy's vectorised power does not always
-        # give (-x)**k == -(x**k) bit for bit.
+        # changes its cost, never its result.  Odd orders are exactly 0 by
+        # symmetry (a plain sum would leave rounding noise: numpy's
+        # vectorised power does not always give (-x)**k == -(x**k))
         for case in case_catalog():
             law = build_joint_law(params_at(case, n), n)
             w = law.w_values(case.gamma)
             for k in range(1, 13):
                 got = moment(law, case.gamma, k)
-                assert got == math.fsum((law.s_probs * w**k).tolist()), (case.case_id, k)
                 if k % 2:
-                    assert abs(got) <= 1e-15 * law.expect(np.abs(w) ** k), (case.case_id, k)
+                    assert got == 0.0, (case.case_id, k)
+                else:
+                    assert got == math.fsum((law.s_probs * w**k).tolist()), (case.case_id, k)
 
     def test_validation(self):
         law = build_joint_law(POINT_A, 10)

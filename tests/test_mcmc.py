@@ -66,8 +66,8 @@ class TestFreezing:
         params, n = ModelParams(1.0, 400.0), 10
         law = build_joint_law(params, n)
         assert law.s_probs[0] + law.s_probs[-1] > 1.0 - 1e-12
-        res = run_chain(params, n, 200, 100, seed=1, keep_histogram=True)
-        assert set(res.s_histogram) <= {-n, n}
+        res = run_chain(params, n, 200, 100, seed=1, keep_trace=True)
+        assert {s for _, s, _ in res.trace} <= {-n, n}
 
 
 class TestValidation:
@@ -77,8 +77,7 @@ class TestValidation:
         with pytest.raises(ValidationError):
             run_chain(POINT_A, 10, 40, 20, seed=0)  # fewer than 32 measured
 
-    def test_histogram_collects_counts(self):
-        res = run_chain(POINT_A, 10, 600, 100, seed=3, keep_histogram=True)
-        assert res.s_histogram is not None
-        assert sum(res.s_histogram.values()) == 500
-        assert all(-10 <= s <= 10 for s in res.s_histogram)
+    def test_trace_records_every_measured_sweep(self):
+        res = run_chain(POINT_A, 10, 600, 100, seed=3, keep_trace=True)
+        assert [sweep for sweep, _, _ in res.trace] == list(range(100, 600))
+        assert all(-10 <= s <= 10 for _, s, _ in res.trace)

@@ -10,17 +10,23 @@ from begrates.exact import build_joint_law, moment
 from begrates.model import BETA_C, ModelParams, critical_K, f_single
 from begrates.stein import (
     _f_kernel,
+    _step_affine,
     _tail_expectation,
     conditional_mean_sandwich_gap,
-    conditional_step_moments,
     evaluate_bound,
     max_increment,
     normal_bound,
     regression_decompose,
     variance_term,
+)
+from oracles import (
+    brute_step_moments,
+    brute_variance_term,
+    conditional_law,
+    conditional_step_moments,
+    enumerated_joint_law,
     variance_term_classwise,
 )
-from oracles import brute_step_moments, brute_variance_term, conditional_law, enumerated_joint_law
 from test_density import SHAPE_CASES
 
 POINT_A = ModelParams(1.0, 0.6)
@@ -36,23 +42,22 @@ TEST_PARAMS = [
 
 
 class TestConditionalStepMoments:
+    """The per-class moments m0 + m1 M and v0 + v1 M of ``_step_affine``."""
+
     @pytest.mark.parametrize("params", TEST_PARAMS, ids=str)
     @pytest.mark.parametrize("n", [4, 6])
     def test_matches_exhaustive(self, params, n):
         gamma = 0.5
-        law = build_joint_law(params, n)
-        table = conditional_step_moments(law, gamma)
+        (m0, m1), (v0, v1) = _step_affine(build_joint_law(params, n), gamma)
         oracle, _ = brute_step_moments(params, n, gamma)
-        for (s, M), (m1, m2) in oracle.items():
-            got1, got2 = table.lookup(s, M)
-            assert abs(got1 - m1) < 1e-12
-            assert abs(got2 - m2) < 1e-12
+        for (s, M), (want1, want2) in oracle.items():
+            assert abs(m0[s + n] + m1[s + n] * M - want1) < 1e-12
+            assert abs(v0[s + n] + v1[s + n] * M - want2) < 1e-12
 
     def test_all_zero_class_has_zero_mean(self):
-        law = build_joint_law(POINT_A, 8)
-        table = conditional_step_moments(law, 0.5)
-        m1, _ = table.lookup(0, 0)
-        assert m1 == 0.0
+        n = 8
+        (m0, _), _ = _step_affine(build_joint_law(POINT_A, n), 0.5)
+        assert m0[n] == 0.0  # the class s = M = 0
 
     @pytest.mark.parametrize("n", [16, 64, 256])
     def test_sandwich_every_class(self, n):
@@ -116,16 +121,16 @@ class TestRegressionDecomposition:
         case = case_by_id("fixed-A")
         n = 6
         law = build_joint_law(POINT_A, n)
-        table = conditional_step_moments(law, 0.5)
+        (m0, m1), _ = _step_affine(law, 0.5)
         dec = regression_decompose(law, 0.5, case)
         q1, q3, q5 = dec.psi_coeffs
         for s in range(-n, n + 1):
             w = s / n**0.5
             drift = dec.lam * (q1 * w + q3 * w**3 + q5 * w**5)
             for M in range(abs(s), n + 1, 2):
-                m1, _ = table.lookup(s, M)
-                resid = m1 - drift
-                assert abs((drift + resid) - m1) < 1e-14
+                mean = m0[s + n] + m1[s + n] * M
+                resid = mean - drift
+                assert abs((drift + resid) - mean) < 1e-14
                 assert abs(resid) <= dec.remainder_max + 1e-15
 
     def test_region_a_remainder_rate(self):
@@ -174,7 +179,7 @@ def _per_class_passes(case, params, n, gamma, thresholds):
     """The four Stein passes as explicit sums over the (s, M) classes, from
     the per-class table and the enumerated law (s >= 0, mirrored)."""
     ref = enumerated_joint_law(params, n)
-    table = conditional_step_moments(build_joint_law(params, n), gamma)
+    table = conditional_step_moments(params, n, gamma)
     lam, (q1, q3, q5) = regression_at(case, n)
     scale = n ** (1.0 - gamma)
     f = {u: f_single(params, u / n) for u in range(-n - 1, n + 2)}
