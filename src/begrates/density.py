@@ -39,7 +39,8 @@ __all__ = [
 ]
 
 # Gauss-Legendre (nodes, weights): 24 points for integrals over arbitrary
-# segments, 6 for the narrow cells of the cumulative table
+# segments, 6 for the narrow cells of the cumulative tables (here and in
+# exact.hs_check)
 _GL24 = np.polynomial.legendre.leggauss(24)
 _GL6 = np.polynomial.legendre.leggauss(6)
 _LOG_FLOOR = 600.0  # switch to tail asymptotics once exp(-(poly-min)) < e^-600
@@ -50,17 +51,27 @@ def _poly_of_square(y, b1, b2, b3):
     return y * (b1 + y * (b2 + y * b3))
 
 
-def _segment_integrals(a, b, coeffs, shift: float, rule, k: int = 0) -> np.ndarray:
-    """Integral of x^k exp(-(poly(x) - shift)) over each [a_i, b_i], k even, by
-    the Gauss-Legendre ``rule`` (nodes, weights)."""
+def _segment_integrals(a, b, rule, integrand) -> np.ndarray:
+    """Integral of ``integrand`` over each [a_i, b_i] by the Gauss-Legendre
+    ``rule`` (nodes, weights).  ``integrand`` maps the (segment, node) array
+    of nodes to its values and may overwrite the nodes."""
     nodes, weights = rule
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    Y = mid[:, None] + half[:, None] * nodes[None, :]
-    Y *= Y  # square the nodes in place: no second node-sized array stays alive
-    V = np.exp(-(_poly_of_square(Y, *coeffs) - shift))
-    if k:
-        V *= Y ** (k // 2)
-    return (V * weights[None, :]).sum(axis=1) * half
+    X = mid[:, None] + half[:, None] * nodes[None, :]
+    return (integrand(X) * weights[None, :]).sum(axis=1) * half
+
+
+def _poly_integrand(coeffs, shift: float, k: int = 0):
+    """x^k exp(-(poly(x) - shift)), k even, as an ``integrand``."""
+
+    def integrand(Y):
+        Y *= Y  # square the nodes in place: no second node-sized array stays alive
+        V = np.exp(-(_poly_of_square(Y, *coeffs) - shift))
+        if k:
+            V *= Y ** (k // 2)
+        return V
+
+    return integrand
 
 
 @dataclass(frozen=True)
@@ -115,7 +126,8 @@ class PolyDensity:
 
     def _segment_mass(self, a, b, k: int = 0) -> np.ndarray:
         """E[X^k; a_i < X < b_i] for each segment, by the 24-point rule."""
-        seg = _segment_integrals(a, b, (self.b1, self.b2, self.b3), self.poly_min, _GL24, k)
+        seg = _segment_integrals(a, b, _GL24, _poly_integrand((self.b1, self.b2, self.b3),
+                                                              self.poly_min, k))
         return seg * math.exp(-self.poly_min - self.log_norm)
 
     # the d_K call sites pass this name, and the benchmark's tracer wraps it
@@ -205,7 +217,7 @@ def normalize_density(
     width = min(T, max(0.05, 1.0 / math.sqrt(abs(b1) + abs(b2) + abs(b3))))
     npts = int(min(16385, max(4097, 8 * math.ceil(2 * T / (0.05 * width)))))
     grid = np.linspace(-T, T, npts)
-    seg = _segment_integrals(grid[:-1], grid[1:], (b1, b2, b3), pmin, _GL6)
+    seg = _segment_integrals(grid[:-1], grid[1:], _GL6, _poly_integrand((b1, b2, b3), pmin))
     total = float(seg.sum())
     if abs(total * math.exp(-pmin - log_norm) - 1.0) > 1e-9:
         raise NonIntegrableDensityError("cumulative grid disagrees with the adaptive norm")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComputationError, ValidationError
-from .model import ModelParams
+from .model import ModelParams, resampling_law
 
 __all__ = ["ChainResult", "run_chain", "chain_seeds"]
 
@@ -75,18 +75,13 @@ def run_chain(
     if measured < _BATCHES:
         raise ValidationError(f"need at least {_BATCHES} post burn-in sweeps")
 
-    beta, K = params.beta, params.K
     rng = np.random.default_rng(seed)
     n_plus = n_minus = 0
 
     # cumulative conditional law (P(-1), P(-1) + P(0)) of a site whose other
-    # spins sum to u, for u = -n..n; the log weights of -1, 0 and +1 are
-    # -beta + beta K (1 - 2u)/n, 0 and -beta + beta K (1 + 2u)/n
-    shift = 2.0 * beta * K * np.arange(-n, n + 1) / n
-    base = -beta + beta * K / n
-    log_w = np.stack((base - shift, np.zeros_like(shift), base + shift))
-    cum = np.cumsum(np.exp(log_w - log_w.max(axis=0)), axis=0)
-    cum_minus, cum_zero = (cum[:2] / cum[2]).tolist()
+    # spins sum to u, for u = -n..n
+    cum_minus, cum_zero = np.cumsum(resampling_law(params, n, np.arange(-n, n + 1))[:2],
+                                    axis=0).tolist()
 
     s_series = np.empty(measured, dtype=np.int64)
     m_series = np.empty(measured, dtype=np.int64)

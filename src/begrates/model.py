@@ -44,6 +44,7 @@ __all__ = [
     "g_derivs_at_zero",
     "f_single",
     "pair_conditional_funcs",
+    "resampling_law",
     "schedule_eval",
     "classify_region",
     "minimize_G",
@@ -55,11 +56,22 @@ BETA_C = math.log(4.0)
 """Critical inverse temperature log(4); K_c(BETA_C) = 3/(2 log 4)."""
 
 
-def _check_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
+def _check_finite(name: str, value):
+    """``value`` as a float, or as a float array when it is a numpy array."""
+    if isinstance(value, np.ndarray):
+        value = value.astype(float, copy=False)
+        finite = np.isfinite(value).all()
+    else:
+        value = float(value)
+        finite = math.isfinite(value)
+    if not finite:
         raise ValidationError(f"{name} must be finite, got {value!r}")
     return value
+
+
+def _as_output(value):
+    """A 0-d result as a float; arrays pass through."""
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def _check_positive(name: str, value: float) -> float:
@@ -96,20 +108,22 @@ def spin_second_moment(beta: float) -> float:
     return 2.0 * e / (1.0 + 2.0 * e)
 
 
-def cumulant_gf(beta: float, t: float) -> float:
+def cumulant_gf(beta: float, t):
     """Cumulant generating function log E[exp(t*w)] of a single tilted spin.
 
     Equals log((1 + e^{-beta}(e^t + e^{-t})) / (1 + 2 e^{-beta})).  Evaluated
-    through log-add-exp so that |t| up to ~700 never overflows.
+    through log-add-exp so that |t| up to ~700 never overflows.  Like
+    ``cumulant_gf_prime``, ``G_eval``, ``G_prime`` and ``f_single`` it works
+    elementwise on a numpy array; a scalar gives a float.
     """
     beta = _check_positive("beta", beta)
     t = _check_finite("t", t)
     num = np.logaddexp(0.0, np.logaddexp(t - beta, -t - beta))
     den = np.logaddexp(0.0, math.log(2.0) - beta)
-    return float(num - den)
+    return _as_output(num - den)
 
 
-def cumulant_gf_prime(beta: float, t: float) -> float:
+def cumulant_gf_prime(beta: float, t):
     """First derivative of ``cumulant_gf`` in t.
 
     c'(t) = 2 e^{-beta} sinh(t) / (1 + 2 e^{-beta} cosh(t)), written with the
@@ -118,12 +132,11 @@ def cumulant_gf_prime(beta: float, t: float) -> float:
     """
     beta = _check_positive("beta", beta)
     t = _check_finite("t", t)
-    a = abs(t)
-    sign = 1.0 if t > 0 else (-1.0 if t < 0 else 0.0)
+    a = np.abs(t)
     # numerator and denominator both multiplied by e^{-a}
-    num = -math.expm1(-2.0 * a)  # 1 - e^{-2a}
-    den = math.exp(min(beta - a, 700.0)) + 1.0 + math.exp(-2.0 * a)
-    return sign * num / den
+    num = -np.expm1(-2.0 * a)  # 1 - e^{-2a}
+    den = np.exp(np.minimum(beta - a, 700.0)) + 1.0 + np.exp(-2.0 * a)
+    return _as_output(np.sign(t) * num / den)
 
 
 def critical_K(beta: float) -> float:
@@ -136,7 +149,7 @@ def critical_K(beta: float) -> float:
     return (math.exp(beta) + 2.0) / (4.0 * beta)
 
 
-def f_single(params: ModelParams, x: float) -> float:
+def f_single(params: ModelParams, x):
     """Conditional-mean kernel of one spin given the rest.
 
     f(x) = 2 e^{-beta} sinh(2 beta K x) / (1 + 2 e^{-beta} cosh(2 beta K x));
@@ -145,13 +158,13 @@ def f_single(params: ModelParams, x: float) -> float:
     return cumulant_gf_prime(params.beta, params.two_beta_K * _check_finite("x", x))
 
 
-def G_eval(params: ModelParams, x: float) -> float:
+def G_eval(params: ModelParams, x):
     """The free-energy function G(x) = beta*K*x^2 - c_beta(2*beta*K*x)."""
     x = _check_finite("x", x)
     return params.beta * params.K * x * x - cumulant_gf(params.beta, params.two_beta_K * x)
 
 
-def G_prime(params: ModelParams, x: float) -> float:
+def G_prime(params: ModelParams, x):
     """G'(x) = 2 beta K (x - c'_beta(2 beta K x))."""
     x = _check_finite("x", x)
     return params.two_beta_K * (x - cumulant_gf_prime(params.beta, params.two_beta_K * x))
@@ -205,6 +218,22 @@ def pair_conditional_funcs(params: ModelParams, x: float) -> tuple[float, float]
     den1 = e2a + 2.0 * math.exp(-beta - a) * (1.0 + e2a) + num1
     f1 = num1 / den1
     return f1, f2
+
+
+def resampling_law(params: ModelParams, n: int, u) -> np.ndarray:
+    """Law (pi_-, pi_0, pi_+) of a spin resampled given that the other n - 1
+    spins sum to u: three rows over the entries of ``u``.
+
+    The weight of l in {-1, 0, +1} is exp(-beta l^2 + beta K (l^2 + 2 l u) / n),
+    the finite-n law whose mean pi_+ - pi_- tends to f_single(u / n).  The
+    log-weights are shifted by their maximum, so no weight overflows however
+    large 2 beta K |u| / n is.
+    """
+    shift = params.two_beta_K * np.asarray(u, dtype=float) / n
+    base = -params.beta + params.beta * params.K / n
+    log_w = np.stack((base - shift, np.zeros_like(shift), base + shift))
+    w = np.exp(log_w - log_w.max(axis=0))
+    return w / w.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +372,7 @@ def minimize_G(
     |G'| < gtol.  The returned set is symmetric under negation.
     """
     xs = np.arange(-span, span + 0.5 * grid_step, grid_step)
-    gs = np.array([G_eval(params, float(x)) for x in xs])
+    gs = G_eval(params, xs)
     gmin = gs.min()
     window = 1e-6 * max(1.0, abs(gmin))
     interior = np.arange(1, len(xs) - 1)

@@ -19,7 +19,7 @@ from .cases import CaseSpec, regression_at
 from .density import PolyDensity, SteinConstants, normalize_density
 from .errors import ValidationError
 from .exact import JointLaw, _fsum_largest_first, kolmogorov_distance, moment
-from .model import ModelParams
+from .model import f_single, resampling_law
 
 __all__ = [
     "RegressionDecomposition",
@@ -31,28 +31,6 @@ __all__ = [
     "normal_bound",
     "max_increment",
 ]
-
-
-def _conditional_triplet(beta: float, K: float, n: int, u: np.ndarray):
-    """Exact 3-point law of a resampled spin given the other spins sum to u.
-
-    Weights exp(-beta l^2 + beta K (l^2 + 2 l u)/n) for l in {-1, 0, +1},
-    normalised.  Returns (pi_minus, pi_zero, pi_plus) as arrays over u.
-    """
-    u = np.asarray(u, dtype=float)
-    base = -beta + beta * K / n
-    wp = np.exp(base + 2.0 * beta * K * u / n)
-    wm = np.exp(base - 2.0 * beta * K * u / n)
-    tot = 1.0 + wp + wm
-    return wm / tot, 1.0 / tot, wp / tot
-
-
-def _f_kernel(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """``model.f_single`` over an array: the same formula and exp clamp."""
-    u = params.two_beta_K * x
-    a = np.abs(u)
-    den = np.exp(np.minimum(params.beta - a, 700.0)) + 1.0 + np.exp(-2.0 * a)
-    return np.sign(u) * -np.expm1(-2.0 * a) / den
 
 
 def max_increment(n: int, gamma: float) -> float:
@@ -79,10 +57,10 @@ def _step_affine(law: JointLaw, gamma: float, thresh: float = 0.0):
     n = law.n
     scale = float(n) ** (1.0 - gamma)
     s = law.s_values.astype(float)
-    beta, K = law.params.beta, law.params.K
-    pm_p, pz_p, pp_p = _conditional_triplet(beta, K, n, s - 1.0)  # t = +1
-    pm_m, pz_m, pp_m = _conditional_triplet(beta, K, n, s + 1.0)  # t = -1
-    pm_z, pz_z, pp_z = _conditional_triplet(beta, K, n, s)  # t = 0
+    pi = resampling_law(law.params, n, np.arange(-n - 1, n + 2))  # u = -n-1..n+1
+    pm_p, pz_p, pp_p = pi[:, :-2]  # t = +1, u = s - 1
+    pm_m, pz_m, pp_m = pi[:, 2:]  # t = -1, u = s + 1
+    pm_z, pz_z, pp_z = pi[:, 1:-1]  # t = 0, u = s
     # |t - l| is 2, 1 or 0; a jump of 0 adds nothing to either moment
     two = 4.0 if 2.0 >= thresh - 1e-15 else 0.0
     one = 1.0 if 1.0 >= thresh - 1e-15 else 0.0
@@ -105,13 +83,13 @@ def conditional_mean_sandwich_gap(law: JointLaw) -> float:
     roundoff when the construction is correct.
     """
     n = law.n
-    beta, K = law.params.beta, law.params.K
     us = np.arange(-n, n + 1, dtype=float)
-    pm, _, pp = _conditional_triplet(beta, K, n, us)
+    pm, _, pp = resampling_law(law.params, n, us)
     exact = pp - pm
-    f = _f_kernel(law.params, us / n)
-    lo = np.minimum(f * math.exp(-2.0 * beta * K / n), f * math.exp(2.0 * beta * K / n))
-    hi = np.maximum(f * math.exp(-2.0 * beta * K / n), f * math.exp(2.0 * beta * K / n))
+    f = f_single(law.params, us / n)
+    a = law.params.two_beta_K / n
+    lo = np.minimum(f * math.exp(-a), f * math.exp(a))
+    hi = np.maximum(f * math.exp(-a), f * math.exp(a))
     gap = np.maximum(lo - exact, exact - hi)
     return float(gap.max())
 
@@ -162,7 +140,7 @@ def regression_decompose(law: JointLaw, gamma: float, case: CaseSpec) -> Regress
     lo, hi = np.abs(s), n - (n - s) % 2  # extreme M per s: an affine max sits there
     r_max = float(np.maximum(np.abs(r0 + m1 * lo), np.abs(r0 + m1 * hi)).max())
 
-    f = _f_kernel(law.params, np.arange(-n - 1, n + 2) / n)
+    f = f_single(law.params, np.arange(-n - 1, n + 2) / n)
     here = f[1:-1]  # f at s/n; f[:-2] and f[2:] at (s -+ 1)/n
     fd0, fd1 = _site_sum(n, s, f[:-2] - here, f[2:] - here, 0.0)
     fd_max = float(np.maximum(np.abs(fd0 + fd1 * lo), np.abs(fd0 + fd1 * hi)).max()) / (n * scale)

@@ -164,9 +164,14 @@ def brute_moment(params: ModelParams, n: int, gamma: float, k: int) -> float:
 
 
 def conditional_law(params: ModelParams, n: int, u: int) -> tuple[float, float, float]:
-    """Exact 3-point resampling law (pi_-1, pi_0, pi_+1) given the rest sums to u."""
+    """Exact 3-point resampling law (pi_-1, pi_0, pi_+1) given the rest sums to u.
+
+    The log-weights are shifted by their maximum, so large beta K u / n does
+    not overflow.
+    """
     beta, K = params.beta, params.K
-    ws = [math.exp(-beta * l * l + beta * K * (l * l + 2 * l * u) / n) for l in (-1, 0, 1)]
+    logs = [-beta * l * l + beta * K * (l * l + 2 * l * u) / n for l in (-1, 0, 1)]
+    ws = [math.exp(v - max(logs)) for v in logs]
     tot = math.fsum(ws)
     return ws[0] / tot, ws[1] / tot, ws[2] / tot
 

@@ -40,13 +40,14 @@ TEST_PARAMS = [
 
 class TestBuildJointLaw:
     def test_n1_closed_form(self):
-        # three configurations: weight 1 for s=0 and e^{-beta(1-K)} for s=+-1
+        # three configurations: weight 1 for s=0 and e^{-beta(1-K)} for s=+-1;
+        # each s has the one slice M = |s|
         beta, K = 1.0, 0.6
         law = build_joint_law(ModelParams(beta, K), 1)
         e = math.exp(-beta * (1.0 - K))
-        assert abs(law.prob(0, 0) - 1.0 / (1.0 + 2.0 * e)) < 1e-15
-        assert abs(law.prob(1, 1) - e / (1.0 + 2.0 * e)) < 1e-15
-        assert abs(law.prob(-1, 1) - e / (1.0 + 2.0 * e)) < 1e-15
+        assert abs(law.slice_probs(0)[0] - 1.0 / (1.0 + 2.0 * e)) < 1e-15
+        assert abs(law.slice_probs(1)[0] - e / (1.0 + 2.0 * e)) < 1e-15
+        assert abs(law.slice_probs(-1)[0] - e / (1.0 + 2.0 * e)) < 1e-15
 
     @pytest.mark.parametrize("n", [2, 5, 8])
     @pytest.mark.parametrize("params", TEST_PARAMS, ids=str)
@@ -125,7 +126,7 @@ class TestGeneratingFunctionLaw:
         law = build_joint_law(ModelParams(2.0, 1.2), n)
         for s in (-7, 0, 3, n):
             ps = law.slice_probs(s)
-            Ms = law.M_values(s)
+            Ms = np.arange(abs(s), n + 1, 2)
             assert abs(ps.sum() - law.s_probs[n + s]) <= 1e-15 * law.s_probs[n + s]
             assert abs(ps @ Ms / ps.sum() - law.m_mean[n + s]) <= 1e-13 * n
 

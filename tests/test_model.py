@@ -170,6 +170,59 @@ class TestFSingle:
             assert abs(f_single(p, x)) <= 1.0
 
 
+KERNEL_PARAMS = [
+    ModelParams(beta, K)
+    for beta in (0.3, 1.0, BETA_C, 2.0)
+    for K in (0.3, 0.6, critical_K(beta), 5.0, 400.0)
+]
+KERNEL_XS = np.concatenate((np.linspace(-3.0, 3.0, 61), [0.0, -0.0, 1e-300, -2e-12, 0.5, 40.0]))
+
+
+class TestArrayKernels:
+    """Array calls are the scalar calls entry by entry, bit for bit."""
+
+    @pytest.mark.parametrize("params", KERNEL_PARAMS, ids=str)
+    def test_bit_identical_to_scalar_calls(self, params):
+        ts = params.two_beta_K * KERNEL_XS
+        for fn, head, xs in (
+            (cumulant_gf, params.beta, ts),
+            (cumulant_gf_prime, params.beta, ts),
+            (G_eval, params, KERNEL_XS),
+            (G_prime, params, KERNEL_XS),
+            (f_single, params, KERNEL_XS),
+        ):
+            got = fn(head, xs)
+            want = [fn(head, float(x)) for x in xs]
+            assert all(isinstance(v, float) for v in want)
+            np.testing.assert_array_equal(got, want, strict=True)
+            # a 2-d input keeps its shape
+            np.testing.assert_array_equal(fn(head, xs.reshape(-1, 1) * np.ones(3)),
+                                          np.repeat(got[:, None], 3, axis=1))
+
+    @pytest.mark.parametrize("params", [
+        ModelParams(1.0, 0.6), ModelParams(1.0, critical_K(1.0)), TRICRITICAL,
+        ModelParams(0.5, 0.3), ModelParams(1.0, 1.5), ModelParams(2.0, 1.2),
+    ], ids=str)
+    @pytest.mark.parametrize("n", [64, 8192])
+    def test_f_single_on_the_u_grid(self, params, n):
+        # the grid u / n, u = -n-1..n+1, that regression_decompose evaluates
+        us = np.arange(-n - 1, n + 2)
+        want = np.array([f_single(params, u / n) for u in range(-n - 1, n + 2)])
+        np.testing.assert_array_equal(f_single(params, us / n), want)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [0, 3, -1])
+    def test_non_finite_entry_raises(self, bad, where):
+        p = ModelParams(1.0, 0.6)
+        xs = np.linspace(-1.0, 1.0, 7)
+        xs[where] = bad
+        for call in (lambda: cumulant_gf(1.0, xs), lambda: cumulant_gf_prime(1.0, xs),
+                     lambda: G_eval(p, xs), lambda: G_prime(p, xs), lambda: f_single(p, xs),
+                     lambda: G_eval(p, xs.reshape(7, 1))):
+            with pytest.raises(ValidationError):
+                call()
+
+
 class TestPairConditionals:
     def test_f2_at_origin(self):
         # K -> 0 limit: f2(0) = 2 e^-beta / (1 + 2 e^-beta); cross-checked as
