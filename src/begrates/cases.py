@@ -271,7 +271,7 @@ def _moving(k: float, b: float, delta1: float, delta2: float) -> Schedule:
     )
 
 
-def case_catalog() -> list[CaseSpec]:
+def _build_catalog() -> list[CaseSpec]:
     """All 42 cases with representative default parameters.
 
     Defaults sit at interior points of each branch's validity region; sign
@@ -432,11 +432,20 @@ def case_catalog() -> list[CaseSpec]:
     return cases
 
 
+# cases are frozen, so the catalog is built once and shared
+_CATALOG = tuple(_build_catalog())
+_BY_ID = {case.case_id: case for case in _CATALOG}
+
+
+def case_catalog() -> list[CaseSpec]:
+    """All 42 cases in catalog order, as a fresh list."""
+    return list(_CATALOG)
+
+
 def case_by_id(case_id: str) -> CaseSpec:
-    for case in case_catalog():
-        if case.case_id == case_id:
-            return case
-    raise InvalidCaseParametersError(f"unknown case id {case_id!r}")
+    if case_id not in _BY_ID:
+        raise InvalidCaseParametersError(f"unknown case id {case_id!r}")
+    return _BY_ID[case_id]
 
 
 def with_schedule(case: CaseSpec, **schedule_updates) -> CaseSpec:

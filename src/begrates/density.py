@@ -4,11 +4,12 @@ These are the limit laws of the rescaled spin sum: Gaussian (only b1), pure
 quartic or sextic, and the mixed shapes that show up on the boundary between
 regimes (b1 or b2 may then be negative, giving double wells).  The class
 carries a cached cumulative-quadrature grid so CDF, survival and moment
-queries are cheap and thread-safe after construction.  The cumulative table
-sums a 6-point Gauss-Legendre rule over cells at most 2T/4096 wide, which
-is exact to rounding there; it is the only source of the CDF and survival
-function.  Every other integral (moments, the partial cell of a CDF query)
-uses 24 points.
+queries are cheap and thread-safe after construction.  Every integral runs
+on one 6-point Gauss-Legendre rule over cells at most 2T/4096 wide, which
+is exact to rounding there: the cumulative table, the partial cell of a CDF
+query and the moments.  The table is the only source of the CDF, of the
+survival function (p is even, so S(t) = F(-t)) and of the normalising
+constant.
 
 The Stein machinery lives here too: the solution f_z of
 
@@ -38,11 +39,11 @@ __all__ = [
     "estimate_stein_constants",
 ]
 
-# Gauss-Legendre (nodes, weights): 24 points for integrals over arbitrary
-# segments, 6 for the narrow cells of the cumulative tables (here and in
-# exact.hs_check)
-_GL24 = np.polynomial.legendre.leggauss(24)
+# Gauss-Legendre (nodes, weights) of every integral here and in
+# exact.hs_check; each runs over cells narrow enough for 6 points
 _GL6 = np.polynomial.legendre.leggauss(6)
+# absolute tolerance of the adaptive quadrature that checks the table total
+_QUADRATURE_TOL = 1e-12
 _LOG_FLOOR = 600.0  # switch to tail asymptotics once exp(-(poly-min)) < e^-600
 
 
@@ -51,11 +52,11 @@ def _poly_of_square(y, b1, b2, b3):
     return y * (b1 + y * (b2 + y * b3))
 
 
-def _segment_integrals(a, b, rule, integrand) -> np.ndarray:
-    """Integral of ``integrand`` over each [a_i, b_i] by the Gauss-Legendre
-    ``rule`` (nodes, weights).  ``integrand`` maps the (segment, node) array
-    of nodes to its values and may overwrite the nodes."""
-    nodes, weights = rule
+def _segment_integrals(a, b, integrand) -> np.ndarray:
+    """Integral of ``integrand`` over each [a_i, b_i] by the 6-point rule.
+    ``integrand`` maps the (segment, node) array of nodes to its values and
+    may overwrite the nodes."""
+    nodes, weights = _GL6
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     X = mid[:, None] + half[:, None] * nodes[None, :]
     return (integrand(X) * weights[None, :]).sum(axis=1) * half
@@ -80,12 +81,10 @@ class PolyDensity:
     b2: float
     b3: float
     log_norm: float
-    quadrature_tol: float
     truncation: float = field(repr=False)
     poly_min: float = field(repr=False)
     _grid: np.ndarray = field(repr=False)
     _cdf: np.ndarray = field(repr=False)
-    _sf: np.ndarray = field(repr=False)
 
     # -- pointwise quantities ------------------------------------------------
 
@@ -108,26 +107,23 @@ class PolyDensity:
     # -- cumulative quantities -----------------------------------------------
 
     def cdf(self, t):
-        return self._cumulative(t, self._cdf, from_left=True)
-
-    def sf(self, t):
-        """Survival function 1 - CDF, accumulated from the right tail."""
-        return self._cumulative(t, self._sf, from_left=False)
-
-    def _cumulative(self, t, table, *, from_left: bool):
         scalar = np.ndim(t) == 0
         T = self.truncation
         t = np.clip(np.atleast_1d(np.asarray(t, dtype=float)), -T, T)
         # anchor at the grid point at or below t
         idx = np.clip(np.searchsorted(self._grid, t, side="right") - 1, 0, self._grid.size - 1)
-        partial = self._segment_mass(self._grid[idx], t)
-        out = np.clip(table[idx] + partial if from_left else table[idx] - partial, 0.0, 1.0)
+        out = np.clip(self._cdf[idx] + self._segment_mass(self._grid[idx], t), 0.0, 1.0)
         return float(out[0]) if scalar else out
 
+    def sf(self, t):
+        """Survival function 1 - CDF.  p is even, so S(t) = F(-t), and a
+        small right tail is summed from small cells as a small left tail is."""
+        return self.cdf(np.negative(t))
+
     def _segment_mass(self, a, b, k: int = 0) -> np.ndarray:
-        """E[X^k; a_i < X < b_i] for each segment, by the 24-point rule."""
-        seg = _segment_integrals(a, b, _GL24, _poly_integrand((self.b1, self.b2, self.b3),
-                                                              self.poly_min, k))
+        """E[X^k; a_i < X < b_i] for each segment."""
+        seg = _segment_integrals(a, b, _poly_integrand((self.b1, self.b2, self.b3),
+                                                       self.poly_min, k))
         return seg * math.exp(-self.poly_min - self.log_norm)
 
     # the d_K call sites pass this name, and the benchmark's tracer wraps it
@@ -150,7 +146,7 @@ class PolyDensity:
             "b2": self.b2,
             "b3": self.b3,
             "log_norm": self.log_norm,
-            "quadrature_tol": self.quadrature_tol,
+            "quadrature_tol": _QUADRATURE_TOL,
         }
 
 
@@ -173,23 +169,21 @@ def _poly_minimum(b1: float, b2: float, b3: float) -> tuple[float, list[float]]:
     return min(vals), candidates
 
 
-def normalize_density(
-    b1: float, b2: float, b3: float, *, quadrature_tol: float = 1e-12
-) -> PolyDensity:
+def normalize_density(b1: float, b2: float, b3: float) -> PolyDensity:
     """Build a normalised PolyDensity.
 
     The leading nonzero coefficient among (b3, b2, b1) must be positive,
-    otherwise exp(-poly) is not integrable.  The normalising constant is
-    computed by adaptive quadrature on [-T, T] where T is chosen so that the
-    integrand has dropped by a factor e^-760 relative to its maximum; the
-    shifted form keeps everything representable for double-well shapes.
+    otherwise exp(-poly) is not integrable.  The density lives on [-T, T]
+    where T is chosen so that the integrand has dropped by a factor e^-760
+    relative to its maximum; the shifted form keeps everything representable
+    for double-well shapes.
 
-    The cumulative CDF/SF table lives on a uniform grid of 4097..16385
-    points over [-T, T].  Its cells are at most 2T/4096 wide, so a 6-point
-    Gauss-Legendre rule per cell already integrates them to rounding (within
-    1e-15 of the 24-point rule on the comparison densities); a 24-point
-    rule there would cost four times the exponentials for nothing.  The table
-    total must agree with the adaptive norm to 1e-9.
+    The cumulative table lives on a uniform grid of 4097..16385 points over
+    [-T, T].  Its cells are at most 2T/4096 wide, so a 6-point Gauss-Legendre
+    rule per cell already integrates them to rounding (within 1e-15 of a
+    24-point rule on the comparison densities).  The normalising constant is
+    the table total, so the CDF, the survival function and the density share
+    one constant; adaptive quadrature of the norm must agree with it to 1e-9.
     """
     for name, v in (("b1", b1), ("b2", b2), ("b3", b3)):
         if not math.isfinite(v):
@@ -208,34 +202,28 @@ def normalize_density(
 
     points = sorted({c for c in crit if -T < c < T})
     shifted, _ = quad(lambda x: math.exp(-(_poly_of_square(x * x, b1, b2, b3) - pmin)), -T, T,
-                      points=points or None, epsabs=quadrature_tol * 0.1, epsrel=1e-13, limit=500)
+                      points=points or None, epsabs=_QUADRATURE_TOL * 0.1, epsrel=1e-13, limit=500)
     if not (shifted > 0.0 and math.isfinite(shifted)):
         raise NonIntegrableDensityError("normalisation quadrature failed")
-    log_norm = math.log(shifted) + (-pmin)
 
     # cumulative cache: uniform grid refined enough for the narrowest feature
     width = min(T, max(0.05, 1.0 / math.sqrt(abs(b1) + abs(b2) + abs(b3))))
     npts = int(min(16385, max(4097, 8 * math.ceil(2 * T / (0.05 * width)))))
     grid = np.linspace(-T, T, npts)
-    seg = _segment_integrals(grid[:-1], grid[1:], _GL6, _poly_integrand((b1, b2, b3), pmin))
+    seg = _segment_integrals(grid[:-1], grid[1:], _poly_integrand((b1, b2, b3), pmin))
     total = float(seg.sum())
-    if abs(total * math.exp(-pmin - log_norm) - 1.0) > 1e-9:
+    if abs(total / shifted - 1.0) > 1e-9:
         raise NonIntegrableDensityError("cumulative grid disagrees with the adaptive norm")
-    # normalise the cache against its own total so CDF(T) == 1 exactly
-    mass = np.concatenate(([0.0], np.cumsum(seg) / total))
-    sf = np.concatenate((np.cumsum(seg[::-1])[::-1] / total, [0.0]))
 
     return PolyDensity(
         b1=b1,
         b2=b2,
         b3=b3,
-        log_norm=log_norm,
-        quadrature_tol=quadrature_tol,
+        log_norm=math.log(total) + (-pmin),
         truncation=T,
         poly_min=pmin,
         _grid=grid,
-        _cdf=mass,
-        _sf=sf,
+        _cdf=np.concatenate(([0.0], np.cumsum(seg) / total)),
     )
 
 

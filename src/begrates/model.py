@@ -123,20 +123,24 @@ def cumulant_gf(beta: float, t):
     return _as_output(num - den)
 
 
+def _scaled_denominator(beta: float, a):
+    """(1 + 2 e^{-beta} cosh(a)) e^{beta - a}, the denominator of c'_beta and of
+    f2 scaled by e^{beta - a}; the exponent is clamped at 700 so it never overflows."""
+    return np.exp(np.minimum(beta - a, 700.0)) + 1.0 + np.exp(-2.0 * a)
+
+
 def cumulant_gf_prime(beta: float, t):
     """First derivative of ``cumulant_gf`` in t.
 
     c'(t) = 2 e^{-beta} sinh(t) / (1 + 2 e^{-beta} cosh(t)), written with the
-    exponentials scaled by e^{-|t|} so the evaluation is stable for all t.
+    exponentials scaled by e^{beta - |t|} so the evaluation is stable for all t.
     Strictly increasing with range (-1, 1).
     """
     beta = _check_positive("beta", beta)
     t = _check_finite("t", t)
     a = np.abs(t)
-    # numerator and denominator both multiplied by e^{-a}
     num = -np.expm1(-2.0 * a)  # 1 - e^{-2a}
-    den = np.exp(np.minimum(beta - a, 700.0)) + 1.0 + np.exp(-2.0 * a)
-    return _as_output(np.sign(t) * num / den)
+    return _as_output(np.sign(t) * num / _scaled_denominator(beta, a))
 
 
 def critical_K(beta: float) -> float:
@@ -197,27 +201,24 @@ def g_derivs_at_zero(params: ModelParams) -> GDerivs:
     return GDerivs(g2, g4, g6)
 
 
-def pair_conditional_funcs(params: ModelParams, x: float) -> tuple[float, float]:
+def pair_conditional_funcs(params: ModelParams, x):
     """Kernels (f1, f2) for conditional second moments of one and two spins.
 
     f2(x) = 2 e^{-b} cosh(2bKx) / (1 + 2 e^{-b} cosh(2bKx)) approximates
     E[w_i^2 | rest]; f1 plays the same role for E[w_i^2 w_j^2 | rest].  Both
     take values in [0, 1] and satisfy f2(x)^2 = f1(x) identically.  Each is
     evaluated from its own closed form (f1 is not computed as f2 squared).
+    Like ``f_single`` both work elementwise on a numpy array.
     """
     beta = params.beta
-    a = abs(params.two_beta_K * _check_finite("x", x))
-    e2a = math.exp(-2.0 * a)
-    # f2: numerator and denominator scaled by e^{-a}
-    num2 = 1.0 + e2a
-    den2 = math.exp(min(beta - a, 700.0)) + num2
-    f2 = num2 / den2
+    a = np.abs(params.two_beta_K * _check_finite("x", x))
+    e2a = np.exp(-2.0 * a)
+    # f2: numerator and denominator scaled by e^{beta - a}
+    f2 = (1.0 + e2a) / _scaled_denominator(beta, a)
     # f1: numerator and denominator scaled by e^{-2a}
-    e4a = math.exp(-4.0 * a)
-    num1 = math.exp(min(-2.0 * beta, 700.0)) * (1.0 + 2.0 * e2a + e4a)
-    den1 = e2a + 2.0 * math.exp(-beta - a) * (1.0 + e2a) + num1
-    f1 = num1 / den1
-    return f1, f2
+    num1 = math.exp(-2.0 * beta) * (1.0 + 2.0 * e2a + np.exp(-4.0 * a))
+    den1 = e2a + 2.0 * np.exp(-beta - a) * (1.0 + e2a) + num1
+    return _as_output(num1 / den1), _as_output(f2)
 
 
 def resampling_law(params: ModelParams, n: int, u) -> np.ndarray:
@@ -358,20 +359,15 @@ def classify_region(params: ModelParams, tol: float = 1e-9) -> Region:
 # minimisation of G and the Legendre transform
 
 
-def minimize_G(
-    params: ModelParams,
-    *,
-    span: float = 1.5,
-    grid_step: float = 1e-3,
-    gtol: float = 1e-12,
-) -> list[float]:
-    """Global minimizers of G on [-span, span].
+def minimize_G(params: ModelParams) -> list[float]:
+    """Global minimizers of G on [-1.5, 1.5].
 
     Coarse grid scan (G is even and real-analytic, so a 1e-3 grid brackets
     every local minimum at these parameter ranges), then bisection on G' to
-    |G'| < gtol.  The returned set is symmetric under negation.
+    |G'| < 1e-12.  The returned set is symmetric under negation.
     """
-    xs = np.arange(-span, span + 0.5 * grid_step, grid_step)
+    step = 1e-3
+    xs = np.arange(-1.5, 1.5 + 0.5 * step, step)
     gs = G_eval(params, xs)
     gmin = gs.min()
     window = 1e-6 * max(1.0, abs(gmin))
@@ -382,7 +378,7 @@ def minimize_G(
     candidates = [
         int(i)
         for i in interior[is_min]
-        if gs[i] <= gmin + window and xs[i] >= -0.5 * grid_step
+        if gs[i] <= gmin + window and xs[i] >= -0.5 * step
     ]
 
     polished: list[float] = []
@@ -395,7 +391,7 @@ def minimize_G(
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             gm = G_prime(params, mid)
-            if abs(gm) < gtol or (hi - lo) < 1e-16:
+            if abs(gm) < 1e-12 or (hi - lo) < 1e-16:
                 break
             if gm > 0:
                 hi = mid
@@ -413,7 +409,7 @@ def minimize_G(
     # preferring the point closest to the origin
     clusters: list[list[float]] = []
     for x in keep:
-        if clusters and x - clusters[-1][-1] <= 2.5 * grid_step:
+        if clusters and x - clusters[-1][-1] <= 2.5 * step:
             clusters[-1].append(x)
         else:
             clusters.append([x])

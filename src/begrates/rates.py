@@ -58,12 +58,12 @@ class RateReport:
         r = self.case.predicted_exponent
         return [p.d_k * p.n**r for p in self.ladder]
 
-    def slope_ok(self, tolerance: float = SLOPE_TOLERANCE) -> bool:
-        return self.fitted_slope <= -self.case.predicted_exponent + tolerance
+    def slope_ok(self) -> bool:
+        return self.fitted_slope <= -self.case.predicted_exponent + SLOPE_TOLERANCE
 
-    def bounded_ok(self, factor: float = BOUNDEDNESS_FACTOR) -> bool:
+    def bounded_ok(self) -> bool:
         scaled = self.scaled_distances
-        return max(scaled) <= factor * scaled[0]
+        return max(scaled) <= BOUNDEDNESS_FACTOR * scaled[0]
 
     def to_json_dict(self) -> dict:
         return {

@@ -57,6 +57,13 @@ class TestCatalogShape:
         ids = [c.case_id for c in case_catalog()]
         assert len(set(ids)) == len(ids)
 
+    def test_lookup_reuses_one_catalog(self):
+        assert case_by_id("fixed-C") is case_by_id("fixed-C")
+        assert all(case_by_id(c.case_id) is c for c in case_catalog())
+        assert case_catalog() is not case_catalog()
+        with pytest.raises(InvalidCaseParametersError, match="unknown case id 'nope'"):
+            case_by_id("nope")
+
     def test_phase_speed_vanishes(self):
         for c in case_catalog():
             assert abs(phase_speed(c)) < 1e-12, c.case_id

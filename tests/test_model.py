@@ -190,6 +190,8 @@ class TestArrayKernels:
             (G_eval, params, KERNEL_XS),
             (G_prime, params, KERNEL_XS),
             (f_single, params, KERNEL_XS),
+            (lambda p, x: pair_conditional_funcs(p, x)[0], params, KERNEL_XS),
+            (lambda p, x: pair_conditional_funcs(p, x)[1], params, KERNEL_XS),
         ):
             got = fn(head, xs)
             want = [fn(head, float(x)) for x in xs]
@@ -218,6 +220,7 @@ class TestArrayKernels:
         xs[where] = bad
         for call in (lambda: cumulant_gf(1.0, xs), lambda: cumulant_gf_prime(1.0, xs),
                      lambda: G_eval(p, xs), lambda: G_prime(p, xs), lambda: f_single(p, xs),
+                     lambda: pair_conditional_funcs(p, xs),
                      lambda: G_eval(p, xs.reshape(7, 1))):
             with pytest.raises(ValidationError):
                 call()
