@@ -16,7 +16,9 @@ The Stein machinery lives here too: the solution f_z of
     f'(x) + psi(x) f(x) = 1{x <= z} - P(z),      psi = p'/p,
 
 and envelopes for |f_z|, |f_z'|, the oscillation of f_z' and |(psi f_z)'|:
-exact maxima over a declared (z, x) grid, in O(N) from prefix/suffix extrema.
+exact maxima over a declared, mirror-symmetric (z, x) grid.  Both read one
+factor A = F/p: f_z is S(z) A(x) left of z and F(z) A(-x) right of it, so
+the envelopes take one CDF pass and prefix extrema, in O(N).
 """
 
 from __future__ import annotations
@@ -227,6 +229,12 @@ def normalize_density(b1: float, b2: float, b3: float) -> PolyDensity:
     )
 
 
+def _drift_scale(psi_coeffs: tuple[float, float, float], moments: Mapping[int, float]) -> float:
+    """c = E[W (-psi(W))] = q1 E[W^2] + q3 E[W^4] + q5 E[W^6], the scale of
+    the Stein equation; an inactive term is skipped, so its moment is not read."""
+    return sum((q * moments[k] for q, k in zip(psi_coeffs, (2, 4, 6)) if q != 0.0), 0.0)
+
+
 def density_from_regression(
     psi_coeffs: tuple[float, float, float], moments: Mapping[int, float]
 ) -> PolyDensity:
@@ -240,13 +248,7 @@ def density_from_regression(
     so that a lone active coefficient reduces to 1/(2j E[W^(2j)]).
     """
     q1, q3, q5 = psi_coeffs
-    c = 0.0
-    if q1 != 0.0:
-        c += q1 * moments[2]
-    if q3 != 0.0:
-        c += q3 * moments[4]
-    if q5 != 0.0:
-        c += q5 * moments[6]
+    c = _drift_scale(psi_coeffs, moments)
     if not (c > 0.0):
         raise NonIntegrableDensityError(
             f"E[W * drift] = {c!r} is not positive for psi coefficients {psi_coeffs}"
@@ -261,30 +263,29 @@ def density_from_regression(
 # Stein equation
 
 
+def _cdf_and_ratio(d: PolyDensity, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """F(x) and A(x) = F(x)/p(x).  Where p underflows (poly - min above
+    _LOG_FLOOR) A is read as its left-tail limit 1/psi(x) instead of 0/0."""
+    F = d.cdf(x)
+    deep = d.poly(x) - d.poly_min > _LOG_FLOOR
+    A = np.empty_like(F)
+    np.divide(F, d.pdf(x), out=A, where=~deep)
+    np.divide(1.0, d.psi(x), out=A, where=deep)
+    return F, A
+
+
 def stein_solution(d: PolyDensity, z: float, x) -> np.ndarray | float:
     """Solution f_z of f' + psi f = 1{. <= z} - P(z) for the density d.
 
-    f_z(x) = [P(min(x,z)) - P(x) P(z)] / p(x), evaluated as CDF*SF products
-    to avoid cancellation; far in the tails (where p underflows) the
-    asymptotic ratio P/p ~ 1/|psi| is used instead of 0/0.
+    f_z(x) = [P(min(x,z)) - P(x) P(z)] / p(x) = S(z) A(x) for x <= z and
+    F(z) A(-x) beyond, with A = F/p: no cancellation, and far in the tails
+    A is its asymptote 1/psi instead of 0/0.
     """
     scalar = np.ndim(x) == 0
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    Fz = d.cdf(z)
-    Sz = d.sf(z)
-    out = np.empty_like(xs)
-    deep = d.poly(xs) - d.poly_min > _LOG_FLOOR
-    safe = ~deep
-    if np.any(safe):
-        xv = xs[safe]
-        F = d.cdf(xv)
-        S = d.sf(xv)
-        num = np.where(xv <= z, F * Sz, Fz * S)
-        out[safe] = num / np.exp(d.logpdf(xv))
-    if np.any(deep):
-        xv = xs[deep]
-        psi = d.psi(xv)
-        out[deep] = np.where(xv <= z, Sz / psi, -Fz / psi)
+    left = xs <= z
+    _, A = _cdf_and_ratio(d, np.where(left, xs, -xs))
+    out = np.where(left, d.sf(z), d.cdf(z)) * A
     return float(out[0]) if scalar else out
 
 
@@ -294,8 +295,9 @@ class SteinConstants:
 
     d1 bounds |f_z|, d2 bounds |f_z'|, d3 bounds the oscillation
     |f_z'(x) - f_z'(y)| and d4 bounds |(psi f_z)'|: exact maxima over the
-    recorded (z, x) grid, in O(N) from prefix and suffix extrema.  Derivatives
-    are one-sided chord slopes, so the kink of f_z' at x = z stays out.
+    recorded (z, x) grid.  The grid is mirror-symmetric, so one CDF pass and
+    prefix extrema of the factor F/p give them in O(N).  Derivatives are
+    one-sided chord slopes, so the kink of f_z' at x = z stays out.
     """
 
     d1: float
@@ -309,31 +311,11 @@ class SteinConstants:
                 "grid_spec": self.grid_spec}
 
 
-def _suffix(ufunc, a: np.ndarray) -> np.ndarray:
-    """ufunc.accumulate from the right: out[i] = ufunc over a[i:]."""
-    return ufunc.accumulate(a[::-1])[::-1]
-
-
-def _chord_extremes(ufunc, fill: float, S, left, F, right) -> np.ndarray:
-    """Per-row ufunc over S_j * left[i] for chords i < j and F_j * right[i] for i >= j."""
-    out = np.full(S.size, fill)
-    out[1:] = S[1:] * ufunc.accumulate(left)
-    out[:-1] = ufunc(out[:-1], F[:-1] * _suffix(ufunc, right))
-    return out
-
-
-def estimate_stein_constants(d: PolyDensity, *, half_range: float = 10.0,
-                             step: float = 0.005) -> SteinConstants:
-    """Exact maxima of the Stein-solution envelopes over a declared (z, x) grid.
-
-    At z = x_j, f_z(x_i) = S_j A_i for i <= j and F_j B_i for i > j, with
-    A = F/p, B = S/p, and f_z is continuous at z.  So row j's chord slopes
-    are S_j dA_i left of z and F_j dB_i from z on (d(psi A), d(psi B) for
-    psi f_z), and as S, F >= 0 prefix and suffix extrema give every row's
-    maximum and minimum in O(N) for N grid points.
-    """
-    reach = half_range
-    # keep the grid inside the representable part of the density
+def _envelope_grid(d: PolyDensity, step: float) -> np.ndarray:
+    """The (z, x) grid over [-reach, reach], reach = 10 clipped to where the
+    density is representable; mirror-symmetric bit for bit, so
+    x[N-1-i] == -x[i] and the endpoints are exactly +-reach."""
+    reach = 10.0
     if d.poly(reach) - d.poly_min > _LOG_FLOOR:
         lo, hi = 0.0, reach
         for _ in range(80):
@@ -343,29 +325,47 @@ def estimate_stein_constants(d: PolyDensity, *, half_range: float = 10.0,
             else:
                 lo = mid
         reach = lo
-    npts = int(round(2 * reach / step)) + 1
-    xs = np.linspace(-reach, reach, npts)
+    xs = np.linspace(-reach, reach, int(round(2 * reach / step)) + 1)
+    return 0.5 * (xs - xs[::-1])
+
+
+def _prefix_rows(ufunc, fill: float, S: np.ndarray, slopes: np.ndarray) -> np.ndarray:
+    """Per-row ufunc over S_j * slopes[i] for the chords i < j left of z = x_j."""
+    out = np.full(S.size, fill)
+    out[1:] = S[1:] * ufunc.accumulate(slopes)
+    return out
+
+
+def estimate_stein_constants(d: PolyDensity, *, step: float = 0.005) -> SteinConstants:
+    """Exact maxima of the Stein-solution envelopes over a declared (z, x) grid.
+
+    At z = x_j, f_z(x_i) = S_j A_i for i <= j and F_j A_{N-1-i} for i > j,
+    with A = F/p, and f_z is continuous at z.  The grid is mirrored, so S is
+    F reversed and the part of row j right of z is the part of row N-1-j
+    left of z read backwards: the same values, the chord slopes of f_z
+    negated and those of psi f_z unchanged (psi is odd).  As S >= 0, prefix
+    extrema of the left parts give every row's maximum and minimum in O(N).
+    """
+    xs = _envelope_grid(d, step)
     h = xs[1] - xs[0]
-    F = d.cdf(xs)
-    S = d.sf(xs)
-    pdf = np.exp(d.logpdf(xs))
-    psi = d.psi(xs)
-    A, B = F / pdf, S / pdf
+    F, A = _cdf_and_ratio(d, xs)
+    S = F[::-1]
 
-    d1 = max((S * np.maximum.accumulate(A)).max(), (F[:-1] * _suffix(np.maximum, B[1:])).max())
-    dA, dB = np.diff(A) / h, np.diff(B) / h
-    hi = _chord_extremes(np.maximum, -np.inf, S, dA, F, dB)
-    lo = _chord_extremes(np.minimum, np.inf, S, dA, F, dB)
-    dC, dD = np.abs(np.diff(psi * A) / h), np.abs(np.diff(psi * B) / h)
-    d4 = _chord_extremes(np.maximum, 0.0, S, dC, F, dD).max()
+    d1 = (S * np.maximum.accumulate(A)).max()
+    dA = np.diff(A) / h
+    hi = _prefix_rows(np.maximum, -np.inf, S, dA)
+    lo = _prefix_rows(np.minimum, np.inf, S, dA)
+    hi, lo = np.maximum(hi, -lo[::-1]), np.minimum(lo, -hi[::-1])
+    d4 = _prefix_rows(np.maximum, 0.0, S, np.abs(np.diff(d.psi(xs) * A) / h)).max()
 
+    reach = float(xs[-1])
     spec = {
         "z_min": -reach,
         "z_max": reach,
         "x_min": -reach,
         "x_max": reach,
         "step": float(h),
-        "points": npts,
+        "points": xs.size,
     }
     return SteinConstants(d1=float(d1), d2=float(max(hi.max(), -lo.min())),
                           d3=float((hi - lo).max()), d4=float(d4), grid_spec=spec)

@@ -305,13 +305,7 @@ def step_cdf_pair(law: JointLaw, gamma: float) -> tuple[Callable, Callable]:
 # Gaussian smoothing identity
 
 
-def hs_check(
-    params: ModelParams,
-    n: int,
-    gamma: float,
-    *,
-    law: JointLaw | None = None,
-) -> float:
+def hs_check(params: ModelParams, n: int, gamma: float) -> float:
     """Sup CDF gap of the Gaussian-smoothing identity for W.
 
     Convolving the exact law of W with an independent centred Gaussian of
@@ -323,8 +317,7 @@ def hs_check(
     reflects quadrature and grid error only.
     """
     _check_gamma(gamma)
-    if law is None:
-        law = build_joint_law(params, n)
+    law = build_joint_law(params, n)
     w = law.w_values(gamma)
     noise_var = 1.0 / (params.two_beta_K * float(n) ** (1.0 - 2.0 * gamma))
     sigma = math.sqrt(noise_var)

@@ -206,19 +206,15 @@ def pair_conditional_funcs(params: ModelParams, x):
 
     f2(x) = 2 e^{-b} cosh(2bKx) / (1 + 2 e^{-b} cosh(2bKx)) approximates
     E[w_i^2 | rest]; f1 plays the same role for E[w_i^2 w_j^2 | rest].  Both
-    take values in [0, 1] and satisfy f2(x)^2 = f1(x) identically.  Each is
-    evaluated from its own closed form (f1 is not computed as f2 squared).
-    Like ``f_single`` both work elementwise on a numpy array.
+    take values in [0, 1].  f1(x) = 4 e^{-2b} cosh^2(2bKx) / (1 + 2 e^{-b}
+    cosh(2bKx))^2 is f2 squared and is computed so; expanded, its terms all
+    underflow once beta and 2 beta K |x| pass about 372.  Like ``f_single``
+    both work elementwise on a numpy array.
     """
-    beta = params.beta
     a = np.abs(params.two_beta_K * _check_finite("x", x))
-    e2a = np.exp(-2.0 * a)
-    # f2: numerator and denominator scaled by e^{beta - a}
-    f2 = (1.0 + e2a) / _scaled_denominator(beta, a)
-    # f1: numerator and denominator scaled by e^{-2a}
-    num1 = math.exp(-2.0 * beta) * (1.0 + 2.0 * e2a + np.exp(-4.0 * a))
-    den1 = e2a + 2.0 * np.exp(-beta - a) * (1.0 + e2a) + num1
-    return _as_output(num1 / den1), _as_output(f2)
+    # numerator and denominator scaled by e^{beta - a}
+    f2 = (1.0 + np.exp(-2.0 * a)) / _scaled_denominator(params.beta, a)
+    return _as_output(f2 * f2), _as_output(f2)
 
 
 def resampling_law(params: ModelParams, n: int, u) -> np.ndarray:

@@ -21,7 +21,7 @@ from .errors import (
     ScheduleUnderflowError,
     ValidationError,
 )
-from .exact import DEFAULT_N_CAP, build_joint_law, kolmogorov_distance, moment
+from .exact import build_joint_law, kolmogorov_distance, moment
 
 __all__ = [
     "LadderPoint",
@@ -108,12 +108,7 @@ def fit_loglog(points: list[tuple[int, float]]) -> tuple[float, float, float]:
     return float(slope), float(intercept), r2
 
 
-def run_case(
-    case: CaseSpec,
-    n_ladder: list[int] | None = None,
-    *,
-    cap: int = DEFAULT_N_CAP,
-) -> RateReport:
+def run_case(case: CaseSpec, n_ladder: list[int] | None = None) -> RateReport:
     """Run one case over a ladder of sizes.
 
     Each rung records E[W^2], E[W^4] and E[W^6], the moments the comparison
@@ -130,7 +125,7 @@ def run_case(
     for n in ladder:
         try:
             params = params_at(case, n)
-            law = build_joint_law(params, n, cap=cap)
+            law = build_joint_law(params, n)
             mm = {k: moment(law, case.gamma, k) for k in (2, 4, 6)}
             density = comparison_density(case, n, mm)
             d = kolmogorov_distance(law, case.gamma, density.cdf_at_sorted)
@@ -154,21 +149,14 @@ def run_case(
     )
 
 
-def run_all(
-    cases: list[CaseSpec] | None = None,
-    *,
-    threads: int = 1,
-    n_ladder: list[int] | None = None,
-) -> list[RateReport]:
-    """Run every case (the full catalog by default), sorted by case id.
+def run_all(*, threads: int = 1, n_ladder: list[int] | None = None) -> list[RateReport]:
+    """Run every case of the catalog, sorted by case id.
 
     ``n_ladder`` overrides each case's default ladder.  ``threads`` > 1 fans
     the cases out to worker processes; results are aggregated in
     deterministic (sorted) order either way.
     """
-    if cases is None:
-        cases = case_catalog()
-    cases = sorted(cases, key=lambda c: c.case_id)
+    cases = sorted(case_catalog(), key=lambda c: c.case_id)
     if threads <= 1:
         return [run_case(c, n_ladder) for c in cases]
     with ProcessPoolExecutor(max_workers=threads) as pool:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cases import CaseSpec, regression_at
-from .density import PolyDensity, SteinConstants, normalize_density
+from .density import PolyDensity, SteinConstants, _drift_scale, normalize_density
 from .errors import ValidationError
 from .exact import JointLaw, _fsum_largest_first, kolmogorov_distance, moment
 from .model import f_single, resampling_law
@@ -233,7 +233,7 @@ def evaluate_bound(
     q1, q3, q5 = decomp.psi_coeffs
 
     m = {k: moment(law, gamma, k) for k in (2, 4, 6)}
-    c = q1 * m[2] + q3 * m[4] + q5 * m[6]
+    c = _drift_scale(decomp.psi_coeffs, m)
     if not (c > 0.0):
         raise ValidationError(f"drift scale E[W(-psi(W))] = {c!r} must be positive")
     d1, d2, d3, d4 = consts.d1 / c, consts.d2 / c, consts.d3 / c, consts.d4 / c
@@ -324,7 +324,7 @@ def normal_bound(
         terms=terms,
         total=total,
         exact_dk=exact_dk,
-        drift_scale=ew2 / sigma2,
+        drift_scale=_drift_scale(decomp.psi_coeffs, {2: ew2}),
         constants={"sigma2": sigma2},
         grid_spec=None,
     )

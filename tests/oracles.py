@@ -360,6 +360,21 @@ def quad_cdf(b1: float, b2: float, b3: float, T: float, xs) -> np.ndarray:
     return np.array([mass(-T, float(x)) / total for x in xs])
 
 
+def pair_f1_expanded(params: ModelParams, x: float, dps: int = 50) -> float:
+    """The pair kernel f1 from its expanded closed form, in mpmath (whose
+    exponent range is unbounded): numerator and denominator scaled by
+    e^{-2a}, a = 2 beta K |x|."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        beta = mp.mpf(params.beta)
+        a = abs(2 * beta * mp.mpf(params.K) * mp.mpf(x))
+        e2a = mp.exp(-2 * a)
+        num = mp.exp(-2 * beta) * (1 + 2 * e2a + mp.exp(-4 * a))
+        den = e2a + 2 * mp.exp(-beta - a) * (1 + e2a) + num
+        return float(num / den)
+
+
 def gaussian_stein_solution(z: float, x: np.ndarray) -> np.ndarray:
     """Closed-form Stein solution for the standard normal (scipy oracle)."""
     from scipy.stats import norm
@@ -377,8 +392,10 @@ def scan_stein_constants(d, half_range: float, step: float) -> dict:
 
     Materialises f_z(x) = (x <= z ? F(x) S(z) : F(z) S(x)) / p(x) on the
     grid in chunks of z rows and takes every maximum directly, O(N^2).
-    The grid is clipped where the density leaves its representable range,
-    exactly as ``estimate_stein_constants`` declares it.
+    The grid is clipped where the density leaves its representable range and
+    mirrored, exactly as ``estimate_stein_constants`` declares it; S comes
+    from its own ``d.sf`` pass, so agreement also checks that the package's
+    S = F reversed holds on that grid.
     """
     floor = 600.0
     reach = half_range
@@ -393,6 +410,7 @@ def scan_stein_constants(d, half_range: float, step: float) -> dict:
         reach = lo
     npts = int(round(2 * reach / step)) + 1
     xs = np.linspace(-reach, reach, npts)
+    xs = 0.5 * (xs - xs[::-1])
     h = xs[1] - xs[0]
     F = d.cdf(xs)
     S = d.sf(xs)

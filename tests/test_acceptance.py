@@ -34,7 +34,7 @@ from begrates.model import (
 )
 from begrates.rates import fit_loglog, run_case
 from begrates.stein import _step_affine, conditional_mean_sandwich_gap, evaluate_bound, variance_term
-from oracles import brute_step_moments, brute_variance_term, series_g6_oracle
+from oracles import brute_step_moments, brute_variance_term, pair_f1_expanded, series_g6_oracle
 
 SIX_POINTS = [
     ModelParams(1.0, 0.6),
@@ -139,7 +139,7 @@ def test_criterion_2_closed_forms():
         for x in grid:
             assert abs(f_single(params, x) - (x - G_prime(params, x) / params.two_beta_K)) < 1e-12
             f1, f2 = pair_conditional_funcs(params, x)
-            assert abs(f2 * f2 - f1) < 1e-12
+            assert abs(f1 - pair_f1_expanded(params, x)) < 1e-12
             assert 0.0 <= f1 <= 1.0 and 0.0 <= f2 <= 1.0
 
 

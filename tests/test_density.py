@@ -282,8 +282,40 @@ class TestSteinSolution:
                 res = fp + d.psi(x) * stein_solution(d, z, x) - ((x <= z) - pz)
                 assert abs(res) < 1e-6
 
+    @pytest.mark.parametrize("z", [-1.2, 0.5])
+    def test_past_the_floor_reads_the_tail_limit(self, z):
+        # past |x| ~ 34.6, N(0, 1) is below e^-600 of its peak: f_z is read as
+        # S(z)/psi left of z and -F(z)/psi right of it
+        d = normalize_density(0.5, 0.0, 0.0)
+        xs = np.array([-40.0, -35.0, 35.0, 40.0])
+        got = stein_solution(d, z, xs)
+        want = np.where(xs <= z, d.sf(z), -d.cdf(z)) / d.psi(xs)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+    def test_tiny_survival_times_the_left_factor(self):
+        # f_36(-13.35) = S(36) F(-13.35) / p(-13.35); the product F(x) S(z)
+        # alone is subnormal, so it is formed as S(z) times F/p
+        import mpmath as mp
+
+        with mp.workdps(40):
+            want = float(mp.ncdf(-36) * mp.ncdf(-13.35) / mp.npdf(-13.35))
+        got = stein_solution(normalize_density(0.5, 0.0, 0.0), 36.0, -13.35)
+        assert abs(got - want) <= 1e-12 * want
+
 
 class TestSteinConstants:
+    @pytest.mark.parametrize("key", SHAPE_CASES + ("N(0,1)", "double well"))
+    def test_envelope_grid_is_mirrored(self, key, shape_densities):
+        # x[N-1-i] == -x[i] bit for bit, so S = F reversed on the grid
+        extra = {"N(0,1)": (0.5, 0.0, 0.0), "double well": (-1.0, 0.0, 1.0)}
+        d = normalize_density(*extra[key]) if key in extra else shape_densities[key]
+        xs = density_module._envelope_grid(d, 0.005)
+        reach = estimate_stein_constants(d).grid_spec["x_max"]
+        assert xs[0] == -reach and xs[-1] == reach
+        np.testing.assert_array_equal(xs, -xs[::-1])
+        np.testing.assert_array_equal(d.sf(xs), d.cdf(xs)[::-1])
+
     @pytest.mark.parametrize("step", [5e-3, 1e-3])
     def test_standard_normal_envelopes_within_the_proved_bounds(self, step):
         # Chen, Goldstein & Shao (2011), Lemma 2.3: for N(0, 1) the Stein

@@ -28,6 +28,7 @@ from begrates.model import (
 )
 from oracles import (
     central_second_derivative,
+    pair_f1_expanded,
     richardson_fourth_derivative,
     richardson_second_derivative,
     series_g6_oracle,
@@ -241,9 +242,17 @@ class TestPairConditionals:
         for params in (ModelParams(1.0, 0.6), ModelParams(0.5, 1.4), ModelParams(2.0, 1.2)):
             for x in np.linspace(-1.0, 1.0, 41):
                 f1, f2 = pair_conditional_funcs(params, x)
-                assert abs(f2 * f2 - f1) < 1e-12
+                assert abs(f1 - pair_f1_expanded(params, x)) < 1e-12
                 assert 0.0 <= f1 <= 1.0
                 assert 0.0 <= f2 <= 1.0
+
+    def test_large_beta_K_stays_finite(self):
+        # every term of the expanded f1 underflows here; f1 = f2^2 does not
+        params = ModelParams(400.0, 1.0)
+        for x, want in ((-1.0, 1.0), (0.5, 0.5), (1.0, 1.0)):
+            f1, f2 = pair_conditional_funcs(params, x)
+            assert f2 == want
+            assert abs(f1 - pair_f1_expanded(params, x)) < 1e-12
 
 
 class TestSchedule:

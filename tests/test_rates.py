@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from begrates import rates
 from begrates.cases import case_by_id, with_schedule
 from begrates.errors import ComputationError, DegenerateFitError, ValidationError
 from begrates.rates import default_ladder, fit_loglog, run_all, run_case, summary_row
@@ -84,9 +85,11 @@ class TestPhaseTransitionVisibility:
 
 
 class TestRunAll:
-    def test_subset_sorted_and_passing(self):
-        cases = [case_by_id("fixed-A"), case_by_id("B2.1")]
-        reports = run_all(cases)
+    def test_subset_sorted_and_passing(self, monkeypatch):
+        # a two-case catalog in unsorted order keeps the run short
+        monkeypatch.setattr(rates, "case_catalog",
+                            lambda: [case_by_id("fixed-A"), case_by_id("B2.1")])
+        reports = run_all()
         assert [r.case.case_id for r in reports] == ["B2.1", "fixed-A"]
         for r in reports:
             assert r.slope_ok() and r.bounded_ok()
