@@ -112,8 +112,8 @@ def _cmd_phase_diagram(args) -> _Output:
     out.columns = ["beta", "K_c", "region_at_0p9Kc", "region_at_Kc", "region_at_1p1Kc"]
     out.meta["beta_c"] = BETA_C
     out.meta["K_c_at_beta_c"] = critical_K(BETA_C)
-    betas = [args.beta_min + i * (args.beta_max - args.beta_min) / (args.samples - 1)
-             for i in range(args.samples)]
+    span, steps = args.beta_max - args.beta_min, max(args.samples - 1, 1)
+    betas = [args.beta_min + i * span / steps for i in range(args.samples)]
     for beta in betas:
         kc = critical_K(beta)
         tags = [
@@ -145,9 +145,8 @@ def _cmd_exact_law(args) -> _Output:
             raise ComputationError(f"brute-force TV {tv} >= 1e-12")
     out.columns = ["s", "M", "probability"]
     if args.n <= args.max_atoms_listed:
-        for s, Ms, ps in law.iter_slices():
-            for M, p in zip(Ms, ps):
-                out.rows.append({"s": s, "M": int(M), "probability": float(p)})
+        for (s, M), p in law.atoms().items():
+            out.rows.append({"s": s, "M": M, "probability": p})
     else:
         out.meta["atoms_omitted"] = True
     return out

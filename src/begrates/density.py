@@ -277,15 +277,24 @@ def _cdf_and_ratio(d: PolyDensity, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def stein_solution(d: PolyDensity, z: float, x) -> np.ndarray | float:
     """Solution f_z of f' + psi f = 1{. <= z} - P(z) for the density d.
 
-    f_z(x) = [P(min(x,z)) - P(x) P(z)] / p(x) = S(z) A(x) for x <= z and
-    F(z) A(-x) beyond, with A = F/p: no cancellation, and far in the tails
-    A is its asymptote 1/psi instead of 0/0.
+    f_z(x) = [P(min(x,z)) - P(x) P(z)] / p(x) = S(Z) A(y) with A = F/p, where
+    (y, Z) = (x, z) for x <= z and (-x, -z) beyond: no cancellation, and far
+    in the left tail A is its asymptote 1/psi instead of 0/0.  Past the
+    right floor F(y) = 1 and p(y) may underflow, so S(Z)/p(y) is read as
+    S(Z)/p(Z) e^(poly(y) - poly(Z)), with S(Z)/p(Z) from the table while S(Z)
+    is a normal double and -1/psi(Z) beyond.
     """
     scalar = np.ndim(x) == 0
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     left = xs <= z
-    _, A = _cdf_and_ratio(d, np.where(left, xs, -xs))
-    out = np.where(left, d.sf(z), d.cdf(z)) * A
+    y, Z = np.where(left, xs, -xs), np.where(left, z, -z)
+    _, A = _cdf_and_ratio(d, y)
+    out = d.sf(Z) * A
+    far = (y > 0.0) & (d.poly(y) - d.poly_min > _LOG_FLOOR)
+    y, Z = y[far], Z[far]
+    S = d.sf(Z)
+    mills = np.divide(S, d.pdf(Z), out=-1.0 / d.psi(Z), where=S >= np.finfo(float).tiny)
+    out[far] = mills * np.exp(d.poly(y) - d.poly(Z))
     return float(out[0]) if scalar else out
 
 

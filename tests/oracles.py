@@ -75,8 +75,10 @@ def enumerated_joint_law(params: ModelParams, n: int) -> EnumeratedLaw:
     return EnumeratedLaw(slices, s_probs, m_mean, m_second, log_partition)
 
 
-def mpmath_joint_law(params: ModelParams, n: int, dps: int = 40):
-    """(P(s), E[M|s], E[M^2|s]) for s = 0..n at ``dps`` digits.
+def mpmath_joint_law(params: ModelParams, n: int, dps: int = 40, *, rounded: bool = True):
+    """(P(s), E[M|s], E[M^2|s]) for s = 0..n at ``dps`` digits, as float
+    arrays, or as lists of mpf with ``rounded=False`` (for sums that must
+    cancel at full precision; do that arithmetic under ``workdps(dps)``).
 
     Runs the generating-function recurrence for c_s = [x^s](1 + a(x + 1/x))^m
     (a = e^-beta) at m = n, n-1, n-2 in mpmath, whose exponent range is
@@ -102,11 +104,10 @@ def mpmath_joint_law(params: ModelParams, n: int, dps: int = 40):
         em = [n * a * (c1[abs(s - 1)] + c1[s + 1]) / c0[s] for s in range(n + 1)]
         emm = [n * (n - 1) * a * a * (c2[abs(s - 2)] + 2 * c2[s] + c2[s + 2]) / c0[s]
                for s in range(n + 1)]
-        return (
-            np.array([float(x / total) for x in w]),
-            np.array([float(x) for x in em]),
-            np.array([float(x + y) for x, y in zip(emm, em)]),
-        )
+        rows = ([x / total for x in w], em, [x + y for x, y in zip(emm, em)])
+        if not rounded:
+            return rows
+        return tuple(np.array([float(x) for x in row]) for row in rows)
 
 
 def branch_regression_at(case, n: int) -> tuple[float, tuple[float, float, float]]:

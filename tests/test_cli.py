@@ -25,6 +25,21 @@ class TestCatalogCommand:
         assert len(doc["rows"]) == 42
 
 
+class TestPhaseDiagramCommand:
+    def test_one_sample_is_the_row_at_beta_min(self, capsys):
+        code, out, err = run_cli(
+            capsys, "phase-diagram", "--samples", "1", "--beta-min", "0.7", "--format", "json",
+        )
+        assert code == 0 and not err
+        doc = json.loads(out)
+        assert [row["beta"] for row in doc["rows"]] == [0.7]
+
+    def test_endpoints_of_several_samples(self, capsys):
+        _, out, _ = run_cli(capsys, "phase-diagram", "--samples", "5", "--format", "json")
+        betas = [row["beta"] for row in json.loads(out)["rows"]]
+        assert len(betas) == 5 and betas[0] == 0.2 and betas[-1] == 2.5
+
+
 class TestExactLawCommand:
     def test_bruteforce_flag(self, capsys):
         code, out, _ = run_cli(

@@ -293,6 +293,19 @@ class TestSteinSolution:
         assert np.all(np.isfinite(got))
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
+    @pytest.mark.parametrize("z,x", [(37.0, 36.0), (36.5, 36.4), (36.0, 35.0)])
+    def test_past_the_right_floor_against_mpmath(self, z, x):
+        # x <= z, both past the right floor: F(x) = 1 and f_z(x) = S(z)/p(x),
+        # read as S(z)/p(z) e^(poly(x) - poly(z)); f_-z(-x) is the same value
+        import mpmath as mp
+
+        with mp.workdps(40):
+            want = float(mp.ncdf(-z) * mp.ncdf(x) / mp.npdf(x))
+        d = normalize_density(0.5, 0.0, 0.0)
+        got = stein_solution(d, z, np.array([x]))[0]
+        assert abs(got - want) <= 1e-12 * want
+        assert abs(stein_solution(d, -z, -x) - want) <= 1e-12 * want
+
     def test_tiny_survival_times_the_left_factor(self):
         # f_36(-13.35) = S(36) F(-13.35) / p(-13.35); the product F(x) S(z)
         # alone is subnormal, so it is formed as S(z) times F/p

@@ -57,9 +57,7 @@ class TestBuildJointLaw:
 
     def test_normalised_and_symmetric(self):
         law = build_joint_law(POINT_A, 40)
-        total = math.fsum(
-            p for _, _, ps in law.iter_slices() for p in ps
-        )
+        total = math.fsum(law.atoms().values())
         assert abs(total - 1.0) < 1e-12
         for s in range(1, 41):
             np.testing.assert_array_equal(law.slice_probs(s), law.slice_probs(-s))
@@ -119,7 +117,7 @@ class TestGeneratingFunctionLaw:
         # below the normal range of a double
         for got, want in ((law.m_mean[n:], m_mean), (law.m_second[n:], m_second)):
             normal = want > 1e-290
-            np.testing.assert_allclose(got[normal], want[normal], rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(got[normal], want[normal], rtol=3e-15, atol=0.0)
 
     def test_slices_rebuild_the_conditional_moments(self):
         n = 40
@@ -245,20 +243,19 @@ class TestPairCovariance:
             assert abs(got - want) < 1e-12
 
     def test_region_a_against_mpmath(self):
-        # the two O(1) terms cancel to a covariance of ~1e-8, so the float
-        # result keeps about 7 digits; the reference sums the mpmath law's
-        # count moments and cancels them at 40 digits, so only their
-        # rounding to doubles (~1e-9 after the cancellation) remains
+        # the two O(1) terms cancel to a covariance of ~1e-8, so every
+        # rounding in the per-slice moments is magnified ~1e8; the reference
+        # stays at 40 digits from the mpmath law through the cancellation
         import mpmath as mp
 
         n = 4096
-        probs, m_mean, m_second = mpmath_joint_law(POINT_A, n)
         with mp.workdps(40):
+            probs, m_mean, m_second = mpmath_joint_law(POINT_A, n, rounded=False)
             mult = [1] + [2] * n  # s and -s share P(s) and the moments of M
-            em = mp.fsum(c * mp.mpf(p) * mp.mpf(m) for c, p, m in zip(mult, probs, m_mean))
-            em2 = mp.fsum(c * mp.mpf(p) * mp.mpf(m) for c, p, m in zip(mult, probs, m_second))
+            em = mp.fsum(c * p * m for c, p, m in zip(mult, probs, m_mean))
+            em2 = mp.fsum(c * p * m for c, p, m in zip(mult, probs, m_second))
             want = float((em2 - em) / (n * (n - 1)) - (em / n) ** 2)
-        assert abs(pair_covariance(POINT_A, n) - want) <= 1e-6 * abs(want)
+        assert abs(pair_covariance(POINT_A, n) - want) <= 3e-8 * abs(want)
 
     def test_region_a_scaling(self):
         # |Cov| * n stays bounded in the single-phase region (min(4g,1) = 1)
