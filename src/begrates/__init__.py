@@ -49,12 +49,11 @@ from .model import (
     g_derivs_at_zero,
     G_eval,
     G_prime,
-    legendre_rate,
     minimize_G,
     pair_conditional_funcs,
     schedule_eval,
 )
-from .rates import RateReport, fit_loglog, run_all, run_case
+from .rates import RateReport, Rung, fit_loglog, run_all, run_case, run_rung
 from .stein import (
     BoundReport,
     RegressionDecomposition,

@@ -19,7 +19,7 @@ import json
 import sys
 
 from . import __version__
-from .cases import case_by_id, case_catalog, comparison_density, params_at
+from .cases import case_by_id, case_catalog
 from .density import estimate_stein_constants, normalize_density
 from .errors import ComputationError, ValidationError
 from .exact import (
@@ -35,8 +35,7 @@ from .exact import (
 )
 from .mcmc import run_chain
 from .model import BETA_C, ModelParams, classify_region, critical_K, minimize_G
-from .rates import default_ladder, run_all, run_case, summary_row
-from .stein import evaluate_bound
+from .rates import default_ladder, run_all, run_case, run_rung, summary_row
 
 _SCHEMA_VERSION = 1
 
@@ -185,15 +184,9 @@ def _cmd_kolmogorov(args) -> _Output:
 
 def _cmd_stein_bound(args) -> _Output:
     out = _Output(args)
-    case = case_by_id(args.case)
-    params = params_at(case, args.n)
-    law = build_joint_law(params, args.n, cap=args.cap)
-    mm = {k: moment(law, case.gamma, k) for k in (2, 4, 6)}
-    density = comparison_density(case, args.n, mm)
-    consts = estimate_stein_constants(density)
-    A = args.halfwidth if args.halfwidth is not None else None
-    report = evaluate_bound(law, case.gamma, case, density, consts, A=A)
-    out.meta["case_id"] = case.case_id
+    report = run_rung(case_by_id(args.case), args.n, cap=args.cap, bound=True,
+                      halfwidth=args.halfwidth).bound
+    out.meta["case_id"] = report.case_id
     out.meta["n"] = args.n
     out.meta["A"] = report.a_halfwidth
     out.meta["lambda"] = report.lam
@@ -210,16 +203,20 @@ def _cmd_stein_bound(args) -> _Output:
 
 def _cmd_rate_scan(args) -> _Output:
     out = _Output(args)
-    explicit = (
-        [2**e for e in range(args.min_exp, args.max_exp + 1)] if args.max_exp else None
-    )
+    explicit = None
+    if args.max_exp is not None:
+        if args.max_exp < args.min_exp:
+            raise ValidationError(
+                f"--max-exp {args.max_exp} is below --min-exp {args.min_exp}"
+            )
+        explicit = [2**e for e in range(args.min_exp, args.max_exp + 1)]
     if args.all:
         reports = run_all(threads=args.threads, n_ladder=explicit)
     else:
         if not args.case:
             raise ValidationError("rate-scan needs --case ID or --all")
         case = case_by_id(args.case)
-        ladder = explicit if explicit else default_ladder(case, args.min_exp)
+        ladder = explicit if explicit is not None else default_ladder(case, args.min_exp)
         reports = [run_case(case, ladder)]
     if args.per_n:
         out.columns = ["case_id", "n", "d_k", "scaled_d_k"]

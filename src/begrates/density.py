@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 from scipy.integrate import quad
@@ -229,10 +229,13 @@ def normalize_density(b1: float, b2: float, b3: float) -> PolyDensity:
     )
 
 
-def _drift_scale(psi_coeffs: tuple[float, float, float], moments: Mapping[int, float]) -> float:
+def _drift_scale(
+    psi_coeffs: tuple[float, float, float], moment_of: Callable[[int], float]
+) -> float:
     """c = E[W (-psi(W))] = q1 E[W^2] + q3 E[W^4] + q5 E[W^6], the scale of
-    the Stein equation; an inactive term is skipped, so its moment is not read."""
-    return sum((q * moments[k] for q, k in zip(psi_coeffs, (2, 4, 6)) if q != 0.0), 0.0)
+    the Stein equation; ``moment_of(k)`` gives E[W^k] and is called only for
+    the active terms."""
+    return sum((q * moment_of(k) for q, k in zip(psi_coeffs, (2, 4, 6)) if q != 0.0), 0.0)
 
 
 def density_from_regression(
@@ -248,7 +251,7 @@ def density_from_regression(
     so that a lone active coefficient reduces to 1/(2j E[W^(2j)]).
     """
     q1, q3, q5 = psi_coeffs
-    c = _drift_scale(psi_coeffs, moments)
+    c = _drift_scale(psi_coeffs, moments.__getitem__)
     if not (c > 0.0):
         raise NonIntegrableDensityError(
             f"E[W * drift] = {c!r} is not positive for psi coefficients {psi_coeffs}"

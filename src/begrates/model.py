@@ -10,8 +10,8 @@ free-energy function
     G(x) = beta*K*x**2 - c_beta(2*beta*K*x)
 
 with its Taylor data at the origin, the single-spin and pair conditional-mean
-kernels, region classification in the (beta, K) plane, the (beta_n, K_n)
-parameter schedules and the Legendre transform of c_beta.
+kernels, region classification in the (beta, K) plane and the (beta_n, K_n)
+parameter schedules.
 
 All functions are pure; there is no shared mutable state.
 """
@@ -34,7 +34,6 @@ __all__ = [
     "ScheduleMode",
     "Region",
     "RegionTag",
-    "LegendreResult",
     "cumulant_gf",
     "cumulant_gf_prime",
     "critical_K",
@@ -48,8 +47,6 @@ __all__ = [
     "schedule_eval",
     "classify_region",
     "minimize_G",
-    "legendre_rate",
-    "legendre_transform",
 ]
 
 BETA_C = math.log(4.0)
@@ -352,7 +349,7 @@ def classify_region(params: ModelParams, tol: float = 1e-9) -> Region:
 
 
 # ---------------------------------------------------------------------------
-# minimisation of G and the Legendre transform
+# minimisation of G
 
 
 def minimize_G(params: ModelParams) -> list[float]:
@@ -416,55 +413,3 @@ def minimize_G(params: ModelParams) -> list[float]:
     # mirror the positive minimizers (G is even)
     out = sorted(set(out) | {-x for x in out if x > 0.0})
     return out
-
-
-class LegendreResult(NamedTuple):
-    value: float
-    t: float
-    saturated: bool
-
-
-_LEGENDRE_T_CAP = 50.0
-
-
-def legendre_transform(beta: float, z: float) -> LegendreResult:
-    """sup_t (t z - c_beta(t)), solved through c'(t) = z by bisection.
-
-    c' is strictly increasing onto (-1, 1); the search interval is capped at
-    |t| <= 50.  When |z| >= c'(50) the supremum over the capped interval is
-    returned with ``saturated`` set (c' approaches its limits exponentially
-    fast, so the capped value agrees with the true limit far below double
-    precision for |z| = 1).
-    """
-    beta = _check_positive("beta", beta)
-    z = _check_finite("z", z)
-    if abs(z) > 1.0:
-        raise ValidationError(f"z must lie in [-1, 1], got {z!r}")
-    cap = _LEGENDRE_T_CAP
-    if z == 0.0:
-        return LegendreResult(0.0, 0.0, False)
-    hi_val = cumulant_gf_prime(beta, cap)
-    if abs(z) >= hi_val:
-        t = math.copysign(cap, z)
-        return LegendreResult(t * z - cumulant_gf(beta, t), t, True)
-    lo, hi = -cap, cap
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if cumulant_gf_prime(beta, mid) < z:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-15:
-            break
-    t = 0.5 * (lo + hi)
-    value = t * z - cumulant_gf(beta, t)
-    if value < 0.0:
-        if value < -1e-12:
-            raise ValidationError(f"negative rate {value!r}; solver failure")
-        value = 0.0
-    return LegendreResult(value, t, False)
-
-
-def legendre_rate(beta: float, z: float) -> float:
-    """Large-deviation rate function of the spin mean under the product law."""
-    return legendre_transform(beta, z).value

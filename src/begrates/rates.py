@@ -1,9 +1,12 @@
-"""Ladder experiments: exact Kolmogorov distances against each case's density.
+"""Rungs and ladders: exact Kolmogorov distances against each case's density.
 
-For every n on a ladder the case's schedule is evaluated, the exact law
-built, the comparison density constructed from finite-n moments, and the
-exact Kolmogorov distance computed; an ordinary least-squares fit of
-log d_K on log n summarises the decay.
+A rung is one (case, n): the case's schedule is evaluated, the exact law
+built, the comparison density constructed from the finite-n moments E[W^2],
+E[W^4] and E[W^6], and the exact Kolmogorov distance computed; on request the
+exchangeable-pair Stein bound is set against it.  ``run_rung`` is the one
+home of that chain: the ladders here, the ``stein-bound`` command and the
+acceptance sweep all call it.  An ordinary least-squares fit of log d_K on
+log n summarises a ladder's decay.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cases import CaseSpec, case_catalog, comparison_density, params_at
+from .density import PolyDensity, estimate_stein_constants
 from .errors import (
     CapExceededError,
     ComputationError,
@@ -21,9 +25,12 @@ from .errors import (
     ScheduleUnderflowError,
     ValidationError,
 )
-from .exact import build_joint_law, kolmogorov_distance, moment
+from .exact import DEFAULT_N_CAP, build_joint_law, kolmogorov_distance, moment
+from .stein import BoundReport, evaluate_bound
 
 __all__ = [
+    "Rung",
+    "run_rung",
     "LadderPoint",
     "RateReport",
     "default_ladder",
@@ -35,6 +42,44 @@ __all__ = [
 
 SLOPE_TOLERANCE = 0.15
 BOUNDEDNESS_FACTOR = 10.0
+
+
+@dataclass(frozen=True)
+class Rung:
+    """One (case, n) rung.  The law itself is not kept."""
+
+    n: int
+    moments: dict[int, float]  # E[W^k] for k = 2, 4, 6
+    density: PolyDensity
+    d_k: float
+    bound: BoundReport | None = None
+
+
+def run_rung(
+    case: CaseSpec,
+    n: int,
+    *,
+    cap: int = DEFAULT_N_CAP,
+    bound: bool = False,
+    halfwidth: float | None = None,
+) -> Rung:
+    """Law, moments, comparison density and exact d_K at one (case, n).
+
+    With ``bound`` the Stein envelopes and the bound at half-width
+    ``halfwidth`` (default n^(gamma-1)) follow, and d_K is the bound's own
+    ``exact_dk``, so d_K is computed once either way.
+    """
+    if halfwidth is not None and not bound:
+        raise ValidationError("a half-width is only read with the bound")
+    law = build_joint_law(params_at(case, n), n, cap=cap)
+    moments = {k: moment(law, case.gamma, k) for k in (2, 4, 6)}
+    density = comparison_density(case, n, moments)
+    if not bound:
+        d_k = kolmogorov_distance(law, case.gamma, density.cdf_at_sorted)
+        return Rung(n, moments, density, d_k)
+    consts = estimate_stein_constants(density)
+    report = evaluate_bound(law, case.gamma, case, density, consts, A=halfwidth)
+    return Rung(n, moments, density, report.exact_dk, report)
 
 
 @dataclass(frozen=True)
@@ -111,8 +156,8 @@ def fit_loglog(points: list[tuple[int, float]]) -> tuple[float, float, float]:
 def run_case(case: CaseSpec, n_ladder: list[int] | None = None) -> RateReport:
     """Run one case over a ladder of sizes.
 
-    Each rung records E[W^2], E[W^4] and E[W^6], the moments the comparison
-    density is built from.
+    Each rung (``run_rung``) records E[W^2], E[W^4] and E[W^6], the moments
+    the comparison density is built from.
 
     Per-n schedule or cap failures are recorded and skipped; at least four
     successful points are required for the fit.
@@ -124,15 +169,11 @@ def run_case(case: CaseSpec, n_ladder: list[int] | None = None) -> RateReport:
     skipped: list[tuple[int, str]] = []
     for n in ladder:
         try:
-            params = params_at(case, n)
-            law = build_joint_law(params, n)
-            mm = {k: moment(law, case.gamma, k) for k in (2, 4, 6)}
-            density = comparison_density(case, n, mm)
-            d = kolmogorov_distance(law, case.gamma, density.cdf_at_sorted)
+            rung = run_rung(case, n)
         except (ScheduleUnderflowError, CapExceededError) as exc:
             skipped.append((n, f"{type(exc).__name__}: {exc}"))
             continue
-        points.append(LadderPoint(n=n, d_k=d, moments=mm))
+        points.append(LadderPoint(n=n, d_k=rung.d_k, moments=rung.moments))
     if len(points) < 4:
         raise ComputationError(
             f"{case.case_id}: only {len(points)} usable ladder points "

@@ -226,14 +226,14 @@ def evaluate_bound(
     n = law.n
     if A is None:
         A = float(n) ** (gamma - 1.0)
-    if A <= 0:
-        raise ValidationError("A must be positive")
+    if not (0.0 < A < math.inf):
+        raise ValidationError(f"half-width A must be positive and finite, got {A!r}")
     decomp = regression_decompose(law, gamma, case)
     lam = decomp.lam
     q1, q3, q5 = decomp.psi_coeffs
 
-    m = {k: moment(law, gamma, k) for k in (2, 4, 6)}
-    c = _drift_scale(decomp.psi_coeffs, m)
+    m2 = moment(law, gamma, 2)
+    c = _drift_scale(decomp.psi_coeffs, lambda k: m2 if k == 2 else moment(law, gamma, k))
     if not (c > 0.0):
         raise ValidationError(f"drift scale E[W(-psi(W))] = {c!r} must be positive")
     d1, d2, d3, d4 = consts.d1 / c, consts.d2 / c, consts.d3 / c, consts.d4 / c
@@ -245,7 +245,7 @@ def evaluate_bound(
 
     terms = {
         "variance_term": d2 / (2.0 * lam) * math.sqrt(var_cond),
-        "remainder_term": (d1 + d2 * math.sqrt(m[2]) + 1.5 * A)
+        "remainder_term": (d1 + d2 * math.sqrt(m2) + 1.5 * A)
         * decomp.remainder_l2
         / lam,
         "cube_term": d4 * A**3 / (4.0 * lam),
@@ -324,7 +324,7 @@ def normal_bound(
         terms=terms,
         total=total,
         exact_dk=exact_dk,
-        drift_scale=_drift_scale(decomp.psi_coeffs, {2: ew2}),
+        drift_scale=_drift_scale(decomp.psi_coeffs, {2: ew2}.__getitem__),
         constants={"sigma2": sigma2},
         grid_spec=None,
     )

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from begrates.cases import case_by_id, case_catalog, comparison_density, params_at, with_schedule
-from begrates.density import estimate_stein_constants
+from begrates.cases import case_by_id, case_catalog, with_schedule
 from begrates.exact import (
     brute_force_law,
     build_joint_law,
@@ -32,8 +31,8 @@ from begrates.model import (
     g_derivs_at_zero,
     pair_conditional_funcs,
 )
-from begrates.rates import fit_loglog, run_case
-from begrates.stein import _step_affine, conditional_mean_sandwich_gap, evaluate_bound, variance_term
+from begrates.rates import fit_loglog, run_case, run_rung
+from begrates.stein import _step_affine, conditional_mean_sandwich_gap, variance_term
 from oracles import brute_step_moments, brute_variance_term, pair_f1_expanded, series_g6_oracle
 
 SIX_POINTS = [
@@ -70,17 +69,11 @@ def full_sweep():
     for case in case_catalog():
         ns, dks, totals, dom = [], [], [], []
         for e in range(6, case.ladder_max_exp + 1):
-            n = 2**e
-            params = params_at(case, n)
-            law = build_joint_law(params, n)
-            mm = {k: moment(law, case.gamma, k) for k in (2, 4, 6)}
-            density = comparison_density(case, n, mm)
-            consts = estimate_stein_constants(density)
-            report = evaluate_bound(law, case.gamma, case, density, consts)
-            ns.append(n)
-            dks.append(report.exact_dk)
-            totals.append(report.total)
-            dom.append(report.total >= report.exact_dk)
+            rung = run_rung(case, 2**e, bound=True)
+            ns.append(rung.n)
+            dks.append(rung.d_k)
+            totals.append(rung.bound.total)
+            dom.append(rung.bound.dominates())
         entries[case.case_id] = SweepEntry(
             case_id=case.case_id,
             gamma=case.gamma,

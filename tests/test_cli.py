@@ -170,6 +170,15 @@ class TestOtherCommands:
         assert names == {"variance_term", "remainder_term", "cube_term",
                          "psi_term", "tail_term"}
 
+    def test_stein_bound_halfwidth_must_be_positive_and_finite(self, capsys):
+        for value in ("nan", "inf", "-1"):
+            code, out, err = run_cli(
+                capsys, "stein-bound", "--case", "fixed-A", "--n", "64",
+                "--halfwidth", value,
+            )
+            assert code == 2, value
+            assert out == "" and "kind=validation" in err
+
     def test_minimizers_two_phase(self, capsys):
         code, out, _ = run_cli(
             capsys, "minimizers", "--beta", "1.0", "--K", "1.5", "--format", "json",
@@ -246,6 +255,13 @@ class TestOtherCommands:
         assert code == 3
         assert "kind=computation" in err
         assert "Traceback" not in err
+
+    def test_rate_scan_max_exp_below_min_exp(self, capsys):
+        for scope in (("--case", "fixed-C"), ("--all",)):
+            for bounds in (("--min-exp", "9", "--max-exp", "7"), ("--max-exp", "0")):
+                code, out, err = run_cli(capsys, "rate-scan", *scope, *bounds)
+                assert code == 2, (scope, bounds)
+                assert out == "" and "kind=validation" in err
 
     def test_rate_scan_json_full_report(self, capsys):
         code, out, _ = run_cli(

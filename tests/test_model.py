@@ -20,8 +20,6 @@ from begrates.model import (
     g_derivs_at_zero,
     G_eval,
     G_prime,
-    legendre_rate,
-    legendre_transform,
     minimize_G,
     pair_conditional_funcs,
     schedule_eval,
@@ -340,34 +338,3 @@ class TestMinimizeG:
         for K in (1.3, 1.5, 2.0):
             mins = minimize_G(ModelParams(1.0, K))
             assert mins == sorted(-x for x in mins)
-
-
-class TestLegendre:
-    def test_zero_at_zero(self):
-        assert legendre_rate(1.0, 0.0) == 0.0
-
-    @pytest.mark.parametrize("z", [0.1, 0.45, 0.8])
-    def test_even(self, z):
-        assert abs(legendre_rate(1.0, z) - legendre_rate(1.0, -z)) < 1e-13
-
-    def test_nonnegative_and_convex(self):
-        zs = np.linspace(-0.95, 0.95, 39)
-        vals = [legendre_rate(1.0, float(z)) for z in zs]
-        assert all(v >= 0.0 for v in vals)
-        for i in range(1, len(zs) - 1):
-            assert vals[i] <= 0.5 * (vals[i - 1] + vals[i + 1]) + 1e-12
-
-    def test_boundary_limit(self):
-        # J(1) = -log rho_beta(1) = log(e^beta + 2)
-        res = legendre_transform(1.0, 1.0)
-        assert res.saturated
-        assert abs(res.value - math.log(math.exp(1.0) + 2.0)) < 1e-12
-
-    def test_legendre_inequality_against_direct_scan(self):
-        # sup over a coarse t-grid never exceeds the solver value
-        beta, z = 1.0, 0.6
-        val = legendre_rate(beta, z)
-        ts = np.linspace(-20, 20, 2001)
-        scan = max(t * z - cumulant_gf(beta, float(t)) for t in ts)
-        assert scan <= val + 1e-10
-        assert val - scan < 1e-4

@@ -1,12 +1,19 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from begrates import rates
+from begrates import rates, stein
 from begrates.cases import case_by_id, with_schedule
-from begrates.errors import ComputationError, DegenerateFitError, ValidationError
-from begrates.rates import default_ladder, fit_loglog, run_all, run_case, summary_row
+from begrates.errors import (
+    CapExceededError,
+    ComputationError,
+    DegenerateFitError,
+    ValidationError,
+)
+from begrates.rates import default_ladder, fit_loglog, run_all, run_case, run_rung, summary_row
 
 
 class TestFitLogLog:
@@ -38,6 +45,63 @@ class TestFitLogLog:
         ]
         slope, _, _ = fit_loglog(pts)
         assert abs(slope - truth) < 0.05
+
+
+class TestRunRung:
+    def test_bound_mode_reads_the_bounds_distance(self):
+        rung = run_rung(case_by_id("fixed-C"), 256, bound=True)
+        assert rung.d_k == rung.bound.exact_dk
+        assert rung.bound.n == 256 and rung.bound.case_id == "fixed-C"
+
+    @pytest.mark.parametrize("case_id", ["fixed-A", "C4.2"])
+    def test_distance_matches_the_ladder_bit_for_bit(self, case_id):
+        case = case_by_id(case_id)
+        ladder = [64, 128, 256, 512]
+        rep = run_case(case, ladder)
+        for point in rep.ladder:
+            plain = run_rung(case, point.n)
+            assert plain.d_k == point.d_k
+            assert plain.moments == point.moments
+            assert run_rung(case, point.n, bound=True).d_k == point.d_k
+
+    @pytest.mark.parametrize("bound", [False, True])
+    def test_one_distance_per_rung(self, monkeypatch, bound):
+        calls = []
+        original = rates.kolmogorov_distance
+        assert stein.kolmogorov_distance is original
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].n)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(rates, "kolmogorov_distance", counted)
+        monkeypatch.setattr(stein, "kolmogorov_distance", counted)
+        run_rung(case_by_id("fixed-A"), 128, bound=bound)
+        assert calls == [128]
+
+    @pytest.mark.parametrize("bound", [False, True])
+    def test_the_law_is_not_kept(self, monkeypatch, bound):
+        laws = []
+        original = rates.build_joint_law
+
+        def tracked(*args, **kwargs):
+            law = original(*args, **kwargs)
+            laws.append(weakref.ref(law))
+            return law
+
+        monkeypatch.setattr(rates, "build_joint_law", tracked)
+        rung = run_rung(case_by_id("fixed-A"), 128, bound=bound)
+        gc.collect()
+        assert len(laws) == 1 and laws[0]() is None
+        assert rung.d_k > 0.0
+
+    def test_halfwidth_needs_the_bound(self):
+        with pytest.raises(ValidationError):
+            run_rung(case_by_id("fixed-A"), 64, halfwidth=0.3)
+
+    def test_cap_is_passed_to_the_law(self):
+        with pytest.raises(CapExceededError):
+            run_rung(case_by_id("fixed-A"), 128, cap=64)
 
 
 class TestRunCase:

@@ -326,10 +326,11 @@ class TestEvaluateBound:
         plain = math.fsum(law.s_probs * np.abs(q1 * w + q3 * w**3 + q5 * w**5))
         assert report.terms["psi_term"] == 1.5 * report.a_halfwidth * plain
 
-    def test_positive_halfwidth_required(self):
+    @pytest.mark.parametrize("A", [0.0, -1.0, math.nan, math.inf])
+    def test_positive_halfwidth_required(self, A):
         case, law, density, consts = _bound_inputs("fixed-A", 64)
         with pytest.raises(ValidationError):
-            evaluate_bound(law, case.gamma, case, density, consts, A=0.0)
+            evaluate_bound(law, case.gamma, case, density, consts, A=A)
 
 
 class TestNormalBound:
