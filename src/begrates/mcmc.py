@@ -18,11 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComputationError, ValidationError
+from .exact import _check_gamma
 from .model import ModelParams, resampling_law
 
 __all__ = ["ChainResult", "run_chain", "chain_seeds"]
 
 _BATCHES = 32
+# site indices and uniforms are drawn for whole sweeps at a time, at most
+# this many per array (one sweep's n if that is more)
+_BLOCK_DRAWS = 16384
 
 
 @dataclass(frozen=True)
@@ -65,12 +69,15 @@ def run_chain(
 
     Measurements are taken once per sweep after ``burn_in`` sweeps; standard
     errors come from 32 batch means.  ``sweeps`` counts total sweeps including
-    burn-in.
+    burn-in.  Raises ValidationError for gamma outside (0, 1/2].  The random
+    stream is drawn block by block: all site indices of a block of sweeps,
+    then all its uniforms.
     """
     if not (sweeps > burn_in >= 0):
         raise ValidationError("need sweeps > burn_in >= 0")
     if n < 1:
         raise ValidationError("n must be >= 1")
+    _check_gamma(gamma)
     measured = sweeps - burn_in
     if measured < _BATCHES:
         raise ValidationError(f"need at least {_BATCHES} post burn-in sweeps")
@@ -83,30 +90,31 @@ def run_chain(
     cum_minus, cum_zero = np.cumsum(resampling_law(params, n, np.arange(-n, n + 1))[:2],
                                     axis=0).tolist()
 
-    s_series = np.empty(measured, dtype=np.int64)
-    m_series = np.empty(measured, dtype=np.int64)
+    s_series: list[int] = []
+    m_series: list[int] = []
+    block = max(1, _BLOCK_DRAWS // n)  # sweeps whose randoms are drawn at once
 
-    for sweep in range(sweeps):
-        n_plus, n_minus = _sweep(n_plus, n_minus, rng.integers(0, n, size=n).tolist(),
-                                 rng.random(n).tolist(), cum_minus, cum_zero)
-        if not (n_plus >= 0 and n_minus >= 0 and n_plus + n_minus <= n):
-            raise ComputationError(
-                f"sampler counts left the simplex: n+={n_plus}, n-={n_minus}, n={n}"
-            )
-        s, M = n_plus - n_minus, n_plus + n_minus
-        if sweep >= burn_in:
-            idx = sweep - burn_in
-            s_series[idx] = s
-            m_series[idx] = M
+    for first in range(0, sweeps, block):
+        count = min(block, sweeps - first)
+        sites = rng.integers(0, n, size=count * n).tolist()
+        draws = rng.random(count * n).tolist()
+        for k in range(count):
+            n_plus, n_minus = _sweep(n_plus, n_minus, sites[k * n:(k + 1) * n],
+                                     draws[k * n:(k + 1) * n], cum_minus, cum_zero)
+            if not (n_plus >= 0 and n_minus >= 0 and n_plus + n_minus <= n):
+                raise ComputationError(
+                    f"sampler counts left the simplex: n+={n_plus}, n-={n_minus}, n={n}"
+                )
+            if first + k >= burn_in:
+                s_series.append(n_plus - n_minus)
+                m_series.append(n_plus + n_minus)
 
-    w = s_series / float(n) ** (1.0 - gamma)
+    w = np.array(s_series) / float(n) ** (1.0 - gamma)
     moments = {k: _batch_means(w**k) for k in (1, 2, 4)}
-    m_frac = _batch_means(m_series / n)
+    m_frac = _batch_means(np.array(m_series) / n)
     trace = None
     if keep_trace:
-        trace = [
-            (burn_in + i, int(s_series[i]), int(m_series[i])) for i in range(measured)
-        ]
+        trace = list(zip(range(burn_in, sweeps), s_series, m_series))
 
     return ChainResult(
         params=params,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, ndtr
 
 from begrates.cases import params_at
 from begrates.model import ModelParams, critical_K, g_derivs_at_zero
@@ -322,6 +322,18 @@ def grid_scan_kolmogorov(w: np.ndarray, probs: np.ndarray, cdf, lo: float, hi: f
     fn = np.searchsorted(w, grid, side="right")
     cum = np.concatenate(([0.0], np.cumsum(probs)))
     return float(np.abs(cum[fn] - cdf(grid)).max())
+
+
+def dense_smoothed_cdf(w: np.ndarray, probs: np.ndarray, sigma: float,
+                       ts: np.ndarray) -> np.ndarray:
+    """sum_i probs_i Phi((t - w_i) / sigma) over every atom at every t, in
+    chunks of at most 4M normal CDFs."""
+    cdf = np.zeros_like(ts)
+    chunk = max(1, 4_000_000 // max(1, ts.size))
+    for i in range(0, w.size, chunk):
+        z = (ts[None, :] - w[i : i + chunk, None]) / sigma
+        cdf += probs[i : i + chunk] @ ndtr(z)
+    return cdf
 
 
 def trapezoid_moment(b1: float, b2: float, b3: float, k: int, T: float,

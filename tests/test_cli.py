@@ -1,6 +1,8 @@
 import json
 from types import SimpleNamespace
 
+import pytest
+
 from begrates import cli, mcmc
 from begrates.cli import main
 
@@ -230,6 +232,17 @@ class TestOtherCommands:
         data = [l for l in out.splitlines() if l and not l.startswith("#")]
         assert data[0] == "sweep,s,M,w,w2"
         assert len(data) == 1 + 100  # one row per measured sweep
+
+    @pytest.mark.parametrize("gamma", ["nan", "0.7", "0", "-1"])
+    def test_mcmc_gamma_outside_range(self, capsys, gamma):
+        code, out, err = run_cli(
+            capsys, "mcmc", "--n", "10", "--beta", "1.0", "--K", "0.6",
+            "--sweeps", "100", "--burn-in", "10", "--gamma", gamma,
+        )
+        assert code == 2
+        assert "kind=validation" in err
+        assert "Traceback" not in err
+        assert out == ""
 
     def test_mcmc_state_drift_is_a_computation_error(self, capsys, monkeypatch):
         sweep = mcmc._sweep

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 from scipy.stats import norm
 
+from begrates import exact
 from begrates.cases import case_catalog, params_at
 from begrates.errors import CapExceededError, ValidationError
 from begrates.exact import (
@@ -20,6 +22,7 @@ from begrates.model import BETA_C, ModelParams, critical_K
 from oracles import (
     brute_moment,
     brute_pair_covariance,
+    dense_smoothed_cdf,
     enumerated_joint_law,
     grid_scan_kolmogorov,
     mpmath_joint_law,
@@ -36,6 +39,17 @@ TEST_PARAMS = [
     ModelParams(1.0, 1.5),
     ModelParams(2.0, 1.2),
 ]
+
+# the smoothing-identity regions: (params, gamma) for A, B and C
+HS_REGIONS = {
+    "A": (POINT_A, 0.5),
+    "B": (ModelParams(1.0, critical_K(1.0)), 0.25),
+    "C": (ModelParams(BETA_C, critical_K(BETA_C)), 1.0 / 6.0),
+}
+
+
+def _noise_sigma(params, n, gamma):
+    return 1.0 / math.sqrt(params.two_beta_K * float(n) ** (1.0 - 2.0 * gamma))
 
 
 class TestBuildJointLaw:
@@ -219,6 +233,49 @@ class TestHubbardStratonovich:
     def test_error_shrinks_with_n(self):
         errs = [hs_check(POINT_A, n, 0.5) for n in (64, 256, 1024)]
         assert errs[-1] <= errs[0]
+
+    @pytest.mark.parametrize("n", [64, 1024, 4096])
+    @pytest.mark.parametrize("region", sorted(HS_REGIONS))
+    def test_identity_at_rounding_level(self, region, n):
+        params, gamma = HS_REGIONS[region]
+        assert hs_check(params, n, gamma) < 1e-13
+
+    @pytest.mark.parametrize("n", [64, 256, 1024, 4096])
+    @pytest.mark.parametrize("region", sorted(HS_REGIONS))
+    def test_banded_sum_matches_dense_oracle(self, region, n):
+        params, gamma = HS_REGIONS[region]
+        law = build_joint_law(params, n)
+        w = law.w_values(gamma)
+        sigma = _noise_sigma(params, n, gamma)
+        reach = exact._HS_CUTOFF * sigma
+        width = math.sqrt(moment(law, gamma, 2) + sigma**2)
+        # hs_check's grid, then one across the lattice whose end bands run
+        # past either end of it
+        ts = np.concatenate((np.linspace(-8.0 * width, 8.0 * width, 2001),
+                             np.linspace(w[0] - 2.0 * reach, w[-1] + 2.0 * reach, 2001)))
+        assert ts.min() - reach < w[0] and ts.max() + reach > w[-1]
+        banded = exact._smoothed_atom_cdf(w, law.s_probs, sigma, ts)
+        dense = dense_smoothed_cdf(w, law.s_probs, sigma, ts)
+        assert np.abs(banded - dense).max() < 1e-14
+
+    @pytest.mark.parametrize("region", sorted(HS_REGIONS))
+    def test_normal_cdfs_only_inside_the_band(self, region, monkeypatch):
+        params, gamma = HS_REGIONS[region]
+        seen = []
+
+        def counting_ndtr(z):
+            seen.append(np.size(z))
+            return ndtr(z)
+
+        monkeypatch.setattr(exact, "ndtr", counting_ndtr)
+        counts = {}
+        for n in (1024, 4096):
+            seen.clear()
+            hs_check(params, n, gamma)
+            band = 2.0 * exact._HS_CUTOFF * _noise_sigma(params, n, gamma) * n ** (1.0 - gamma)
+            counts[n] = sum(seen)
+            assert 0 < counts[n] <= 2001 * (band + 2.0)
+        assert counts[4096] / counts[1024] <= 2.2  # the dense sum's ratio is 4
 
     def test_both_cdfs_symmetric(self):
         # symmetry of the smoothed law: P(W+Y <= -t) + P(W+Y <= t) = 1

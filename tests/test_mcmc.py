@@ -77,6 +77,11 @@ class TestValidation:
         with pytest.raises(ValidationError):
             run_chain(POINT_A, 10, 40, 20, seed=0)  # fewer than 32 measured
 
+    @pytest.mark.parametrize("gamma", [float("nan"), 0.7, 0.0, -1.0])
+    def test_gamma_outside_range(self, gamma):
+        with pytest.raises(ValidationError, match="gamma"):
+            run_chain(POINT_A, 10, 100, 20, seed=0, gamma=gamma)
+
     def test_trace_records_every_measured_sweep(self):
         res = run_chain(POINT_A, 10, 600, 100, seed=3, keep_trace=True)
         assert [sweep for sweep, _, _ in res.trace] == list(range(100, 600))
