@@ -9,7 +9,8 @@ on one 6-point Gauss-Legendre rule over cells at most 2T/4096 wide, which
 is exact to rounding there: the cumulative table, the partial cell of a CDF
 query and the moments.  The table is the only source of the CDF, of the
 survival function (p is even, so S(t) = F(-t)) and of the normalising
-constant.
+constant.  Its total is checked against an independent adaptive rule, a
+10/21-point Gauss-Legendre pair on intervals halved until the two agree.
 
 The Stein machinery lives here too: the solution f_z of
 
@@ -28,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import NonIntegrableDensityError, ValidationError
 
@@ -41,11 +41,19 @@ __all__ = [
     "estimate_stein_constants",
 ]
 
-# Gauss-Legendre (nodes, weights) of every integral here and in
+# Gauss-Legendre (nodes, weights) of the table, the moments and
 # exact.hs_check; each runs over cells narrow enough for 6 points
 _GL6 = np.polynomial.legendre.leggauss(6)
-# absolute tolerance of the adaptive quadrature that checks the table total
+# the adaptive check of the table total: a 10/21-point pair per interval,
+# starting from uniform cells plus the critical points as break points
+_GL10 = np.polynomial.legendre.leggauss(10)
+_GL21 = np.polynomial.legendre.leggauss(21)
+_NORM_START_CELLS = 32
+# tolerance reported for the check; it stops once the summed |G21 - G10| is
+# within max(_QUADRATURE_TOL / 10, _NORM_EPSREL * total)
 _QUADRATURE_TOL = 1e-12
+_NORM_EPSREL = 1e-13
+_NORM_LIMIT = 500  # most intervals the check may use
 _LOG_FLOOR = 600.0  # switch to tail asymptotics once exp(-(poly-min)) < e^-600
 
 
@@ -54,11 +62,11 @@ def _poly_of_square(y, b1, b2, b3):
     return y * (b1 + y * (b2 + y * b3))
 
 
-def _segment_integrals(a, b, integrand) -> np.ndarray:
-    """Integral of ``integrand`` over each [a_i, b_i] by the 6-point rule.
-    ``integrand`` maps the (segment, node) array of nodes to its values and
-    may overwrite the nodes."""
-    nodes, weights = _GL6
+def _segment_integrals(a, b, integrand, rule=None) -> np.ndarray:
+    """Integral of ``integrand`` over each [a_i, b_i] by ``rule`` (nodes,
+    weights), the 6-point rule by default.  ``integrand`` maps the (segment,
+    node) array of nodes to its values and may overwrite the nodes."""
+    nodes, weights = _GL6 if rule is None else rule
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     X = mid[:, None] + half[:, None] * nodes[None, :]
     return (integrand(X) * weights[None, :]).sum(axis=1) * half
@@ -133,14 +141,22 @@ class PolyDensity:
     cdf_at_sorted = cdf
 
     def moment(self, k: int) -> float:
-        """E[X^k] by quadrature on the cached grid; odd k is exactly zero."""
+        """E[X^k] by quadrature on the cached grid; odd k is exactly zero.
+        A value past the double range (x^k overflows on a very wide grid)
+        raises NonIntegrableDensityError instead of returning inf or nan."""
         if k < 0:
             raise ValidationError("moment order must be nonnegative")
         if k == 0:
             return 1.0
         if k % 2 == 1:
             return 0.0
-        return float(self._segment_mass(self._grid[:-1], self._grid[1:], k).sum())
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = float(self._segment_mass(self._grid[:-1], self._grid[1:], k).sum())
+        if not math.isfinite(value):
+            raise NonIntegrableDensityError(
+                f"E[X^{k}] is not finite in double precision for "
+                f"(b1={self.b1}, b2={self.b2}, b3={self.b3})")
+        return value
 
     def to_json_dict(self) -> dict:
         return {
@@ -171,6 +187,40 @@ def _poly_minimum(b1: float, b2: float, b3: float) -> tuple[float, list[float]]:
     return min(vals), candidates
 
 
+def _adaptive_total(integrand, T: float, breaks) -> float:
+    """Integral of ``integrand`` over [-T, T], independent of the table.
+
+    Starts from _NORM_START_CELLS uniform cells plus the ``breaks`` inside
+    (-T, T) and takes the 21-point Gauss-Legendre value of each interval,
+    with |G21 - G10| as its error.  While the summed error exceeds
+    max(_QUADRATURE_TOL / 10, _NORM_EPSREL |total|), every interval above
+    its even share of that tolerance is halved.  Needing more than
+    _NORM_LIMIT intervals raises NonIntegrableDensityError; a non-finite
+    total is returned for the caller to reject.
+    """
+    inner = [c for c in breaks if -T < c < T]
+    edges = np.union1d(np.linspace(-T, T, _NORM_START_CELLS + 1), inner)
+    a = b = fine = err = np.empty(0)
+    new_a, new_b = edges[:-1], edges[1:]
+    while True:
+        g21 = _segment_integrals(new_a, new_b, integrand, _GL21)
+        g10 = _segment_integrals(new_a, new_b, integrand, _GL10)
+        a, b = np.concatenate((a, new_a)), np.concatenate((b, new_b))
+        fine = np.concatenate((fine, g21))
+        err = np.concatenate((err, np.abs(g21 - g10)))
+        total = float(fine.sum())
+        tol = max(0.1 * _QUADRATURE_TOL, _NORM_EPSREL * abs(total))
+        if not err.sum() > tol:  # also stops on nan
+            return total
+        split = err * a.size > tol
+        if a.size + np.count_nonzero(split) > _NORM_LIMIT:
+            raise NonIntegrableDensityError(
+                f"normalisation check does not converge on {_NORM_LIMIT} intervals")
+        mid = 0.5 * (a[split] + b[split])
+        new_a, new_b = np.concatenate((a[split], mid)), np.concatenate((mid, b[split]))
+        a, b, fine, err = a[~split], b[~split], fine[~split], err[~split]
+
+
 def normalize_density(b1: float, b2: float, b3: float) -> PolyDensity:
     """Build a normalised PolyDensity.
 
@@ -185,7 +235,8 @@ def normalize_density(b1: float, b2: float, b3: float) -> PolyDensity:
     rule per cell already integrates them to rounding (within 1e-15 of a
     24-point rule on the comparison densities).  The normalising constant is
     the table total, so the CDF, the survival function and the density share
-    one constant; adaptive quadrature of the norm must agree with it to 1e-9.
+    one constant.  An independent adaptive rule on its own intervals
+    (``_adaptive_total``) must agree with that total to 1e-9.
     """
     for name, v in (("b1", b1), ("b2", b2), ("b3", b3)):
         if not math.isfinite(v):
@@ -202,9 +253,7 @@ def normalize_density(b1: float, b2: float, b3: float) -> PolyDensity:
     while _poly_of_square(T * T, b1, b2, b3) - pmin < 760.0:
         T *= 1.5
 
-    points = sorted({c for c in crit if -T < c < T})
-    shifted, _ = quad(lambda x: math.exp(-(_poly_of_square(x * x, b1, b2, b3) - pmin)), -T, T,
-                      points=points or None, epsabs=_QUADRATURE_TOL * 0.1, epsrel=1e-13, limit=500)
+    shifted = _adaptive_total(_poly_integrand((b1, b2, b3), pmin), T, crit)
     if not (shifted > 0.0 and math.isfinite(shifted)):
         raise NonIntegrableDensityError("normalisation quadrature failed")
 

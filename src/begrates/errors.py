@@ -27,7 +27,9 @@ class CapExceededError(ComputationError):
 
 
 class NonIntegrableDensityError(ComputationError):
-    """Leading polynomial coefficient is not positive; exp(-poly) has infinite mass."""
+    """exp(-poly) cannot be normalised (its leading coefficient is not
+    positive, or its mass is not computable in double precision), or one of
+    its moments is not finite in double precision."""
 
 
 class DegenerateFitError(ComputationError):

@@ -30,7 +30,6 @@ from itertools import product
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.special import gammaln, ndtr
 
 from .density import _segment_integrals
 from .errors import CapExceededError, ValidationError
@@ -58,6 +57,22 @@ _LN2_LO = 1.90821492927058770002e-10
 # grid point, at most this many at a time
 _HS_CUTOFF = 8.5
 _HS_CHUNK = 4_000_000
+
+
+def gammaln(x):
+    """scipy.special.gammaln.  scipy.special is imported on the first call
+    of this or of ``ndtr``: it costs more than the rest of the package's
+    import, and only atom listings and ``hs_check`` need it."""
+    from scipy import special
+
+    return special.gammaln(x)
+
+
+def ndtr(x):
+    """scipy.special.ndtr, imported on first call like ``gammaln``."""
+    from scipy import special
+
+    return special.ndtr(x)
 
 
 @dataclass

@@ -373,6 +373,22 @@ def quad_cdf(b1: float, b2: float, b3: float, T: float, xs) -> np.ndarray:
     return np.array([mass(-T, float(x)) / total for x in xs])
 
 
+def quad_norm(b1: float, b2: float, b3: float, shift: float, T: float, breaks) -> float:
+    """Integral of exp(-(poly(x) - shift)) over [-T, T] by scipy's adaptive
+    ``quad``, with the ``breaks`` inside (-T, T) as break points and the
+    exponent in the Horner form the package evaluates, so that only the
+    integration rule differs from the package's own check of the norm."""
+    from scipy.integrate import quad
+
+    def integrand(x):
+        y = x * x
+        return math.exp(-(y * (b1 + y * (b2 + y * b3)) - shift))
+
+    points = sorted({c for c in breaks if -T < c < T})
+    return quad(integrand, -T, T, points=points or None, epsabs=1e-13, epsrel=1e-13,
+                limit=500)[0]
+
+
 def pair_f1_expanded(params: ModelParams, x: float, dps: int = 50) -> float:
     """The pair kernel f1 from its expanded closed form, in mpmath (whose
     exponent range is unbounded): numerator and denominator scaled by

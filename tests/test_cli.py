@@ -205,6 +205,14 @@ class TestOtherCommands:
         moments = {int(r["order"]): float(r["moment"]) for r in doc["rows"]}
         assert abs(moments[2] - 1.0) < 1e-9
 
+    @pytest.mark.parametrize("coeff", [("--b1", "1e-300"), ("--b2", "1e-200"), ("--b3", "1e-300")],
+                             ids=str)
+    def test_limit_density_moment_overflow_is_a_computation_error(self, capsys, coeff):
+        code, out, err = run_cli(capsys, "limit-density", *coeff)
+        assert code == 3
+        assert out == "" and "kind=computation" in err
+        assert "Traceback" not in err
+
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "out.csv"
         code, out, _ = run_cli(

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from scipy.special import ndtr
 from scipy.stats import norm
 
 from begrates import density as density_module
-from begrates.cases import case_by_id, comparison_density, params_at
+from begrates.cases import case_by_id, case_catalog, comparison_density, params_at
 from begrates.density import (
     density_from_regression,
     estimate_stein_constants,
@@ -15,7 +16,13 @@ from begrates.density import (
 )
 from begrates.errors import NonIntegrableDensityError
 from begrates.exact import build_joint_law, kolmogorov_distance, moment
-from oracles import gaussian_stein_solution, quad_cdf, scan_stein_constants, trapezoid_moment
+from oracles import (
+    gaussian_stein_solution,
+    quad_cdf,
+    quad_norm,
+    scan_stein_constants,
+    trapezoid_moment,
+)
 
 # one case per comparison-density shape: Gaussian, quartic, sextic and the
 # mixed and double-well boundary shapes
@@ -113,6 +120,17 @@ class TestCdfAndMoments:
         d = normalize_density(0.2, 0.3, 0.0)
         assert d.moment(1) == 0.0
         assert d.moment(5) == 0.0
+
+    @pytest.mark.parametrize("coeffs,order", [((1e-300, 0.0, 0.0), 2), ((0.0, 1e-200, 0.0), 6),
+                                              ((0.0, 0.0, 1e-300), 6)], ids=str)
+    def test_moment_past_the_double_range_raises(self, coeffs, order):
+        # a grid of half-width ~1e50..1e150: x^k overflows, and 0 * inf in
+        # the far tail is nan; either raises, without a RuntimeWarning
+        d = normalize_density(*coeffs)
+        for k in range(2, order, 2):
+            assert math.isfinite(d.moment(k))
+        with pytest.raises(NonIntegrableDensityError, match=rf"E\[X\^{order}\]"):
+            d.moment(order)
 
     def test_gaussian_even_moments(self):
         # N(0, s^2): E[X^4] = 3 s^4, E[X^6] = 15 s^6
@@ -214,6 +232,70 @@ class TestCumulativeTable:
         want = kolmogorov_distance(law, case.gamma,
                                    lambda xs: quad_cdf(d.b1, d.b2, d.b3, d.truncation, xs))
         assert abs(kolmogorov_distance(law, case.gamma, d.cdf_at_sorted) - want) <= 1e-13
+
+
+@pytest.fixture(scope="module")
+def catalog_shapes():
+    """(b1, b2, b3) of every comparison density of the catalog at n = 64 and 256."""
+    shapes = set()
+    for case in case_catalog():
+        for n in (64, 256):
+            law = build_joint_law(params_at(case, n), n)
+            d = comparison_density(case, n, {k: moment(law, case.gamma, k) for k in (2, 4, 6)})
+            shapes.add((d.b1, d.b2, d.b3))
+    return sorted(shapes)
+
+
+def _norm_check_gap(coeffs) -> float:
+    """Relative gap between the package's adaptive check of the norm and
+    scipy's ``quad`` on the same interval, shift and break points."""
+    pmin, crit = density_module._poly_minimum(*coeffs)
+    T = normalize_density(*coeffs).truncation
+    got = density_module._adaptive_total(density_module._poly_integrand(coeffs, pmin), T, crit)
+    return abs(got / quad_norm(*coeffs, pmin, T, crit) - 1.0)
+
+
+class TestNormCheck:
+    """The table total is checked against an adaptive 10/21-point
+    Gauss-Legendre pair; it must agree with scipy's ``quad``, keep the
+    outcomes of the ``quad`` check it replaced, and still reject a table
+    that is off."""
+
+    def test_catalog_shapes_match_quad(self, catalog_shapes):
+        assert len(catalog_shapes) >= 42
+        assert max(_norm_check_gap(c) for c in catalog_shapes) <= 1e-12
+
+    @pytest.mark.parametrize("coeffs", [(0.0, -20.0, 1.0), (-5.0, 0.0, 1.0), (-40.0, 1.0, 0.0),
+                                        (100.0, 0.0, 0.0), (1e-12, 0.0, 1e-12)], ids=str)
+    def test_edge_shapes_match_quad(self, coeffs):
+        assert _norm_check_gap(coeffs) <= 1e-12
+
+    def test_rejects_what_quad_rejected(self):
+        # all the mass lies within 1e-150 of 0, between the rule's nodes
+        with pytest.raises(NonIntegrableDensityError, match="quadrature failed"):
+            normalize_density(1e300, 0.0, 0.0)
+        # wells of width ~0.5 at +-7071, narrower than the table's cells, and an
+        # exponent of -2.5e7 at them, whose rounding (~1e-8) the check cannot beat
+        with pytest.raises(NonIntegrableDensityError):
+            normalize_density(-1.0, 1e-8, 0.0)
+
+    @pytest.mark.parametrize("coeffs", TABLE_SHAPES, ids=str)
+    def test_gate_bites(self, coeffs, monkeypatch):
+        # scaling the 6-point weights moves the table total, not the check
+        nodes, weights = density_module._GL6
+        monkeypatch.setattr(density_module, "_GL6", (nodes, weights * (1.0 + 1e-10)))
+        normalize_density(*coeffs)
+        monkeypatch.setattr(density_module, "_GL6", (nodes, weights * (1.0 + 1e-8)))
+        with pytest.raises(NonIntegrableDensityError, match="cumulative grid disagrees"):
+            normalize_density(*coeffs)
+
+    def test_interval_cap_raises(self, monkeypatch):
+        # N(0,1) starts from 32 intervals and halves a few of them once
+        monkeypatch.setattr(density_module, "_NORM_LIMIT", 33)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonIntegrableDensityError, match="does not converge on 33 intervals"):
+                normalize_density(0.5, 0.0, 0.0)
 
 
 class TestRegressionDensity:

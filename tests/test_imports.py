@@ -1,10 +1,16 @@
 """Every name a package module imports is used in that module or listed in
 its ``__all__``, so a refactor cannot leave a dead import behind.  Standard
 library only: the module's source is parsed with ``ast`` and its ``__all__``
-read from the imported module (the package's own is built at import time)."""
+read from the imported module (the package's own is built at import time).
+The package's import and a bound rung also stay clear of the heavy scipy
+submodules, which a fresh interpreter shows."""
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,3 +48,28 @@ def test_an_unused_import_is_caught():
     tree = ast.parse("import os.path\nfrom math import pi, tau as t\nprint(t)\n")
     assert _unused(tree) == [("os", 1), ("pi", 2)]
     assert _unused(tree, {"pi"}) == [("os", 1)]
+
+
+_HEAVY = ("scipy.integrate", "scipy.special")
+_IMPORT_PATH_PROBE = f"""
+import json, sys
+import begrates, begrates.cli
+from begrates.rates import run_rung
+run_rung(begrates.case_by_id("fixed-C"), 64, bound=True)
+before = [m for m in {_HEAVY!r} if m in sys.modules]
+begrates.exact.ndtr(0.0)
+print(json.dumps([before, [m for m in {_HEAVY!r} if m in sys.modules]]))
+"""
+
+
+def test_import_and_a_bound_rung_load_no_heavy_scipy():
+    # scipy.integrate is not used at all and scipy.special is imported on the
+    # first ndtr or gammaln call; the last line checks that the probe sees it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p))
+    run = subprocess.run([sys.executable, "-c", _IMPORT_PATH_PROBE], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    before, after = json.loads(run.stdout)
+    assert before == []
+    assert after == ["scipy.special"]
