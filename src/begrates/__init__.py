@@ -21,6 +21,7 @@ from .errors import (
     CapExceededError,
     ComputationError,
     DegenerateFitError,
+    EnvelopeGridError,
     InvalidCaseParametersError,
     NonIntegrableDensityError,
     ScheduleUnderflowError,

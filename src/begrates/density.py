@@ -7,10 +7,13 @@ carries a cached cumulative-quadrature grid so CDF, survival and moment
 queries are cheap and thread-safe after construction.  Every integral runs
 on one 6-point Gauss-Legendre rule over cells at most 2T/4096 wide, which
 is exact to rounding there: the cumulative table, the partial cell of a CDF
-query and the moments.  The table is the only source of the CDF, of the
-survival function (p is even, so S(t) = F(-t)) and of the normalising
-constant.  Its total is checked against an independent adaptive rule, a
-10/21-point Gauss-Legendre pair on intervals halved until the two agree.
+query and the moments.  The rule lays its nodes out (node, cell), so each
+step runs over whole rows, and exp is skipped where its result is exactly 0
+(it rounds to 0 below -746, on a slow path), never where it is subnormal.
+The table is the only source of the CDF, of the survival function (p is
+even, so S(t) = F(-t)) and of the normalising constant.  Its total is
+checked against an independent adaptive rule, a 10/21-point Gauss-Legendre
+pair on intervals halved until the two agree.
 
 The Stein machinery lives here too: the solution f_z of
 
@@ -30,7 +33,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import NonIntegrableDensityError, ValidationError
+from .errors import EnvelopeGridError, NonIntegrableDensityError, ValidationError
 
 __all__ = [
     "PolyDensity",
@@ -55,6 +58,8 @@ _QUADRATURE_TOL = 1e-12
 _NORM_EPSREL = 1e-13
 _NORM_LIMIT = 500  # most intervals the check may use
 _LOG_FLOOR = 600.0  # switch to tail asymptotics once exp(-(poly-min)) < e^-600
+# exp(x) rounds to exactly 0.0 for every double x below log(2^-1075) ~ -745.13
+_EXP_ZERO = -746.0
 
 
 def _poly_of_square(y, b1, b2, b3):
@@ -62,14 +67,27 @@ def _poly_of_square(y, b1, b2, b3):
     return y * (b1 + y * (b2 + y * b3))
 
 
+def _exp_nonzero(x: np.ndarray) -> np.ndarray:
+    """np.exp(x), bit for bit, with exp evaluated only where the result is not
+    exactly 0: below _EXP_ZERO every double rounds to 0, and np.exp takes its
+    slow path there.  Subnormal results are still computed; nan stays nan."""
+    return np.exp(x, out=np.zeros_like(x), where=~(x <= _EXP_ZERO))
+
+
 def _segment_integrals(a, b, integrand, rule=None) -> np.ndarray:
     """Integral of ``integrand`` over each [a_i, b_i] by ``rule`` (nodes,
-    weights), the 6-point rule by default.  ``integrand`` maps the (segment,
-    node) array of nodes to its values and may overwrite the nodes."""
+    weights), the 6-point rule by default.  ``integrand`` maps the (node,
+    segment) array of nodes to its values and may overwrite the nodes.
+
+    Node-major, every step runs over rows as long as the segment count.  The
+    sum over axis 0 adds the weighted rows one after the other in node order,
+    which for six nodes is the order numpy's row sum takes in a (segment,
+    node) layout, so the 6-point results are those of that layout bit for
+    bit (tests/oracles.py keeps it).
+    """
     nodes, weights = _GL6 if rule is None else rule
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    X = mid[:, None] + half[:, None] * nodes[None, :]
-    return (integrand(X) * weights[None, :]).sum(axis=1) * half
+    return (integrand(nodes[:, None] * half + mid) * weights[:, None]).sum(axis=0) * half
 
 
 def _poly_integrand(coeffs, shift: float, k: int = 0):
@@ -77,7 +95,7 @@ def _poly_integrand(coeffs, shift: float, k: int = 0):
 
     def integrand(Y):
         Y *= Y  # square the nodes in place: no second node-sized array stays alive
-        V = np.exp(-(_poly_of_square(Y, *coeffs) - shift))
+        V = _exp_nonzero(-(_poly_of_square(Y, *coeffs) - shift))
         if k:
             V *= Y ** (k // 2)
         return V
@@ -375,7 +393,13 @@ class SteinConstants:
 def _envelope_grid(d: PolyDensity, step: float) -> np.ndarray:
     """The (z, x) grid over [-reach, reach], reach = 10 clipped to where the
     density is representable; mirror-symmetric bit for bit, so
-    x[N-1-i] == -x[i] and the endpoints are exactly +-reach."""
+    x[N-1-i] == -x[i] and the endpoints are exactly +-reach.  A double well
+    whose barrier at 0 is past _LOG_FLOOR raises EnvelopeGridError: the
+    clipping assumes poly - poly_min grows from 0 outwards."""
+    if -d.poly_min > _LOG_FLOOR:  # poly(0) = 0
+        raise EnvelopeGridError(
+            f"the barrier at 0 of (b1={d.b1}, b2={d.b2}, b3={d.b3}) is {-d.poly_min:.6g} "
+            f"above its wells, past {_LOG_FLOOR:g}: no envelope grid spans both wells")
     reach = 10.0
     if d.poly(reach) - d.poly_min > _LOG_FLOOR:
         lo, hi = 0.0, reach

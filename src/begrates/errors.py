@@ -32,6 +32,12 @@ class NonIntegrableDensityError(ComputationError):
     its moments is not finite in double precision."""
 
 
+class EnvelopeGridError(ComputationError):
+    """The Stein envelopes need one interval about 0 on which the density is
+    representable, and a double well whose density at 0 is below e^-600
+    times its peak has none."""
+
+
 class DegenerateFitError(ComputationError):
     """Log-log regression has no slope information (all distances equal)."""
 

@@ -18,20 +18,24 @@ power, and q = P+ + P- one size down, from the (n-2)-th power.  The law
 reads each row only through its ratios rho_s = c_{s-1} / c_s, which an
 all-positive recurrence gives in plain floats, so it costs O(n) time and
 memory, and every quantity the bounds consume is a moment of M given s.
-Single (s, M) slices are rebuilt on demand, in O(n) each, for atom listings
-and small-n oracle checks.
+P(s) needs only the order-n row; the rows of orders n-1 and n-2, and with
+them E[M | s] and E[M^2 | s], are built on the first read of either, so
+d_K, the moments of W and ``hs_check`` never build them.  Single (s, M)
+slices are rebuilt on demand, in O(n) each, for atom listings and small-n
+oracle checks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .density import _segment_integrals
+from .density import _exp_nonzero, _segment_integrals
 from .errors import CapExceededError, ValidationError
 from .model import G_eval, ModelParams
 
@@ -56,7 +60,7 @@ _LN2_LO = 1.90821492927058770002e-10
 # hs_check: normal CDFs are evaluated within this many noise widths of each
 # grid point, at most this many at a time
 _HS_CUTOFF = 8.5
-_HS_CHUNK = 4_000_000
+_HS_CHUNK = 2**18
 
 
 def gammaln(x):
@@ -79,10 +83,11 @@ def ndtr(x):
 class JointLaw:
     """Probability law of (s, M) under the finite-n Gibbs measure.
 
-    Held as the s-marginal and the first two moments of M given s, each over
-    s = -n..n and exactly symmetric in s.  ``log_partition`` is the log
-    normalising constant relative to the uniform product measure on
-    {-1,0,1}^n.
+    Held as the s-marginal over s = -n..n, exactly symmetric in s.  The first
+    two moments of M given s, ``m_mean`` and ``m_second``, are built together
+    on the first read of either: d_K and the moments of W read only P(s).
+    ``log_partition`` is the log normalising constant relative to the uniform
+    product measure on {-1,0,1}^n.
     """
 
     n: int
@@ -90,8 +95,29 @@ class JointLaw:
     log_partition: float
     s_values: np.ndarray = field(repr=False)
     s_probs: np.ndarray = field(repr=False)
-    m_mean: np.ndarray = field(repr=False)  # E[M | s]
-    m_second: np.ndarray = field(repr=False)  # E[M^2 | s]
+
+    @cached_property
+    def _m_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(E[M | s], E[M^2 | s]) over s = -n..n, from the ratio rows of
+        orders n-1 and n-2 (see the module docstring)."""
+        n, beta = self.n, self.params.beta
+        inv_a, a = math.exp(beta), math.exp(-beta)
+        s = np.arange(n + 2)
+        plus, minus = _first_spin(_ratio_row(n - 1, inv_a, n + 3), a, s[:-1])
+        q = np.add(*_first_spin(_ratio_row(n - 2, inv_a, n + 3), a, s))
+        m_mean = n * (plus + minus)
+        m_fact2 = n * (n - 1.0) * (plus * q[np.abs(s[:-1] - 1)] + minus * q[1:])
+        return _mirrored(m_mean), _mirrored(m_fact2 + m_mean)
+
+    @property
+    def m_mean(self) -> np.ndarray:
+        """E[M | s] over s = -n..n."""
+        return self._m_rows[0]
+
+    @property
+    def m_second(self) -> np.ndarray:
+        """E[M^2 | s] over s = -n..n."""
+        return self._m_rows[1]
 
     def slice_probs(self, s: int) -> np.ndarray:
         """P(s, M) over M = |s|, |s| + 2, ..., n: P(s) times the normalised
@@ -154,6 +180,11 @@ def _first_spin(rho: np.ndarray, a: float, s: np.ndarray) -> tuple[np.ndarray, n
     return np.divide(u, den, out=np.ones_like(u), where=u < math.inf), v / den
 
 
+def _mirrored(x: np.ndarray) -> np.ndarray:
+    """Values over s = -n..n from those over s = 0..n."""
+    return np.concatenate((x[:0:-1], x))
+
+
 def _running_products(factors: np.ndarray, expos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """1, f_0, f_0 f_1, ... for factors f_i = factors[i] * 2^expos[i], as
     mantissas and binary exponents (value = mantissa * 2^exponent)."""
@@ -171,8 +202,9 @@ def _running_products(factors: np.ndarray, expos: np.ndarray) -> tuple[np.ndarra
 def build_joint_law(params: ModelParams, n: int, *, cap: int = DEFAULT_N_CAP) -> JointLaw:
     """The exact law at size n, in O(n) time and memory.
 
-    Reads the ratio rows of orders n, n-1 and n-2 (see the module
-    docstring).  The weight of s-1 relative to s is rho_s e^(-beta K (2s-1)/n),
+    P(s) reads the ratio row of order n (see the module docstring); the rows
+    of orders n-1 and n-2 wait for the first read of ``m_mean`` or
+    ``m_second``.  The weight of s-1 relative to s is rho_s e^(-beta K (2s-1)/n),
     and P(s) is the running product of these factors from s = n down,
     normalised; no weight passes through a logarithm.  Raises
     CapExceededError above ``cap``.
@@ -184,19 +216,13 @@ def build_joint_law(params: ModelParams, n: int, *, cap: int = DEFAULT_N_CAP) ->
     beta, K = params.beta, params.K
     if beta > _BETA_MAX:
         raise ValidationError(f"the exact law needs beta <= {_BETA_MAX}, got {beta}")
-    inv_a, a = math.exp(beta), math.exp(-beta)
-    s = np.arange(n + 2)
-    plus, minus = _first_spin(_ratio_row(n - 1, inv_a, n + 3), a, s[:-1])
-    q = np.add(*_first_spin(_ratio_row(n - 2, inv_a, n + 3), a, s))
-    m_mean = n * (plus + minus)
-    m_fact2 = n * (n - 1.0) * (plus * q[np.abs(s[:-1] - 1)] + minus * q[1:])
 
-    # w_{s-1} / w_s = rho_s e^x with x = -beta K (2s-1) / n; e^x alone
-    # underflows once beta K is large, so it is split as 2^k e^r
-    x = -beta * K * (2.0 * s[1:-1] - 1.0) / n
+    # w_{s-1} / w_s = rho_s e^x with x = -beta K (2s-1) / n, s = 1..n; e^x
+    # alone underflows once beta K is large, so it is split as 2^k e^r
+    x = -beta * K * (2.0 * np.arange(1, n + 1) - 1.0) / n
     k = np.round(x / math.log(2.0))
     r = (x - k * _LN2_HI) - k * _LN2_LO
-    ratio = _ratio_row(n, inv_a, n + 1)[1:] * np.exp(r)
+    ratio = _ratio_row(n, math.exp(beta), n + 1)[1:] * np.exp(r)
     wm, we = _running_products(ratio[::-1], k[::-1].astype(np.int64))  # w_s / w_n, s = n..0
     top = int(we.max())
     w = np.ldexp(wm, we - top)[::-1]
@@ -204,17 +230,12 @@ def build_joint_law(params: ModelParams, n: int, *, cap: int = DEFAULT_N_CAP) ->
     # w_n = c_n e^(beta K n) = e^(-beta n + beta K n)
     log_partition = beta * (K - 1.0) * n + math.log(total) + top * math.log(2.0) - n * math.log(3.0)
 
-    def mirrored(x):
-        return np.concatenate((x[:0:-1], x))
-
     return JointLaw(
         n=n,
         params=params,
         log_partition=log_partition,
         s_values=np.arange(-n, n + 1),
-        s_probs=mirrored(w / total),
-        m_mean=mirrored(m_mean),
-        m_second=mirrored(m_fact2 + m_mean),
+        s_probs=_mirrored(w / total),
     )
 
 
@@ -327,7 +348,7 @@ def _smoothed_atom_cdf(w: np.ndarray, probs: np.ndarray, sigma: float,
     Phi(-c) times its mass, so the sum is within 2 Phi(-c) ~ 1.9e-17 of the
     full one.  Each row evaluates the same number of atoms, the widest band,
     starting at its band's left end or earlier near the top of the lattice;
-    rows are taken in chunks of at most 4M elements.  On a uniform lattice of
+    rows are taken in chunks of at most 2^18 elements.  On a uniform lattice of
     spacing dw the band holds about 2 c sigma / dw atoms, so the cost is
     O(w.size + ts.size * c sigma / dw) rather than O(w.size * ts.size).
     """
@@ -380,7 +401,7 @@ def hs_check(params: ModelParams, n: int, gamma: float) -> float:
     while neg_log_kernel(hi) - ref < 760.0:
         hi += width
     xs = np.unique(np.concatenate((np.linspace(lo, hi, 4097), ts)))
-    seg = _segment_integrals(xs[:-1], xs[1:], lambda y: np.exp(-(neg_log_kernel(y) - ref)))
+    seg = _segment_integrals(xs[:-1], xs[1:], lambda y: _exp_nonzero(-(neg_log_kernel(y) - ref)))
     cum = np.concatenate(([0.0], np.cumsum(seg)))
     cum /= cum[-1]
     cdf2 = cum[np.searchsorted(xs, ts)]

@@ -389,6 +389,31 @@ def quad_norm(b1: float, b2: float, b3: float, shift: float, T: float, breaks) -
                 limit=500)[0]
 
 
+def rowmajor_segment_integrals(a, b, integrand, rule=None) -> np.ndarray:
+    """The per-cell Gauss-Legendre sum as it stood before the node-major
+    layout: nodes laid out (segment, node) and the weighted values summed by
+    a row sum, 6 points unless ``rule`` is given."""
+    nodes, weights = np.polynomial.legendre.leggauss(6) if rule is None else rule
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    X = mid[:, None] + half[:, None] * nodes[None, :]
+    return (integrand(X) * weights[None, :]).sum(axis=1) * half
+
+
+def plain_exp_poly_integrand(coeffs, shift: float, k: int = 0):
+    """x^k exp(-(poly(x) - shift)) with a plain ``np.exp`` over every node,
+    the exponent in the Horner form in x^2."""
+    b1, b2, b3 = coeffs
+
+    def integrand(Y):
+        Y = Y * Y
+        V = np.exp(-(Y * (b1 + Y * (b2 + Y * b3)) - shift))
+        if k:
+            V *= Y ** (k // 2)
+        return V
+
+    return integrand
+
+
 def pair_f1_expanded(params: ModelParams, x: float, dps: int = 50) -> float:
     """The pair kernel f1 from its expanded closed form, in mpmath (whose
     exponent range is unbounded): numerator and denominator scaled by

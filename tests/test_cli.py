@@ -213,6 +213,14 @@ class TestOtherCommands:
         assert out == "" and "kind=computation" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("coeffs", [("--b1", "-1", "--b2", "1e-4"),
+                                        ("--b1", "0", "--b2", "-20", "--b3", "1")], ids=str)
+    def test_stein_constants_of_a_deep_double_well_is_a_computation_error(self, capsys, coeffs):
+        code, out, err = run_cli(capsys, "limit-density", *coeffs, "--stein-constants")
+        assert code == 3
+        assert out == "" and "kind=computation" in err and "barrier at 0" in err
+        assert "Traceback" not in err
+
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "out.csv"
         code, out, _ = run_cli(

@@ -14,12 +14,14 @@ from begrates.density import (
     normalize_density,
     stein_solution,
 )
-from begrates.errors import NonIntegrableDensityError
+from begrates.errors import EnvelopeGridError, NonIntegrableDensityError
 from begrates.exact import build_joint_law, kolmogorov_distance, moment
 from oracles import (
     gaussian_stein_solution,
+    plain_exp_poly_integrand,
     quad_cdf,
     quad_norm,
+    rowmajor_segment_integrals,
     scan_stein_constants,
     trapezoid_moment,
 )
@@ -47,6 +49,11 @@ def shape_densities():
 TABLE_SHAPES = [(0.5, 0.0, 0.0), (0.0, 0.25, 0.0), (0.0, 0.0, 0.2), (-1.0, 0.5, 0.0),
                 (-1.0, 0.0, 1.0), (0.5, -2.0, 1.0), (1e-3, 0.0, 0.0), (50.0, 0.0, 0.0),
                 (0.0, 0.0, 200.0), (-3.0, 0.5, 0.02)]
+
+# a double well whose barrier is past the envelope floor, a shallow and a
+# steep double well, a narrow Gaussian and a very wide mixed shape
+EDGE_SHAPES = [(0.0, -20.0, 1.0), (-5.0, 0.0, 1.0), (-40.0, 1.0, 0.0), (100.0, 0.0, 0.0),
+               (1e-12, 0.0, 1e-12)]
 
 
 def _power_form(y, b1, b2, b3):
@@ -235,15 +242,21 @@ class TestCumulativeTable:
 
 
 @pytest.fixture(scope="module")
-def catalog_shapes():
-    """(b1, b2, b3) of every comparison density of the catalog at n = 64 and 256."""
-    shapes = set()
+def catalog_atoms():
+    """(b1, b2, b3) of every comparison density of the catalog at n = 64 and
+    256, each with the atoms of W of its law."""
+    out = {}
     for case in case_catalog():
         for n in (64, 256):
             law = build_joint_law(params_at(case, n), n)
             d = comparison_density(case, n, {k: moment(law, case.gamma, k) for k in (2, 4, 6)})
-            shapes.add((d.b1, d.b2, d.b3))
-    return sorted(shapes)
+            out[(d.b1, d.b2, d.b3)] = law.w_values(case.gamma)
+    return out
+
+
+@pytest.fixture(scope="module")
+def catalog_shapes(catalog_atoms):
+    return sorted(catalog_atoms)
 
 
 def _norm_check_gap(coeffs) -> float:
@@ -265,8 +278,7 @@ class TestNormCheck:
         assert len(catalog_shapes) >= 42
         assert max(_norm_check_gap(c) for c in catalog_shapes) <= 1e-12
 
-    @pytest.mark.parametrize("coeffs", [(0.0, -20.0, 1.0), (-5.0, 0.0, 1.0), (-40.0, 1.0, 0.0),
-                                        (100.0, 0.0, 0.0), (1e-12, 0.0, 1e-12)], ids=str)
+    @pytest.mark.parametrize("coeffs", EDGE_SHAPES, ids=str)
     def test_edge_shapes_match_quad(self, coeffs):
         assert _norm_check_gap(coeffs) <= 1e-12
 
@@ -296,6 +308,48 @@ class TestNormCheck:
             warnings.simplefilter("error")
             with pytest.raises(NonIntegrableDensityError, match="does not converge on 33 intervals"):
                 normalize_density(0.5, 0.0, 0.0)
+
+
+def _table_queries(coeffs, xs):
+    """The table, log_norm, the CDF at ``xs`` and E[X^2..8] of one density."""
+    d = normalize_density(*coeffs)
+    return d._cdf, d.log_norm, d.cdf(xs), [d.moment(k) for k in range(2, 9, 2)]
+
+
+class TestNodeMajorKernel:
+    """The node-major 6-point sum, with exp skipped where it is exactly 0,
+    gives the row-major sum with a plain exp bit for bit."""
+
+    @staticmethod
+    def _assert_bit_identical(coeffs, xs, monkeypatch):
+        new = _table_queries(coeffs, xs)
+        with monkeypatch.context() as m:
+            m.setattr(density_module, "_segment_integrals", rowmajor_segment_integrals)
+            m.setattr(density_module, "_poly_integrand", plain_exp_poly_integrand)
+            old = _table_queries(coeffs, xs)
+        assert np.array_equal(new[0], old[0])
+        assert new[1] == old[1]
+        assert np.array_equal(new[2], old[2])
+        assert new[3] == old[3]
+
+    def test_catalog_shapes(self, catalog_atoms, monkeypatch):
+        for coeffs, atoms in catalog_atoms.items():
+            self._assert_bit_identical(coeffs, atoms, monkeypatch)
+
+    @pytest.mark.parametrize("coeffs", EDGE_SHAPES, ids=str)
+    def test_edge_shapes(self, coeffs, monkeypatch):
+        T = normalize_density(*coeffs).truncation
+        self._assert_bit_identical(coeffs, np.linspace(-1.1 * T, 1.1 * T, 2001), monkeypatch)
+
+    def test_skip_zero_exp_is_np_exp(self):
+        tiny = np.finfo(float).tiny
+        x = np.concatenate((np.linspace(-800.0, 10.0, 400001),
+                            np.linspace(-746.5, math.log(tiny), 100001),  # the subnormal band
+                            [-np.inf, -746.0, np.nextafter(-746.0, 0.0), -745.13, 709.0, np.inf]))
+        got = density_module._exp_nonzero(x)
+        assert np.array_equal(got.view(np.int64), np.exp(x).view(np.int64))
+        assert np.count_nonzero((got > 0.0) & (got < tiny)) > 1000
+        assert np.isnan(density_module._exp_nonzero(np.array([np.nan, -np.nan]))).all()
 
 
 class TestRegressionDensity:
@@ -445,6 +499,12 @@ class TestSteinConstants:
     @pytest.mark.parametrize("coeffs", [(0.5, 0.0, 0.0), (-1.0, 0.0, 1.0)])
     def test_matches_full_scan_at_default_step(self, coeffs):
         self._assert_matches_scan(normalize_density(*coeffs), 0.005)
+
+    @pytest.mark.parametrize("coeffs", [(-1.0, 1e-4, 0.0), (0.0, -20.0, 1.0)], ids=str)
+    def test_deep_double_well_has_no_envelope_grid(self, coeffs):
+        # p(0) underflows against the wells, so no grid about 0 reaches both
+        with pytest.raises(EnvelopeGridError, match="barrier at 0"):
+            estimate_stein_constants(normalize_density(*coeffs))
 
     def test_narrow_density_grid_clipped(self):
         d = normalize_density(0.0, 0.0, 0.225)

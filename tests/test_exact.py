@@ -6,7 +6,7 @@ from scipy.special import ndtr
 from scipy.stats import norm
 
 from begrates import exact
-from begrates.cases import case_catalog, params_at
+from begrates.cases import case_by_id, case_catalog, params_at
 from begrates.errors import CapExceededError, ValidationError
 from begrates.exact import (
     brute_force_law,
@@ -19,6 +19,7 @@ from begrates.exact import (
     tv_distance,
 )
 from begrates.model import BETA_C, ModelParams, critical_K
+from begrates.rates import run_rung
 from oracles import (
     brute_moment,
     brute_pair_covariance,
@@ -26,6 +27,7 @@ from oracles import (
     enumerated_joint_law,
     grid_scan_kolmogorov,
     mpmath_joint_law,
+    rowmajor_segment_integrals,
 )
 
 POINT_A = ModelParams(1.0, 0.6)
@@ -141,6 +143,41 @@ class TestGeneratingFunctionLaw:
             Ms = np.arange(abs(s), n + 1, 2)
             assert abs(ps.sum() - law.s_probs[n + s]) <= 1e-15 * law.s_probs[n + s]
             assert abs(ps @ Ms / ps.sum() - law.m_mean[n + s]) <= 1e-13 * n
+
+
+class TestLazyCountRows:
+    """P(s) reads only the ratio row of order n; the rows of orders n-1 and
+    n-2 are built once, on the first read of m_mean or m_second."""
+
+    @pytest.fixture
+    def ratio_rows(self, monkeypatch):
+        orders = []
+        original = exact._ratio_row
+
+        def counted(m, inv_a, size):
+            orders.append(m)
+            return original(m, inv_a, size)
+
+        monkeypatch.setattr(exact, "_ratio_row", counted)
+        return orders
+
+    def test_rung_reads_one_row(self, ratio_rows):
+        run_rung(case_by_id("fixed-C"), 64)
+        assert ratio_rows == [64]
+
+    def test_bound_and_covariance_read_three(self, ratio_rows):
+        run_rung(case_by_id("fixed-C"), 64, bound=True)
+        assert sorted(ratio_rows) == [62, 63, 64]
+        ratio_rows.clear()
+        pair_covariance(POINT_A, 64)
+        assert sorted(ratio_rows) == [62, 63, 64]
+
+    def test_second_read_builds_nothing(self, ratio_rows):
+        law = build_joint_law(POINT_A, 64)
+        m_mean = law.m_mean
+        assert len(ratio_rows) == 3
+        assert law.m_mean is m_mean and law.m_second is law.m_second
+        assert len(ratio_rows) == 3
 
 
 class TestMoments:
@@ -276,6 +313,16 @@ class TestHubbardStratonovich:
             counts[n] = sum(seen)
             assert 0 < counts[n] <= 2001 * (band + 2.0)
         assert counts[4096] / counts[1024] <= 2.2  # the dense sum's ratio is 4
+
+    @pytest.mark.parametrize("region", sorted(HS_REGIONS))
+    def test_kernel_and_chunks_bit_identical(self, region, monkeypatch):
+        # against the row-major quadrature with a plain exp, and 4M-element chunks
+        params, gamma = HS_REGIONS[region]
+        got = hs_check(params, 1024, gamma)
+        monkeypatch.setattr(exact, "_segment_integrals", rowmajor_segment_integrals)
+        monkeypatch.setattr(exact, "_exp_nonzero", np.exp)
+        monkeypatch.setattr(exact, "_HS_CHUNK", 4_000_000)
+        assert got == hs_check(params, 1024, gamma)
 
     def test_both_cdfs_symmetric(self):
         # symmetry of the smoothed law: P(W+Y <= -t) + P(W+Y <= t) = 1
