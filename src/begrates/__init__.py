@@ -39,7 +39,6 @@ from .mcmc import ChainResult, chain_seeds, run_chain
 from .model import (
     BETA_C,
     ModelParams,
-    Region,
     RegionTag,
     Schedule,
     ScheduleMode,
@@ -58,9 +57,11 @@ from .rates import RateReport, Rung, fit_loglog, run_all, run_case, run_rung
 from .stein import (
     BoundReport,
     RegressionDecomposition,
+    StepTable,
     evaluate_bound,
     normal_bound,
     regression_decompose,
+    step_table,
     variance_term,
 )
 

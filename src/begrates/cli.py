@@ -116,7 +116,7 @@ def _cmd_phase_diagram(args) -> _Output:
     for beta in betas:
         kc = critical_K(beta)
         tags = [
-            classify_region(ModelParams(beta, f * kc)).tag.value for f in (0.9, 1.0, 1.1)
+            classify_region(ModelParams(beta, f * kc)).value for f in (0.9, 1.0, 1.1)
         ]
         out.rows.append({
             "beta": beta, "K_c": kc,
@@ -130,7 +130,7 @@ def _cmd_exact_law(args) -> _Output:
     params = ModelParams(args.beta, args.K)
     law = build_joint_law(params, args.n, cap=args.cap)
     out.meta["log_partition"] = law.log_partition
-    out.meta["region"] = classify_region(params).tag.value
+    out.meta["region"] = classify_region(params).value
     for k in (2, 4, 6):
         out.meta[f"moment_w{k}"] = moment(law, args.gamma, k)
     if args.n >= 2:
@@ -302,7 +302,7 @@ def _cmd_case_catalog(args) -> _Output:
 def _cmd_minimizers(args) -> _Output:
     out = _Output(args)
     params = ModelParams(args.beta, args.K)
-    out.meta["region"] = classify_region(params).tag.value
+    out.meta["region"] = classify_region(params).value
     out.columns = ["minimizer"]
     for x in minimize_G(params):
         out.rows.append({"minimizer": x})

@@ -48,8 +48,14 @@ class ChainResult:
     trace: list[tuple[int, int, int]] | None = None
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed!r}")
+
+
 def chain_seeds(master_seed: int, count: int) -> list[int]:
     """Derive per-chain seeds from a master seed (SeedSequence spawning)."""
+    _check_seed(master_seed)
     seq = np.random.SeedSequence(master_seed)
     return [int(child.generate_state(1, dtype=np.uint64)[0]) for child in seq.spawn(count)]
 
@@ -69,15 +75,16 @@ def run_chain(
 
     Measurements are taken once per sweep after ``burn_in`` sweeps; standard
     errors come from 32 batch means.  ``sweeps`` counts total sweeps including
-    burn-in.  Raises ValidationError for gamma outside (0, 1/2].  The random
-    stream is drawn block by block: all site indices of a block of sweeps,
-    then all its uniforms.
+    burn-in.  Raises ValidationError for gamma outside (0, 1/2] or a negative
+    seed.  The random stream is drawn block by block: all site indices of a
+    block of sweeps, then all its uniforms.
     """
     if not (sweeps > burn_in >= 0):
         raise ValidationError("need sweeps > burn_in >= 0")
     if n < 1:
         raise ValidationError("n must be >= 1")
     _check_gamma(gamma)
+    _check_seed(seed)
     measured = sweeps - burn_in
     if measured < _BATCHES:
         raise ValidationError(f"need at least {_BATCHES} post burn-in sweeps")

@@ -32,7 +32,6 @@ __all__ = [
     "ModelParams",
     "Schedule",
     "ScheduleMode",
-    "Region",
     "RegionTag",
     "cumulant_gf",
     "cumulant_gf_prime",
@@ -310,13 +309,7 @@ class RegionTag(str, Enum):
     OTHER = "Other"
 
 
-@dataclass(frozen=True)
-class Region:
-    tag: RegionTag
-    boundary_tolerance: float
-
-
-def classify_region(params: ModelParams, tol: float = 1e-9) -> Region:
+def classify_region(params: ModelParams, tol: float = 1e-9) -> RegionTag:
     """Classify (beta, K) against the phase diagram.
 
     A: single-phase region (0 < beta <= BETA_C, K below the critical curve);
@@ -336,16 +329,14 @@ def classify_region(params: ModelParams, tol: float = 1e-9) -> Region:
     at_beta_c = abs(beta - BETA_C) <= tol * b_scale
 
     if at_beta_c and abs(K - critical_K(BETA_C)) <= tol * max(1.0, critical_K(BETA_C)):
-        tag = RegionTag.C
-    elif on_curve:
-        tag = RegionTag.B if beta < BETA_C else RegionTag.FIRST_ORDER_CURVE
-    elif K > kc + tol * k_scale:
-        tag = RegionTag.TWO_PHASE
-    elif beta <= BETA_C + tol * b_scale:
-        tag = RegionTag.A
-    else:
-        tag = RegionTag.OTHER
-    return Region(tag=tag, boundary_tolerance=tol)
+        return RegionTag.C
+    if on_curve:
+        return RegionTag.B if beta < BETA_C else RegionTag.FIRST_ORDER_CURVE
+    if K > kc + tol * k_scale:
+        return RegionTag.TWO_PHASE
+    if beta <= BETA_C + tol * b_scale:
+        return RegionTag.A
+    return RegionTag.OTHER
 
 
 # ---------------------------------------------------------------------------

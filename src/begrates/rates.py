@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cases import CaseSpec, case_catalog, comparison_density, params_at
-from .density import PolyDensity, estimate_stein_constants
+from .density import estimate_stein_constants
 from .errors import (
     CapExceededError,
     ComputationError,
@@ -31,7 +31,6 @@ from .stein import BoundReport, evaluate_bound
 __all__ = [
     "Rung",
     "run_rung",
-    "LadderPoint",
     "RateReport",
     "default_ladder",
     "fit_loglog",
@@ -46,11 +45,10 @@ BOUNDEDNESS_FACTOR = 10.0
 
 @dataclass(frozen=True)
 class Rung:
-    """One (case, n) rung.  The law itself is not kept."""
+    """One (case, n) rung.  Neither the law nor the density is kept."""
 
     n: int
     moments: dict[int, float]  # E[W^k] for k = 2, 4, 6
-    density: PolyDensity
     d_k: float
     bound: BoundReport | None = None
 
@@ -76,23 +74,16 @@ def run_rung(
     density = comparison_density(case, n, moments)
     if not bound:
         d_k = kolmogorov_distance(law, case.gamma, density.cdf_at_sorted)
-        return Rung(n, moments, density, d_k)
+        return Rung(n, moments, d_k)
     consts = estimate_stein_constants(density)
     report = evaluate_bound(law, case.gamma, case, density, consts, A=halfwidth)
-    return Rung(n, moments, density, report.exact_dk, report)
-
-
-@dataclass(frozen=True)
-class LadderPoint:
-    n: int
-    d_k: float
-    moments: dict[int, float]
+    return Rung(n, moments, report.exact_dk, report)
 
 
 @dataclass(frozen=True)
 class RateReport:
     case: CaseSpec
-    ladder: list[LadderPoint]
+    ladder: list[Rung]
     fitted_slope: float
     fitted_intercept: float
     r_squared: float
@@ -165,15 +156,13 @@ def run_case(case: CaseSpec, n_ladder: list[int] | None = None) -> RateReport:
     ladder = sorted(n_ladder) if n_ladder is not None else default_ladder(case)
     if len(set(ladder)) != len(ladder):
         raise ValidationError("ladder entries must be distinct")
-    points: list[LadderPoint] = []
+    points: list[Rung] = []
     skipped: list[tuple[int, str]] = []
     for n in ladder:
         try:
-            rung = run_rung(case, n)
+            points.append(run_rung(case, n))
         except (ScheduleUnderflowError, CapExceededError) as exc:
             skipped.append((n, f"{type(exc).__name__}: {exc}"))
-            continue
-        points.append(LadderPoint(n=n, d_k=rung.d_k, moments=rung.moments))
     if len(points) < 4:
         raise ComputationError(
             f"{case.case_id}: only {len(points)} usable ladder points "

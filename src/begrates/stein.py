@@ -4,8 +4,10 @@ The pair (W, W') resamples one uniformly chosen spin from its exact
 conditional law.  Everything the abstract bounds consume is computable
 exactly from the (s, M) law: conditional increment moments per class, the
 regression residual R, Var(E[(W-W')^2 | W]) and the truncated tail
-expectation.  For fixed s each per-class increment moment is affine in M,
-so every pass is one O(n) expression in P(s), E[M|s] and E[M^2|s].
+expectation.  For fixed s each per-class increment moment is affine in M;
+``step_table`` builds those affine rows once per bound, from one
+``resampling_law`` pass, and every pass reads them as one O(n) expression in
+P(s), E[M|s] and E[M^2|s].
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from .exact import JointLaw, _fsum_largest_first, kolmogorov_distance, moment
 from .model import f_single, resampling_law
 
 __all__ = [
+    "StepTable",
+    "step_table",
     "RegressionDecomposition",
     "BoundReport",
     "conditional_mean_sandwich_gap",
@@ -44,15 +48,44 @@ def _site_sum(n: int, s: np.ndarray, plus, minus, zero):
     return 0.5 * s * (plus - minus) + n * zero, 0.5 * (plus + minus) - zero
 
 
-def _step_affine(law: JointLaw, gamma: float, thresh: float = 0.0):
-    """Per-s (intercept, slope) arrays, over s = -n..n, of the class moments
+@dataclass(frozen=True)
+class StepTable:
+    """Per-s (intercept, slope) rows, over s = -n..n, of the class moments
 
-        E[W - W' | s, M]                       = m0 + m1 M
-        E[(W - W')^2 ; |t - l| >= thresh | s, M] = v0 + v1 M
+        E[W - W' | s, M]                   = mean[0] + mean[1] M
+        E[(W - W')^2 | s, M]               = second[0] + second[1] M
+        E[(W - W')^2 ; |t - l| = 2 | s, M] = jump2[0] + jump2[1] M
 
-    with t the removed and l the resampled spin.  Site groups per class:
-    n+ spins at +1 (each sees u = s - 1), n- at -1 (u = s + 1), n0 at 0
-    (u = s); ``thresh`` <= 0 gives the full second moment.
+    with t the removed and l the resampled spin.  Built by ``step_table``.
+    """
+
+    law: JointLaw
+    gamma: float
+    mean: tuple[np.ndarray, np.ndarray]
+    second: tuple[np.ndarray, np.ndarray]
+    jump2: tuple[np.ndarray, np.ndarray]
+
+    def tail(self, A: float) -> float:
+        """E[(W - W')^2 ; |W - W'| >= A], exactly.
+
+        Increment values are (t - l)/n^(1-gamma) and |t - l| takes values
+        0, 1, 2; a jump of 0 adds nothing to the second moment.
+        """
+        thresh = A * float(self.law.n) ** (1.0 - self.gamma)
+        if 1.0 >= thresh - 1e-15:
+            v0, v1 = self.second
+        elif 2.0 >= thresh - 1e-15:
+            v0, v1 = self.jump2
+        else:
+            return 0.0
+        return self.law.expect(v0 + v1 * self.law.m_mean)
+
+
+def step_table(law: JointLaw, gamma: float) -> StepTable:
+    """The class moments of ``StepTable`` from one ``resampling_law`` pass.
+
+    Site groups per class: n+ spins at +1 (each sees u = s - 1), n- at -1
+    (u = s + 1), n0 at 0 (u = s).
     """
     n = law.n
     scale = float(n) ** (1.0 - gamma)
@@ -61,17 +94,12 @@ def _step_affine(law: JointLaw, gamma: float, thresh: float = 0.0):
     pm_p, pz_p, pp_p = pi[:, :-2]  # t = +1, u = s - 1
     pm_m, pz_m, pp_m = pi[:, 2:]  # t = -1, u = s + 1
     pm_z, pz_z, pp_z = pi[:, 1:-1]  # t = 0, u = s
-    # |t - l| is 2, 1 or 0; a jump of 0 adds nothing to either moment
-    two = 4.0 if 2.0 >= thresh - 1e-15 else 0.0
-    one = 1.0 if 1.0 >= thresh - 1e-15 else 0.0
     e0, e1 = _site_sum(n, s, pp_p - pm_p, pp_m - pm_m, pp_z - pm_z)  # sum of E[w']
-    v0, v1 = _site_sum(n, s, two * pm_p + one * pz_p, two * pp_m + one * pz_m,
-                       one * (pp_z + pm_z))
-    return ((s - e0) / (n * scale), -e1 / (n * scale)), (v0 / (n * scale**2), v1 / (n * scale**2))
-
-
-def _m_variance(law: JointLaw) -> np.ndarray:
-    return np.maximum(law.m_second - law.m_mean**2, 0.0)
+    v0, v1 = _site_sum(n, s, 4.0 * pm_p + pz_p, 4.0 * pp_m + pz_m, pp_z + pm_z)
+    j0, j1 = _site_sum(n, s, 4.0 * pm_p, 4.0 * pp_m, 0.0)
+    var_scale = n * scale**2
+    return StepTable(law, gamma, ((s - e0) / (n * scale), -e1 / (n * scale)),
+                     (v0 / var_scale, v1 / var_scale), (j0 / var_scale, j1 / var_scale))
 
 
 def conditional_mean_sandwich_gap(law: JointLaw) -> float:
@@ -108,7 +136,6 @@ class RegressionDecomposition:
     f(S/n); it obeys |.| <= 2 beta K n^(gamma-2) exactly.
     """
 
-    gamma: float
     lam: float
     psi_coeffs: tuple[float, float, float]
     remainder_max: float
@@ -116,27 +143,21 @@ class RegressionDecomposition:
     fdiff_max: float
     fdiff_envelope: float
 
-    @property
-    def sigma2(self) -> float:
-        """1/q1; the regression variance parameter in the Gaussian regime."""
-        q1 = self.psi_coeffs[0]
-        if q1 == 0.0:
-            raise ValidationError("sigma2 requires an active linear coefficient")
-        return 1.0 / q1
 
-
-def regression_decompose(law: JointLaw, gamma: float, case: CaseSpec) -> RegressionDecomposition:
+def regression_decompose(steps: StepTable, case: CaseSpec) -> RegressionDecomposition:
+    law, gamma = steps.law, steps.gamma
     n = law.n
     beta, K = law.params.beta, law.params.K
     lam, (q1, q3, q5) = regression_at(case, n)
     scale = float(n) ** (1.0 - gamma)
     s = law.s_values
 
-    (m0, m1), _ = _step_affine(law, gamma)
+    m0, m1 = steps.mean
     w = s / scale
     r0 = m0 - lam * (q1 * w + q3 * w**3 + q5 * w**5)  # R = r0 + m1 M on each class
     # E[R^2 | s] unexpanded, so the small residual does not cancel away
-    r_l2 = law.expect((r0 + m1 * law.m_mean) ** 2 + m1**2 * _m_variance(law))
+    m_var = np.maximum(law.m_second - law.m_mean**2, 0.0)
+    r_l2 = law.expect((r0 + m1 * law.m_mean) ** 2 + m1**2 * m_var)
     lo, hi = np.abs(s), n - (n - s) % 2  # extreme M per s: an affine max sits there
     r_max = float(np.maximum(np.abs(r0 + m1 * lo), np.abs(r0 + m1 * hi)).max())
 
@@ -146,7 +167,6 @@ def regression_decompose(law: JointLaw, gamma: float, case: CaseSpec) -> Regress
     fd_max = float(np.maximum(np.abs(fd0 + fd1 * lo), np.abs(fd0 + fd1 * hi)).max()) / (n * scale)
 
     return RegressionDecomposition(
-        gamma=gamma,
         lam=lam,
         psi_coeffs=(q1, q3, q5),
         remainder_max=r_max,
@@ -160,13 +180,14 @@ def regression_decompose(law: JointLaw, gamma: float, case: CaseSpec) -> Regress
 # variance of the conditional second moment
 
 
-def variance_term(law: JointLaw, gamma: float) -> float:
+def variance_term(steps: StepTable) -> float:
     """Var(E[(W - W')^2 | W]), exactly.
 
     W generates the same sigma-field as s, so the (s, M) conditional second
     moments are first collapsed to s-classes through E[M | s].
     """
-    _, (v0, v1) = _step_affine(law, gamma)
+    law = steps.law
+    v0, v1 = steps.second
     h = v0 + v1 * law.m_mean
     return law.expect((h - law.expect(h)) ** 2)
 
@@ -179,32 +200,17 @@ def variance_term(law: JointLaw, gamma: float) -> float:
 class BoundReport:
     """Itemised Kolmogorov bound next to the exact distance it dominates."""
 
-    kind: str  # "general" or "normal"
     case_id: str
     n: int
-    gamma: float
     lam: float
     a_halfwidth: float
     terms: dict[str, float]
     total: float
     exact_dk: float
-    drift_scale: float  # E[W * (-psi(W))], the Stein-equation scaling
     constants: dict[str, float]
-    grid_spec: dict | None
 
     def dominates(self) -> bool:
         return self.total >= self.exact_dk
-
-
-def _tail_expectation(law: JointLaw, gamma: float, A: float) -> float:
-    """E[(W - W')^2 ; |W - W'| >= A], exactly.
-
-    Increment values are (t - l)/n^(1-gamma) with t the removed and l the
-    resampled spin; |t - l| takes values 0, 1, 2.
-    """
-    scale = float(law.n) ** (1.0 - gamma)
-    _, (v0, v1) = _step_affine(law, gamma, thresh=A * scale)
-    return law.expect(v0 + v1 * law.m_mean)
 
 
 def evaluate_bound(
@@ -228,7 +234,10 @@ def evaluate_bound(
         A = float(n) ** (gamma - 1.0)
     if not (0.0 < A < math.inf):
         raise ValidationError(f"half-width A must be positive and finite, got {A!r}")
-    decomp = regression_decompose(law, gamma, case)
+    # d_K first, so the step table is not alive during the CDF pass
+    exact_dk = kolmogorov_distance(law, gamma, density.cdf_at_sorted)
+    steps = step_table(law, gamma)
+    decomp = regression_decompose(steps, case)
     lam = decomp.lam
     q1, q3, q5 = decomp.psi_coeffs
 
@@ -238,10 +247,10 @@ def evaluate_bound(
         raise ValidationError(f"drift scale E[W(-psi(W))] = {c!r} must be positive")
     d1, d2, d3, d4 = consts.d1 / c, consts.d2 / c, consts.d3 / c, consts.d4 / c
 
-    var_cond = variance_term(law, gamma)
+    var_cond = variance_term(steps)
     w = law.w_values(gamma)
     e_abs_psi = _fsum_largest_first(law.s_probs * np.abs(q1 * w + q3 * w**3 + q5 * w**5))
-    tail = _tail_expectation(law, gamma, A)
+    tail = steps.tail(A)
 
     terms = {
         "variance_term": d2 / (2.0 * lam) * math.sqrt(var_cond),
@@ -253,20 +262,15 @@ def evaluate_bound(
         "tail_term": d3 / (2.0 * lam) * tail,
     }
     total = math.fsum(terms.values())
-    exact_dk = kolmogorov_distance(law, gamma, density.cdf_at_sorted)
     return BoundReport(
-        kind="general",
         case_id=case.case_id,
         n=n,
-        gamma=gamma,
         lam=lam,
         a_halfwidth=A,
         terms=terms,
         total=total,
         exact_dk=exact_dk,
-        drift_scale=c,
         constants={"d1": consts.d1, "d2": consts.d2, "d3": consts.d3, "d4": consts.d4},
-        grid_spec=consts.grid_spec,
     )
 
 
@@ -289,7 +293,8 @@ def normal_bound(
         raise ValidationError(
             f"normal bound requires A >= {inc!r} (the a.s. increment bound), got {A!r}"
         )
-    decomp = regression_decompose(law, gamma, case)
+    steps = step_table(law, gamma)
+    decomp = regression_decompose(steps, case)
     q1, q3, q5 = decomp.psi_coeffs
     if q3 != 0.0 or q5 != 0.0 or q1 == 0.0:
         raise ValidationError("normal bound needs a purely linear regression drift")
@@ -297,7 +302,7 @@ def normal_bound(
     sigma2 = 1.0 / q1
     ew2 = moment(law, gamma, 2)
     rt = math.sqrt(ew2)
-    var_cond = variance_term(law, gamma)
+    var_cond = variance_term(steps)
     sq2pi = math.sqrt(2.0 * math.pi)
 
     terms = {
@@ -315,16 +320,12 @@ def normal_bound(
     density = normalize_density(1.0 / (2.0 * ew2), 0.0, 0.0)
     exact_dk = kolmogorov_distance(law, gamma, density.cdf_at_sorted)
     return BoundReport(
-        kind="normal",
         case_id=case.case_id,
         n=n,
-        gamma=gamma,
         lam=lam,
         a_halfwidth=A,
         terms=terms,
         total=total,
         exact_dk=exact_dk,
-        drift_scale=_drift_scale(decomp.psi_coeffs, {2: ew2}.__getitem__),
         constants={"sigma2": sigma2},
-        grid_spec=None,
     )

@@ -17,7 +17,7 @@ from scipy.special import gammaln, ndtr
 
 from begrates.cases import params_at
 from begrates.model import ModelParams, critical_K, g_derivs_at_zero
-from begrates.stein import _step_affine, variance_term
+from begrates.stein import variance_term
 
 
 def brute_configs(params: ModelParams, n: int):
@@ -251,13 +251,13 @@ def conditional_step_moments(params: ModelParams, n: int, gamma: float) -> StepM
     return StepMomentTable(mean1, sec)
 
 
-def variance_term_classwise(law, gamma: float) -> float:
-    """Var(E[(W - W')^2 | F]) over the full (s, M) classes: ``variance_term``
-    plus the mean within-s variance of the affine class moment, so at least
-    as large (conditional Jensen)."""
-    _, (_, v1) = _step_affine(law, gamma)
+def variance_term_classwise(steps) -> float:
+    """Var(E[(W - W')^2 | F]) over the full (s, M) classes, from a
+    ``stein.StepTable``: ``variance_term`` plus the mean within-s variance of
+    the affine class moment, so at least as large (conditional Jensen)."""
+    law = steps.law
     m_var = np.maximum(law.m_second - law.m_mean**2, 0.0)
-    return variance_term(law, gamma) + law.expect(v1**2 * m_var)
+    return variance_term(steps) + law.expect(steps.second[1] ** 2 * m_var)
 
 
 def brute_pair_covariance(params: ModelParams, n: int) -> float:

@@ -32,7 +32,7 @@ from begrates.model import (
     pair_conditional_funcs,
 )
 from begrates.rates import fit_loglog, run_case, run_rung
-from begrates.stein import _step_affine, conditional_mean_sandwich_gap, variance_term
+from begrates.stein import conditional_mean_sandwich_gap, step_table, variance_term
 from oracles import brute_step_moments, brute_variance_term, pair_f1_expanded, series_g6_oracle
 
 SIX_POINTS = [
@@ -101,12 +101,13 @@ def test_criterion_1_exhaustive_equivalence():
         # conditional step moments and the variance term at a midsize n
         for n in (4, 6):
             law = build_joint_law(params, n)
-            (m0, m1), (v0, v1) = _step_affine(law, gamma)
+            steps = step_table(law, gamma)
+            (m0, m1), (v0, v1) = steps.mean, steps.second
             oracle, _ = brute_step_moments(params, n, gamma)
             for (s, M), (want1, want2) in oracle.items():
                 assert abs(m0[s + n] + m1[s + n] * M - want1) < 1e-12
                 assert abs(v0[s + n] + v1[s + n] * M - want2) < 1e-12
-            assert abs(variance_term(law, gamma) - brute_variance_term(params, n, gamma)) < 1e-12
+            assert abs(variance_term(steps) - brute_variance_term(params, n, gamma)) < 1e-12
     assert time.monotonic() - start < 60.0
 
 

@@ -260,6 +260,16 @@ class TestOtherCommands:
         assert "Traceback" not in err
         assert out == ""
 
+    def test_mcmc_negative_seed(self, capsys):
+        code, out, err = run_cli(
+            capsys, "mcmc", "--n", "10", "--beta", "1.0", "--K", "0.6",
+            "--sweeps", "100", "--burn-in", "10", "--seed", "-1",
+        )
+        assert code == 2
+        assert "kind=validation" in err
+        assert "Traceback" not in err
+        assert out == ""
+
     def test_mcmc_state_drift_is_a_computation_error(self, capsys, monkeypatch):
         sweep = mcmc._sweep
 

@@ -267,11 +267,7 @@ class TestHubbardStratonovich:
     def test_identity_small_error_at_1024(self, params, gamma):
         assert hs_check(params, 1024, gamma) < 1e-3
 
-    def test_error_shrinks_with_n(self):
-        errs = [hs_check(POINT_A, n, 0.5) for n in (64, 256, 1024)]
-        assert errs[-1] <= errs[0]
-
-    @pytest.mark.parametrize("n", [64, 1024, 4096])
+    @pytest.mark.parametrize("n", [64, 256, 1024, 4096])
     @pytest.mark.parametrize("region", sorted(HS_REGIONS))
     def test_identity_at_rounding_level(self, region, n):
         params, gamma = HS_REGIONS[region]

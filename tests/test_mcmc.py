@@ -82,6 +82,12 @@ class TestValidation:
         with pytest.raises(ValidationError, match="gamma"):
             run_chain(POINT_A, 10, 100, 20, seed=0, gamma=gamma)
 
+    def test_negative_seed(self):
+        with pytest.raises(ValidationError, match="seed"):
+            run_chain(POINT_A, 10, 100, 20, seed=-1)
+        with pytest.raises(ValidationError, match="seed"):
+            chain_seeds(-1, 3)
+
     def test_trace_records_every_measured_sweep(self):
         res = run_chain(POINT_A, 10, 600, 100, seed=3, keep_trace=True)
         assert [sweep for sweep, _, _ in res.trace] == list(range(100, 600))

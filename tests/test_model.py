@@ -290,12 +290,12 @@ class TestSchedule:
 
 class TestRegions:
     def test_reference_points(self):
-        assert classify_region(ModelParams(1.0, 0.5)).tag is RegionTag.A
-        assert classify_region(ModelParams(1.0, critical_K(1.0))).tag is RegionTag.B
-        assert classify_region(TRICRITICAL).tag is RegionTag.C
-        assert classify_region(ModelParams(1.0, 1.5)).tag is RegionTag.TWO_PHASE
-        assert classify_region(ModelParams(2.0, critical_K(2.0))).tag is RegionTag.FIRST_ORDER_CURVE
-        assert classify_region(ModelParams(2.0, 0.5)).tag is RegionTag.OTHER
+        assert classify_region(ModelParams(1.0, 0.5)) is RegionTag.A
+        assert classify_region(ModelParams(1.0, critical_K(1.0))) is RegionTag.B
+        assert classify_region(TRICRITICAL) is RegionTag.C
+        assert classify_region(ModelParams(1.0, 1.5)) is RegionTag.TWO_PHASE
+        assert classify_region(ModelParams(2.0, critical_K(2.0))) is RegionTag.FIRST_ORDER_CURVE
+        assert classify_region(ModelParams(2.0, 0.5)) is RegionTag.OTHER
 
     def test_tol_validation(self):
         with pytest.raises(ValidationError):
@@ -312,9 +312,9 @@ class TestRegions:
         # perturbing by less than tol/2 never flips A <-> TwoPhase
         tol = 1e-6
         params = ModelParams(beta, frac * critical_K(beta))
-        tag = classify_region(params, tol).tag
+        tag = classify_region(params, tol)
         params2 = ModelParams(beta + eps_b * tol / 2, params.K + eps_k * tol / 2)
-        tag2 = classify_region(params2, tol).tag
+        tag2 = classify_region(params2, tol)
         assert {tag, tag2} != {RegionTag.A, RegionTag.TWO_PHASE}
 
 

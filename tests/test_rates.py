@@ -13,7 +13,15 @@ from begrates.errors import (
     DegenerateFitError,
     ValidationError,
 )
-from begrates.rates import default_ladder, fit_loglog, run_all, run_case, run_rung, summary_row
+from begrates.rates import (
+    Rung,
+    default_ladder,
+    fit_loglog,
+    run_all,
+    run_case,
+    run_rung,
+    summary_row,
+)
 
 
 class TestFitLogLog:
@@ -112,6 +120,7 @@ class TestRunCase:
         assert rep.bounded_ok()
         assert 0.0 < rep.ladder[-1].d_k < 1.0
         assert set(rep.ladder[0].moments) == {2, 4, 6}
+        assert all(type(p) is Rung and p.bound is None for p in rep.ladder)
 
     def test_single_point_ladder_rejected(self):
         with pytest.raises(ComputationError):

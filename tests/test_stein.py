@@ -8,14 +8,14 @@ from begrates.density import SteinConstants, estimate_stein_constants
 from begrates.errors import ValidationError
 from begrates.exact import build_joint_law, moment
 from begrates.model import BETA_C, ModelParams, critical_K, f_single, resampling_law
+from begrates import stein
 from begrates.stein import (
-    _step_affine,
-    _tail_expectation,
     conditional_mean_sandwich_gap,
     evaluate_bound,
     max_increment,
     normal_bound,
     regression_decompose,
+    step_table,
     variance_term,
 )
 from oracles import (
@@ -41,13 +41,14 @@ TEST_PARAMS = [
 
 
 class TestConditionalStepMoments:
-    """The per-class moments m0 + m1 M and v0 + v1 M of ``_step_affine``."""
+    """The per-class moments m0 + m1 M and v0 + v1 M of ``step_table``."""
 
     @pytest.mark.parametrize("params", TEST_PARAMS, ids=str)
     @pytest.mark.parametrize("n", [4, 6])
     def test_matches_exhaustive(self, params, n):
         gamma = 0.5
-        (m0, m1), (v0, v1) = _step_affine(build_joint_law(params, n), gamma)
+        steps = step_table(build_joint_law(params, n), gamma)
+        (m0, m1), (v0, v1) = steps.mean, steps.second
         oracle, _ = brute_step_moments(params, n, gamma)
         for (s, M), (want1, want2) in oracle.items():
             assert abs(m0[s + n] + m1[s + n] * M - want1) < 1e-12
@@ -55,7 +56,7 @@ class TestConditionalStepMoments:
 
     def test_all_zero_class_has_zero_mean(self):
         n = 8
-        (m0, _), _ = _step_affine(build_joint_law(POINT_A, n), 0.5)
+        m0, _ = step_table(build_joint_law(POINT_A, n), 0.5).mean
         assert m0[n] == 0.0  # the class s = M = 0
 
     @pytest.mark.parametrize("n", [16, 64, 256])
@@ -84,7 +85,8 @@ class TestLargeCoupling:
 
     def test_step_moments_match_exhaustive(self):
         n, gamma = 6, 0.5
-        (m0, m1), (v0, v1) = _step_affine(build_joint_law(self.PARAMS, n), gamma)
+        steps = step_table(build_joint_law(self.PARAMS, n), gamma)
+        (m0, m1), (v0, v1) = steps.mean, steps.second
         oracle, _ = brute_step_moments(self.PARAMS, n, gamma)
         for (s, M), (want1, want2) in oracle.items():
             assert abs(m0[s + n] + m1[s + n] * M - want1) < 1e-12
@@ -92,8 +94,9 @@ class TestLargeCoupling:
 
     def test_passes_finite(self):
         law = build_joint_law(self.PARAMS, 64)
-        assert math.isfinite(variance_term(law, 0.5))
-        assert math.isfinite(regression_decompose(law, 0.5, case_by_id("fixed-A")).remainder_l2)
+        steps = step_table(law, 0.5)
+        assert math.isfinite(variance_term(steps))
+        assert math.isfinite(regression_decompose(steps, case_by_id("fixed-A")).remainder_l2)
         assert math.isfinite(conditional_mean_sandwich_gap(law))
 
 
@@ -102,18 +105,18 @@ class TestVarianceTerm:
     @pytest.mark.parametrize("n", [4, 6])
     def test_matches_exhaustive(self, params, n):
         law = build_joint_law(params, n)
-        got = variance_term(law, 0.5)
+        got = variance_term(step_table(law, 0.5))
         want = brute_variance_term(params, n, 0.5)
         assert abs(got - want) < 1e-12
 
     def test_nonnegative_and_jensen_ordering(self):
-        law = build_joint_law(POINT_A, 64)
-        v_w = variance_term(law, 0.5)
-        v_f = variance_term_classwise(law, 0.5)
+        steps = step_table(build_joint_law(POINT_A, 64), 0.5)
+        v_w = variance_term(steps)
+        v_f = variance_term_classwise(steps)
         assert 0.0 <= v_w <= v_f + 1e-18
 
     def test_region_a_cubic_decay(self):
-        vals = [variance_term(build_joint_law(POINT_A, n), 0.5) * n**3
+        vals = [variance_term(step_table(build_joint_law(POINT_A, n), 0.5)) * n**3
                 for n in (64, 256, 1024, 4096)]
         assert max(vals) <= 10.0 * vals[0]
 
@@ -126,7 +129,7 @@ class TestVarianceTerm:
     def test_quartic_decay_on_curve_and_point(self, params, gamma):
         # after the gamma-dependent prefactor the conditional-variance term
         # scales like n^-4 on the critical curve and at the tricritical point
-        vals = [variance_term(build_joint_law(params, n), gamma) * n**4
+        vals = [variance_term(step_table(build_joint_law(params, n), gamma)) * n**4
                 for n in (64, 256, 1024)]
         assert max(vals) <= 10.0 * vals[0]
 
@@ -138,8 +141,9 @@ class TestRegressionDecomposition:
         case = case_by_id("fixed-A")
         n = 6
         law = build_joint_law(POINT_A, n)
-        (m0, m1), _ = _step_affine(law, 0.5)
-        dec = regression_decompose(law, 0.5, case)
+        steps = step_table(law, 0.5)
+        m0, m1 = steps.mean
+        dec = regression_decompose(steps, case)
         q1, q3, q5 = dec.psi_coeffs
         for s in range(-n, n + 1):
             w = s / n**0.5
@@ -156,7 +160,7 @@ class TestRegressionDecomposition:
         scaled = []
         for n in (64, 256, 1024, 4096):
             law = build_joint_law(POINT_A, n)
-            dec = regression_decompose(law, 0.5, case)
+            dec = regression_decompose(step_table(law, 0.5), case)
             scaled.append(dec.remainder_l2 / dec.lam * math.sqrt(n))
         assert max(scaled) <= 10.0 * scaled[0]
 
@@ -164,7 +168,7 @@ class TestRegressionDecomposition:
         case = case_by_id("fixed-C")
         params = ModelParams(BETA_C, critical_K(BETA_C))
         law = build_joint_law(params, 128)
-        dec = regression_decompose(law, 1.0 / 6.0, case)
+        dec = regression_decompose(step_table(law, 1.0 / 6.0), case)
         assert abs(dec.lam - 128.0 ** (-5.0 / 3.0)) < 1e-18
         g6 = 162.0
         assert abs(dec.psi_coeffs[2] - g6 / (120.0 * params.two_beta_K)) < 1e-9
@@ -173,14 +177,8 @@ class TestRegressionDecomposition:
     def test_fdiff_envelope(self, n):
         case = case_by_id("fixed-A")
         law = build_joint_law(POINT_A, n)
-        dec = regression_decompose(law, 0.5, case)
+        dec = regression_decompose(step_table(law, 0.5), case)
         assert dec.fdiff_max <= dec.fdiff_envelope
-
-    def test_sigma2(self):
-        case = case_by_id("fixed-A")
-        law = build_joint_law(POINT_A, 32)
-        dec = regression_decompose(law, 0.5, case)
-        assert abs(dec.sigma2 - 1.0 / dec.psi_coeffs[0]) < 1e-15
 
 
 def _per_class_passes(case, params, n, gamma, thresholds):
@@ -239,8 +237,8 @@ class TestVectorisedPasses:
         r_max, r_l2, fd_max, var_w, classwise, tails = _per_class_passes(
             case, params, n, gamma, thresholds
         )
-        law = build_joint_law(params, n)
-        dec = regression_decompose(law, gamma, case)
+        steps = step_table(build_joint_law(params, n), gamma)
+        dec = regression_decompose(steps, case)
 
         def close(got, want):
             return abs(got - want) <= 1e-9 * abs(want)
@@ -248,10 +246,10 @@ class TestVectorisedPasses:
         assert close(dec.remainder_max, r_max)
         assert close(dec.remainder_l2, r_l2)
         assert close(dec.fdiff_max, fd_max)
-        assert close(variance_term(law, gamma), var_w)
-        assert close(variance_term_classwise(law, gamma), classwise)
+        assert close(variance_term(steps), var_w)
+        assert close(variance_term_classwise(steps), classwise)
         for A, thresh in zip(halfwidths, thresholds):
-            got = _tail_expectation(law, gamma, A)
+            got = steps.tail(A)
             if thresh > 2.0:
                 assert got == 0.0 == tails[thresh]
             else:
@@ -331,6 +329,32 @@ class TestEvaluateBound:
         case, law, density, consts = _bound_inputs("fixed-A", 64)
         with pytest.raises(ValidationError):
             evaluate_bound(law, case.gamma, case, density, consts, A=A)
+
+
+class TestOneStepTablePerBound:
+    """Each bound builds its step table once: one ``resampling_law`` pass."""
+
+    @pytest.fixture
+    def law_calls(self, monkeypatch):
+        calls = []
+        original = stein.resampling_law
+
+        def counted(params, n, us):
+            calls.append(n)
+            return original(params, n, us)
+
+        monkeypatch.setattr(stein, "resampling_law", counted)
+        return calls
+
+    def test_evaluate_bound(self, law_calls):
+        case, law, density, consts = _bound_inputs("fixed-C", 64)
+        evaluate_bound(law, case.gamma, case, density, consts)
+        assert law_calls == [64]
+
+    def test_normal_bound(self, law_calls):
+        case = case_by_id("fixed-A")
+        normal_bound(build_joint_law(params_at(case, 64), 64), case.gamma, case)
+        assert law_calls == [64]
 
 
 class TestNormalBound:
