@@ -14,7 +14,6 @@ from .density import (
     density_from_regression,
     estimate_stein_constants,
     normalize_density,
-    stein_solution,
 )
 from .errors import (
     BegratesError,
@@ -50,16 +49,13 @@ from .model import (
     G_eval,
     G_prime,
     minimize_G,
-    pair_conditional_funcs,
     schedule_eval,
 )
 from .rates import RateReport, Rung, fit_loglog, run_all, run_case, run_rung
 from .stein import (
     BoundReport,
-    RegressionDecomposition,
     StepTable,
     evaluate_bound,
-    normal_bound,
     regression_decompose,
     step_table,
     variance_term,

@@ -15,14 +15,14 @@ even, so S(t) = F(-t)) and of the normalising constant.  Its total is
 checked against an independent adaptive rule, a 10/21-point Gauss-Legendre
 pair on intervals halved until the two agree.
 
-The Stein machinery lives here too: the solution f_z of
+The Stein envelopes live here too.  For the solution f_z of
 
     f'(x) + psi(x) f(x) = 1{x <= z} - P(z),      psi = p'/p,
 
-and envelopes for |f_z|, |f_z'|, the oscillation of f_z' and |(psi f_z)'|:
-exact maxima over a declared, mirror-symmetric (z, x) grid.  Both read one
-factor A = F/p: f_z is S(z) A(x) left of z and F(z) A(-x) right of it, so
-the envelopes take one CDF pass and prefix extrema, in O(N).
+they bound |f_z|, |f_z'|, the oscillation of f_z' and |(psi f_z)'|: exact
+maxima over a declared, mirror-symmetric (z, x) grid.  They read one factor
+A = F/p: f_z is S(z) A(x) left of z and F(z) A(-x) right of it, so the
+envelopes take one CDF pass and prefix extrema, in O(N).
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ __all__ = [
     "SteinConstants",
     "normalize_density",
     "density_from_regression",
-    "stein_solution",
     "estimate_stein_constants",
 ]
 
@@ -342,30 +341,6 @@ def _cdf_and_ratio(d: PolyDensity, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
     np.divide(F, d.pdf(x), out=A, where=~deep)
     np.divide(1.0, d.psi(x), out=A, where=deep)
     return F, A
-
-
-def stein_solution(d: PolyDensity, z: float, x) -> np.ndarray | float:
-    """Solution f_z of f' + psi f = 1{. <= z} - P(z) for the density d.
-
-    f_z(x) = [P(min(x,z)) - P(x) P(z)] / p(x) = S(Z) A(y) with A = F/p, where
-    (y, Z) = (x, z) for x <= z and (-x, -z) beyond: no cancellation, and far
-    in the left tail A is its asymptote 1/psi instead of 0/0.  Past the
-    right floor F(y) = 1 and p(y) may underflow, so S(Z)/p(y) is read as
-    S(Z)/p(Z) e^(poly(y) - poly(Z)), with S(Z)/p(Z) from the table while S(Z)
-    is a normal double and -1/psi(Z) beyond.
-    """
-    scalar = np.ndim(x) == 0
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    left = xs <= z
-    y, Z = np.where(left, xs, -xs), np.where(left, z, -z)
-    _, A = _cdf_and_ratio(d, y)
-    out = d.sf(Z) * A
-    far = (y > 0.0) & (d.poly(y) - d.poly_min > _LOG_FLOOR)
-    y, Z = y[far], Z[far]
-    S = d.sf(Z)
-    mills = np.divide(S, d.pdf(Z), out=-1.0 / d.psi(Z), where=S >= np.finfo(float).tiny)
-    out[far] = mills * np.exp(d.poly(y) - d.poly(Z))
-    return float(out[0]) if scalar else out
 
 
 @dataclass(frozen=True)

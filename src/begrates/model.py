@@ -9,9 +9,9 @@ free-energy function
 
     G(x) = beta*K*x**2 - c_beta(2*beta*K*x)
 
-with its Taylor data at the origin, the single-spin and pair conditional-mean
-kernels, region classification in the (beta, K) plane and the (beta_n, K_n)
-parameter schedules.
+with its Taylor data at the origin, the single-spin conditional-mean kernel
+and the finite-n resampling law of one spin, region classification in the
+(beta, K) plane and the (beta_n, K_n) parameter schedules.
 
 All functions are pure; there is no shared mutable state.
 """
@@ -41,7 +41,6 @@ __all__ = [
     "G_prime",
     "g_derivs_at_zero",
     "f_single",
-    "pair_conditional_funcs",
     "resampling_law",
     "schedule_eval",
     "classify_region",
@@ -120,8 +119,8 @@ def cumulant_gf(beta: float, t):
 
 
 def _scaled_denominator(beta: float, a):
-    """(1 + 2 e^{-beta} cosh(a)) e^{beta - a}, the denominator of c'_beta and of
-    f2 scaled by e^{beta - a}; the exponent is clamped at 700 so it never overflows."""
+    """(1 + 2 e^{-beta} cosh(a)) e^{beta - a}, the denominator of c'_beta scaled
+    by e^{beta - a}; the exponent is clamped at 700 so it never overflows."""
     return np.exp(np.minimum(beta - a, 700.0)) + 1.0 + np.exp(-2.0 * a)
 
 
@@ -195,22 +194,6 @@ def g_derivs_at_zero(params: ModelParams) -> GDerivs:
     g4 = -(a**4) * (m - 3.0 * m * m)
     g6 = -(a**6) * (m - 15.0 * m * m + 30.0 * m**3)
     return GDerivs(g2, g4, g6)
-
-
-def pair_conditional_funcs(params: ModelParams, x):
-    """Kernels (f1, f2) for conditional second moments of one and two spins.
-
-    f2(x) = 2 e^{-b} cosh(2bKx) / (1 + 2 e^{-b} cosh(2bKx)) approximates
-    E[w_i^2 | rest]; f1 plays the same role for E[w_i^2 w_j^2 | rest].  Both
-    take values in [0, 1].  f1(x) = 4 e^{-2b} cosh^2(2bKx) / (1 + 2 e^{-b}
-    cosh(2bKx))^2 is f2 squared and is computed so; expanded, its terms all
-    underflow once beta and 2 beta K |x| pass about 372.  Like ``f_single``
-    both work elementwise on a numpy array.
-    """
-    a = np.abs(params.two_beta_K * _check_finite("x", x))
-    # numerator and denominator scaled by e^{beta - a}
-    f2 = (1.0 + np.exp(-2.0 * a)) / _scaled_denominator(params.beta, a)
-    return _as_output(f2 * f2), _as_output(f2)
 
 
 def resampling_law(params: ModelParams, n: int, u) -> np.ndarray:

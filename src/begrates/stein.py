@@ -1,13 +1,13 @@
-"""Exchangeable-pair machinery and exact evaluation of the Kolmogorov bounds.
+"""Exchangeable-pair machinery and the exact general-density Kolmogorov bound.
 
 The pair (W, W') resamples one uniformly chosen spin from its exact
-conditional law.  Everything the abstract bounds consume is computable
-exactly from the (s, M) law: conditional increment moments per class, the
-regression residual R, Var(E[(W-W')^2 | W]) and the truncated tail
-expectation.  For fixed s each per-class increment moment is affine in M;
-``step_table`` builds those affine rows once per bound, from one
-``resampling_law`` pass, and every pass reads them as one O(n) expression in
-P(s), E[M|s] and E[M^2|s].
+conditional law.  The bound reads lambda and the drift psi of
+``cases.regression_at``, the L2 size of the regression residual R,
+Var(E[(W-W')^2 | W]) and the truncated tail expectation, each exact under
+the (s, M) law.  For fixed s each per-class increment
+moment is affine in M; ``step_table`` builds those affine rows once per
+bound, from one ``resampling_law`` pass, and every pass reads them as one
+O(n) expression in P(s), E[M|s] and E[M^2|s].
 """
 
 from __future__ import annotations
@@ -18,28 +18,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cases import CaseSpec, regression_at
-from .density import PolyDensity, SteinConstants, _drift_scale, normalize_density
+from .density import PolyDensity, SteinConstants, _drift_scale
 from .errors import ValidationError
 from .exact import JointLaw, _fsum_largest_first, kolmogorov_distance, moment
-from .model import f_single, resampling_law
+from .model import resampling_law
 
 __all__ = [
     "StepTable",
     "step_table",
-    "RegressionDecomposition",
     "BoundReport",
-    "conditional_mean_sandwich_gap",
     "regression_decompose",
     "variance_term",
     "evaluate_bound",
-    "normal_bound",
-    "max_increment",
 ]
-
-
-def max_increment(n: int, gamma: float) -> float:
-    """Almost-sure bound on |W - W'|: one resampled spin moves by at most 2."""
-    return 2.0 / float(n) ** (1.0 - gamma)
 
 
 def _site_sum(n: int, s: np.ndarray, plus, minus, zero):
@@ -102,78 +93,26 @@ def step_table(law: JointLaw, gamma: float) -> StepTable:
                      (v0 / var_scale, v1 / var_scale), (j0 / var_scale, j1 / var_scale))
 
 
-def conditional_mean_sandwich_gap(law: JointLaw) -> float:
-    """Worst violation of the e^{+-2 beta K / n} sandwich around f_single.
-
-    The exact conditional mean of a resampled spin at S^i = u lies between
-    e^{-2 beta K/n} f(u/n) and e^{2 beta K/n} f(u/n); returns the largest
-    amount (over all u reachable at this n) by which that fails.  Zero up to
-    roundoff when the construction is correct.
-    """
-    n = law.n
-    us = np.arange(-n, n + 1, dtype=float)
-    pm, _, pp = resampling_law(law.params, n, us)
-    exact = pp - pm
-    f = f_single(law.params, us / n)
-    a = law.params.two_beta_K / n
-    lo = np.minimum(f * math.exp(-a), f * math.exp(a))
-    hi = np.maximum(f * math.exp(-a), f * math.exp(a))
-    gap = np.maximum(lo - exact, exact - hi)
-    return float(gap.max())
-
-
 # ---------------------------------------------------------------------------
-# regression decomposition
+# regression residual
 
 
-@dataclass(frozen=True)
-class RegressionDecomposition:
-    """Exact residual statistics of E[W'|F] = W + lambda psi(W) - R.
+def regression_decompose(
+    steps: StepTable, lam: float, psi_coeffs: tuple[float, float, float]
+) -> float:
+    """||R||_2 = sqrt(E[R^2]), exactly, for E[W - W' | F] = lambda (-psi(W)) + R.
 
-    psi(x) = -(q1 x + q3 x^3 + q5 x^5).  R is defined as the residual, so the
-    reconstruction is an identity; the testable content is the size of R.
-    ``fdiff_max`` isolates the part of R coming from replacing f(S^i/n) by
-    f(S/n); it obeys |.| <= 2 beta K n^(gamma-2) exactly.
+    psi(x) = -(q1 x + q3 x^3 + q5 x^5).  R is defined as the residual, so it
+    is affine in M on each (s, M) class, like the step mean it is read from.
     """
-
-    lam: float
-    psi_coeffs: tuple[float, float, float]
-    remainder_max: float
-    remainder_l2: float
-    fdiff_max: float
-    fdiff_envelope: float
-
-
-def regression_decompose(steps: StepTable, case: CaseSpec) -> RegressionDecomposition:
-    law, gamma = steps.law, steps.gamma
-    n = law.n
-    beta, K = law.params.beta, law.params.K
-    lam, (q1, q3, q5) = regression_at(case, n)
-    scale = float(n) ** (1.0 - gamma)
-    s = law.s_values
-
+    law = steps.law
+    q1, q3, q5 = psi_coeffs
     m0, m1 = steps.mean
-    w = s / scale
+    w = law.s_values / float(law.n) ** (1.0 - steps.gamma)
     r0 = m0 - lam * (q1 * w + q3 * w**3 + q5 * w**5)  # R = r0 + m1 M on each class
     # E[R^2 | s] unexpanded, so the small residual does not cancel away
     m_var = np.maximum(law.m_second - law.m_mean**2, 0.0)
-    r_l2 = law.expect((r0 + m1 * law.m_mean) ** 2 + m1**2 * m_var)
-    lo, hi = np.abs(s), n - (n - s) % 2  # extreme M per s: an affine max sits there
-    r_max = float(np.maximum(np.abs(r0 + m1 * lo), np.abs(r0 + m1 * hi)).max())
-
-    f = f_single(law.params, np.arange(-n - 1, n + 2) / n)
-    here = f[1:-1]  # f at s/n; f[:-2] and f[2:] at (s -+ 1)/n
-    fd0, fd1 = _site_sum(n, s, f[:-2] - here, f[2:] - here, 0.0)
-    fd_max = float(np.maximum(np.abs(fd0 + fd1 * lo), np.abs(fd0 + fd1 * hi)).max()) / (n * scale)
-
-    return RegressionDecomposition(
-        lam=lam,
-        psi_coeffs=(q1, q3, q5),
-        remainder_max=r_max,
-        remainder_l2=math.sqrt(r_l2),
-        fdiff_max=fd_max,
-        fdiff_envelope=2.0 * beta * K * float(n) ** (gamma - 2.0),
-    )
+    return math.sqrt(law.expect((r0 + m1 * law.m_mean) ** 2 + m1**2 * m_var))
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +132,7 @@ def variance_term(steps: StepTable) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the bounds
+# the bound
 
 
 @dataclass(frozen=True)
@@ -237,26 +176,24 @@ def evaluate_bound(
     # d_K first, so the step table is not alive during the CDF pass
     exact_dk = kolmogorov_distance(law, gamma, density.cdf_at_sorted)
     steps = step_table(law, gamma)
-    decomp = regression_decompose(steps, case)
-    lam = decomp.lam
-    q1, q3, q5 = decomp.psi_coeffs
+    lam, psi_coeffs = regression_at(case, n)
+    q1, q3, q5 = psi_coeffs
 
     m2 = moment(law, gamma, 2)
-    c = _drift_scale(decomp.psi_coeffs, lambda k: m2 if k == 2 else moment(law, gamma, k))
+    c = _drift_scale(psi_coeffs, lambda k: m2 if k == 2 else moment(law, gamma, k))
     if not (c > 0.0):
         raise ValidationError(f"drift scale E[W(-psi(W))] = {c!r} must be positive")
     d1, d2, d3, d4 = consts.d1 / c, consts.d2 / c, consts.d3 / c, consts.d4 / c
 
     var_cond = variance_term(steps)
+    r_l2 = regression_decompose(steps, lam, psi_coeffs)
     w = law.w_values(gamma)
     e_abs_psi = _fsum_largest_first(law.s_probs * np.abs(q1 * w + q3 * w**3 + q5 * w**5))
     tail = steps.tail(A)
 
     terms = {
         "variance_term": d2 / (2.0 * lam) * math.sqrt(var_cond),
-        "remainder_term": (d1 + d2 * math.sqrt(m2) + 1.5 * A)
-        * decomp.remainder_l2
-        / lam,
+        "remainder_term": (d1 + d2 * math.sqrt(m2) + 1.5 * A) * r_l2 / lam,
         "cube_term": d4 * A**3 / (4.0 * lam),
         "psi_term": 1.5 * A * e_abs_psi,
         "tail_term": d3 / (2.0 * lam) * tail,
@@ -273,59 +210,3 @@ def evaluate_bound(
         constants={"d1": consts.d1, "d2": consts.d2, "d3": consts.d3, "d4": consts.d4},
     )
 
-
-def normal_bound(
-    law: JointLaw,
-    gamma: float,
-    case: CaseSpec,
-    A: float | None = None,
-) -> BoundReport:
-    """Fully explicit bound against N(0, E[W^2]) for linear-regression cases.
-
-    Valid when psi is linear (psi(x) = -x/sigma^2) and requires the a.s.
-    increment bound |W - W'| <= A, i.e. A >= 2 n^(gamma-1).
-    """
-    n = law.n
-    inc = max_increment(n, gamma)
-    if A is None:
-        A = inc * (1.0 + 1e-9)
-    if A < inc:
-        raise ValidationError(
-            f"normal bound requires A >= {inc!r} (the a.s. increment bound), got {A!r}"
-        )
-    steps = step_table(law, gamma)
-    decomp = regression_decompose(steps, case)
-    q1, q3, q5 = decomp.psi_coeffs
-    if q3 != 0.0 or q5 != 0.0 or q1 == 0.0:
-        raise ValidationError("normal bound needs a purely linear regression drift")
-    lam = decomp.lam
-    sigma2 = 1.0 / q1
-    ew2 = moment(law, gamma, 2)
-    rt = math.sqrt(ew2)
-    var_cond = variance_term(steps)
-    sq2pi = math.sqrt(2.0 * math.pi)
-
-    terms = {
-        "variance_term": sigma2 / (2.0 * lam) * math.sqrt(var_cond),
-        "remainder_term": sigma2
-        * (rt * (sq2pi + 4.0) / 4.0 + 1.5 * A)
-        * decomp.remainder_l2
-        / lam,
-        "cube_term": sigma2 * A**3 / lam * (rt * sq2pi / 16.0 + rt / 4.0),
-        "psi_term": sigma2 * 1.5 * A * rt,
-        "tail_term": 0.0,
-    }
-    total = math.fsum(terms.values())
-
-    density = normalize_density(1.0 / (2.0 * ew2), 0.0, 0.0)
-    exact_dk = kolmogorov_distance(law, gamma, density.cdf_at_sorted)
-    return BoundReport(
-        case_id=case.case_id,
-        n=n,
-        lam=lam,
-        a_halfwidth=A,
-        terms=terms,
-        total=total,
-        exact_dk=exact_dk,
-        constants={"sigma2": sigma2},
-    )

@@ -4,6 +4,10 @@ Everything here recomputes package quantities by a different route:
 exhaustive 3^n enumeration, finite differences, high-precision series
 differentiation, dense-grid scans and plain trapezoid quadrature.  Oracles
 deliberately avoid the package's own code paths except for elementary inputs.
+
+The last sections hold quantities that only the tests read, built on the
+package's own kernels: the pair kernels (f1, f2), the conditional-mean
+sandwich gap, the Stein solution f_z and the Gaussian bound.
 """
 
 from __future__ import annotations
@@ -15,9 +19,21 @@ from itertools import product
 import numpy as np
 from scipy.special import gammaln, ndtr
 
-from begrates.cases import params_at
-from begrates.model import ModelParams, critical_K, g_derivs_at_zero
-from begrates.stein import variance_term
+from begrates.cases import params_at, regression_at
+from begrates.density import _LOG_FLOOR, _cdf_and_ratio, normalize_density
+from begrates.errors import ValidationError
+from begrates.exact import kolmogorov_distance, moment
+from begrates.model import (
+    ModelParams,
+    _as_output,
+    _check_finite,
+    _scaled_denominator,
+    critical_K,
+    f_single,
+    g_derivs_at_zero,
+    resampling_law,
+)
+from begrates.stein import BoundReport, regression_decompose, step_table, variance_term
 
 
 def brute_configs(params: ModelParams, n: int):
@@ -485,3 +501,121 @@ def scan_stein_constants(d, half_range: float, step: float) -> dict:
     spec = {"z_min": -reach, "z_max": reach, "x_min": -reach, "x_max": reach,
             "step": float(h), "points": npts}
     return {"d1": d1, "d2": d2, "d3": d3, "d4": d4, "grid_spec": spec}
+
+
+# ---------------------------------------------------------------------------
+# quantities only the tests read
+
+
+def pair_conditional_funcs(params: ModelParams, x):
+    """Kernels (f1, f2) for conditional second moments of one and two spins.
+
+    f2(x) = 2 e^{-b} cosh(2bKx) / (1 + 2 e^{-b} cosh(2bKx)) approximates
+    E[w_i^2 | rest]; f1 plays the same role for E[w_i^2 w_j^2 | rest].  Both
+    take values in [0, 1].  f1(x) = 4 e^{-2b} cosh^2(2bKx) / (1 + 2 e^{-b}
+    cosh(2bKx))^2 is f2 squared and is computed so; expanded, its terms all
+    underflow once beta and 2 beta K |x| pass about 372.  Like ``f_single``
+    both work elementwise on a numpy array.
+    """
+    a = np.abs(params.two_beta_K * _check_finite("x", x))
+    # numerator and denominator scaled by e^{beta - a}
+    f2 = (1.0 + np.exp(-2.0 * a)) / _scaled_denominator(params.beta, a)
+    return _as_output(f2 * f2), _as_output(f2)
+
+
+def conditional_mean_sandwich_gap(law) -> float:
+    """Worst violation of the e^{+-2 beta K / n} sandwich around f_single.
+
+    The exact conditional mean of a resampled spin at S^i = u lies between
+    e^{-2 beta K/n} f(u/n) and e^{2 beta K/n} f(u/n); returns the largest
+    amount (over all u reachable at this n) by which that fails.  Zero up to
+    roundoff when the construction is correct.
+    """
+    n = law.n
+    us = np.arange(-n, n + 1, dtype=float)
+    pm, _, pp = resampling_law(law.params, n, us)
+    exact = pp - pm
+    f = f_single(law.params, us / n)
+    a = law.params.two_beta_K / n
+    lo = np.minimum(f * math.exp(-a), f * math.exp(a))
+    hi = np.maximum(f * math.exp(-a), f * math.exp(a))
+    gap = np.maximum(lo - exact, exact - hi)
+    return float(gap.max())
+
+
+def stein_solution(d, z: float, x) -> np.ndarray | float:
+    """Solution f_z of f' + psi f = 1{. <= z} - P(z) for the density d.
+
+    f_z(x) = [P(min(x,z)) - P(x) P(z)] / p(x) = S(Z) A(y) with A = F/p, where
+    (y, Z) = (x, z) for x <= z and (-x, -z) beyond: no cancellation, and far
+    in the left tail A is its asymptote 1/psi instead of 0/0.  Past the
+    right floor F(y) = 1 and p(y) may underflow, so S(Z)/p(y) is read as
+    S(Z)/p(Z) e^(poly(y) - poly(Z)), with S(Z)/p(Z) from the table while S(Z)
+    is a normal double and -1/psi(Z) beyond.  The envelopes of
+    ``density.estimate_stein_constants`` read the same factor A.
+    """
+    scalar = np.ndim(x) == 0
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    left = xs <= z
+    y, Z = np.where(left, xs, -xs), np.where(left, z, -z)
+    _, A = _cdf_and_ratio(d, y)
+    out = d.sf(Z) * A
+    far = (y > 0.0) & (d.poly(y) - d.poly_min > _LOG_FLOOR)
+    y, Z = y[far], Z[far]
+    S = d.sf(Z)
+    mills = np.divide(S, d.pdf(Z), out=-1.0 / d.psi(Z), where=S >= np.finfo(float).tiny)
+    out[far] = mills * np.exp(d.poly(y) - d.poly(Z))
+    return float(out[0]) if scalar else out
+
+
+def max_increment(n: int, gamma: float) -> float:
+    """Almost-sure bound on |W - W'|: one resampled spin moves by at most 2."""
+    return 2.0 / float(n) ** (1.0 - gamma)
+
+
+def normal_bound(law, gamma: float, case, A: float | None = None) -> BoundReport:
+    """Fully explicit bound against N(0, E[W^2]) for linear-regression cases.
+
+    Valid when psi is linear (psi(x) = -x/sigma^2) and requires the a.s.
+    increment bound |W - W'| <= A, i.e. A >= 2 n^(gamma-1).  Its constants
+    are the Gaussian closed forms, so it checks the general-density bound of
+    ``stein.evaluate_bound`` on the Gaussian cases.
+    """
+    n = law.n
+    inc = max_increment(n, gamma)
+    if A is None:
+        A = inc * (1.0 + 1e-9)
+    if A < inc:
+        raise ValidationError(
+            f"normal bound requires A >= {inc!r} (the a.s. increment bound), got {A!r}"
+        )
+    steps = step_table(law, gamma)
+    lam, psi_coeffs = regression_at(case, n)
+    q1, q3, q5 = psi_coeffs
+    if q3 != 0.0 or q5 != 0.0 or q1 == 0.0:
+        raise ValidationError("normal bound needs a purely linear regression drift")
+    sigma2 = 1.0 / q1
+    ew2 = moment(law, gamma, 2)
+    rt = math.sqrt(ew2)
+    var_cond = variance_term(steps)
+    r_l2 = regression_decompose(steps, lam, psi_coeffs)
+    sq2pi = math.sqrt(2.0 * math.pi)
+
+    terms = {
+        "variance_term": sigma2 / (2.0 * lam) * math.sqrt(var_cond),
+        "remainder_term": sigma2 * (rt * (sq2pi + 4.0) / 4.0 + 1.5 * A) * r_l2 / lam,
+        "cube_term": sigma2 * A**3 / lam * (rt * sq2pi / 16.0 + rt / 4.0),
+        "psi_term": sigma2 * 1.5 * A * rt,
+        "tail_term": 0.0,
+    }
+    density = normalize_density(1.0 / (2.0 * ew2), 0.0, 0.0)
+    return BoundReport(
+        case_id=case.case_id,
+        n=n,
+        lam=lam,
+        a_halfwidth=A,
+        terms=terms,
+        total=math.fsum(terms.values()),
+        exact_dk=kolmogorov_distance(law, gamma, density.cdf),
+        constants={"sigma2": sigma2},
+    )

@@ -29,11 +29,17 @@ from begrates.model import (
     f_single,
     G_prime,
     g_derivs_at_zero,
-    pair_conditional_funcs,
 )
 from begrates.rates import fit_loglog, run_case, run_rung
-from begrates.stein import conditional_mean_sandwich_gap, step_table, variance_term
-from oracles import brute_step_moments, brute_variance_term, pair_f1_expanded, series_g6_oracle
+from begrates.stein import step_table, variance_term
+from oracles import (
+    brute_step_moments,
+    brute_variance_term,
+    conditional_mean_sandwich_gap,
+    pair_conditional_funcs,
+    pair_f1_expanded,
+    series_g6_oracle,
+)
 
 SIX_POINTS = [
     ModelParams(1.0, 0.6),

@@ -16,7 +16,7 @@ from begrates.cases import (
 from begrates.errors import InvalidCaseParametersError
 from begrates.exact import build_joint_law, moment
 from begrates.model import BETA_C, critical_K, g_derivs_at_zero
-from oracles import branch_regression_at
+from oracles import branch_regression_at, stein_solution
 
 SIXTH, TWELFTH = 1.0 / 6.0, 1.0 / 12.0
 
@@ -204,8 +204,6 @@ class TestComparisonDensity:
 
     def test_stein_ode_residual_for_every_catalog_density(self):
         # f' + psi f = 1{x<=z} - P(z) holds to numerics for each case's density
-        from begrates.density import stein_solution
-
         n, z, h = 64, 0.45, 1e-5
         for case in case_catalog():
             law = build_joint_law(params_at(case, n), n)

@@ -12,7 +12,6 @@ from begrates.density import (
     density_from_regression,
     estimate_stein_constants,
     normalize_density,
-    stein_solution,
 )
 from begrates.errors import EnvelopeGridError, NonIntegrableDensityError
 from begrates.exact import build_joint_law, kolmogorov_distance, moment
@@ -23,6 +22,7 @@ from oracles import (
     quad_norm,
     rowmajor_segment_integrals,
     scan_stein_constants,
+    stein_solution,
     trapezoid_moment,
 )
 

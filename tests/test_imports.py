@@ -1,8 +1,9 @@
 """Every name a package module imports is used in that module or listed in
-its ``__all__``, so a refactor cannot leave a dead import behind.  Standard
-library only: the module's source is parsed with ``ast`` and its ``__all__``
-read from the imported module (the package's own is built at import time).
-The package's import and a bound rung also stay clear of the heavy scipy
+its ``__all__``, and every name in its ``__all__`` is defined there, so a
+refactor can leave neither a dead import nor a stale export behind.
+Standard library only: the module's source is parsed with ``ast`` and its
+``__all__`` read from the imported module (the package's own is built at
+import time).  The package's import and a bound rung also stay clear of the heavy scipy
 submodules, which a fresh interpreter shows."""
 
 import ast
@@ -11,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -48,6 +50,24 @@ def test_an_unused_import_is_caught():
     tree = ast.parse("import os.path\nfrom math import pi, tau as t\nprint(t)\n")
     assert _unused(tree) == [("os", 1), ("pi", 2)]
     assert _unused(tree, {"pi"}) == [("os", 1)]
+
+
+def _undefined_exports(module) -> list[str]:
+    return [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+
+
+@pytest.mark.parametrize("stem", MODULES)
+def test_every_export_is_defined(stem):
+    module = importlib.import_module("begrates" if stem == "__init__" else f"begrates.{stem}")
+    stale = _undefined_exports(module)
+    assert not stale, f"{stem}.py lists names in __all__ that it does not define: {stale}"
+
+
+def test_a_stale_export_is_caught():
+    module = types.ModuleType("stale")
+    module.__all__ = ["kept", "gone"]
+    module.kept = 1
+    assert _undefined_exports(module) == ["gone"]
 
 
 _HEAVY = ("scipy.integrate", "scipy.special")

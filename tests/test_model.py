@@ -21,11 +21,11 @@ from begrates.model import (
     G_eval,
     G_prime,
     minimize_G,
-    pair_conditional_funcs,
     schedule_eval,
 )
 from oracles import (
     central_second_derivative,
+    pair_conditional_funcs,
     pair_f1_expanded,
     richardson_fourth_derivative,
     richardson_second_derivative,
@@ -206,7 +206,8 @@ class TestArrayKernels:
     ], ids=str)
     @pytest.mark.parametrize("n", [64, 8192])
     def test_f_single_on_the_u_grid(self, params, n):
-        # the grid u / n, u = -n-1..n+1, that regression_decompose evaluates
+        # the grid u / n, u = -n-1..n+1, of the per-class fdiff oracle in
+        # test_stein.py
         us = np.arange(-n - 1, n + 2)
         want = np.array([f_single(params, u / n) for u in range(-n - 1, n + 2)])
         np.testing.assert_array_equal(f_single(params, us / n), want)

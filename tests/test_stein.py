@@ -9,21 +9,16 @@ from begrates.errors import ValidationError
 from begrates.exact import build_joint_law, moment
 from begrates.model import BETA_C, ModelParams, critical_K, f_single, resampling_law
 from begrates import stein
-from begrates.stein import (
-    conditional_mean_sandwich_gap,
-    evaluate_bound,
-    max_increment,
-    normal_bound,
-    regression_decompose,
-    step_table,
-    variance_term,
-)
+from begrates.stein import evaluate_bound, regression_decompose, step_table, variance_term
 from oracles import (
     brute_step_moments,
     brute_variance_term,
     conditional_law,
+    conditional_mean_sandwich_gap,
     conditional_step_moments,
     enumerated_joint_law,
+    max_increment,
+    normal_bound,
     variance_term_classwise,
 )
 from test_density import SHAPE_CASES
@@ -96,7 +91,7 @@ class TestLargeCoupling:
         law = build_joint_law(self.PARAMS, 64)
         steps = step_table(law, 0.5)
         assert math.isfinite(variance_term(steps))
-        assert math.isfinite(regression_decompose(steps, case_by_id("fixed-A")).remainder_l2)
+        assert math.isfinite(regression_decompose(steps, *regression_at(case_by_id("fixed-A"), 64)))
         assert math.isfinite(conditional_mean_sandwich_gap(law))
 
 
@@ -143,16 +138,14 @@ class TestRegressionDecomposition:
         law = build_joint_law(POINT_A, n)
         steps = step_table(law, 0.5)
         m0, m1 = steps.mean
-        dec = regression_decompose(steps, case)
-        q1, q3, q5 = dec.psi_coeffs
+        lam, (q1, q3, q5) = regression_at(case, n)
         for s in range(-n, n + 1):
             w = s / n**0.5
-            drift = dec.lam * (q1 * w + q3 * w**3 + q5 * w**5)
+            drift = lam * (q1 * w + q3 * w**3 + q5 * w**5)
             for M in range(abs(s), n + 1, 2):
                 mean = m0[s + n] + m1[s + n] * M
                 resid = mean - drift
                 assert abs((drift + resid) - mean) < 1e-14
-                assert abs(resid) <= dec.remainder_max + 1e-15
 
     def test_region_a_remainder_rate(self):
         # lambda^-1 sqrt(E R^2) = O(n^-1/2): scaled values stay bounded
@@ -160,25 +153,28 @@ class TestRegressionDecomposition:
         scaled = []
         for n in (64, 256, 1024, 4096):
             law = build_joint_law(POINT_A, n)
-            dec = regression_decompose(step_table(law, 0.5), case)
-            scaled.append(dec.remainder_l2 / dec.lam * math.sqrt(n))
+            lam, psi = regression_at(case, n)
+            scaled.append(regression_decompose(step_table(law, 0.5), lam, psi) / lam * math.sqrt(n))
         assert max(scaled) <= 10.0 * scaled[0]
 
     def test_tricritical_coefficients(self):
         case = case_by_id("fixed-C")
         params = ModelParams(BETA_C, critical_K(BETA_C))
-        law = build_joint_law(params, 128)
-        dec = regression_decompose(step_table(law, 1.0 / 6.0), case)
-        assert abs(dec.lam - 128.0 ** (-5.0 / 3.0)) < 1e-18
+        lam, psi = regression_at(case, 128)
+        assert abs(lam - 128.0 ** (-5.0 / 3.0)) < 1e-18
         g6 = 162.0
-        assert abs(dec.psi_coeffs[2] - g6 / (120.0 * params.two_beta_K)) < 1e-9
+        assert abs(psi[2] - g6 / (120.0 * params.two_beta_K)) < 1e-9
 
     @pytest.mark.parametrize("n", [32, 128, 512])
     def test_fdiff_envelope(self, n):
-        case = case_by_id("fixed-A")
-        law = build_joint_law(POINT_A, n)
-        dec = regression_decompose(step_table(law, 0.5), case)
-        assert dec.fdiff_max <= dec.fdiff_envelope
+        # the part of R from replacing f(S^i/n) by f(S/n) obeys
+        # |.| <= 2 beta K n^(gamma-2) exactly
+        _, fd_max, *_ = _per_class_passes(case_by_id("fixed-A"), POINT_A, n, 0.5, ())
+        assert fd_max <= _fdiff_envelope(POINT_A, n, 0.5)
+
+
+def _fdiff_envelope(params, n, gamma):
+    return 2.0 * params.beta * params.K * float(n) ** (gamma - 2.0)
 
 
 def _per_class_passes(case, params, n, gamma, thresholds):
@@ -190,7 +186,7 @@ def _per_class_passes(case, params, n, gamma, thresholds):
     scale = n ** (1.0 - gamma)
     f = {u: f_single(params, u / n) for u in range(-n - 1, n + 2)}
     mult = np.where(np.arange(n + 1) > 0, 2.0, 1.0)
-    r_max = r_l2 = fd_max = 0.0
+    r_l2 = fd_max = 0.0
     sec_mean = math.fsum(mult[s] * (ref.slices[s] @ table.sec[s]) for s in range(n + 1))
     h = np.empty(n + 1)
     classwise = 0.0
@@ -201,7 +197,6 @@ def _per_class_passes(case, params, n, gamma, thresholds):
         p = ref.slices[s]
         w = s / scale
         resid = table.mean1[s] - lam * (q1 * w + q3 * w**3 + q5 * w**5)
-        r_max = max(r_max, float(np.abs(resid).max()))
         r_l2 += mult[s] * float(p @ resid**2)
         fd = (npl * (f[s - 1] - f[s]) + nmi * (f[s + 1] - f[s])) / (n * scale)
         fd_max = max(fd_max, float(np.abs(fd).max()))
@@ -217,7 +212,7 @@ def _per_class_passes(case, params, n, gamma, thresholds):
                 per_class = per_class + count * jump2
             tails[thresh] += mult[s] * float(p @ per_class) / (n * scale**2)
     var_w = math.fsum(mult * ref.s_probs * (h - sec_mean) ** 2)
-    return r_max, math.sqrt(r_l2), fd_max, var_w, classwise, tails
+    return math.sqrt(r_l2), fd_max, var_w, classwise, tails
 
 
 class TestVectorisedPasses:
@@ -234,18 +229,16 @@ class TestVectorisedPasses:
         # size 1 and 2, of size 2 only, and none count
         halfwidths = [t / scale for t in (0.5, 1.5, 3.0)]
         thresholds = [A * scale for A in halfwidths]
-        r_max, r_l2, fd_max, var_w, classwise, tails = _per_class_passes(
+        r_l2, fd_max, var_w, classwise, tails = _per_class_passes(
             case, params, n, gamma, thresholds
         )
         steps = step_table(build_joint_law(params, n), gamma)
-        dec = regression_decompose(steps, case)
 
         def close(got, want):
             return abs(got - want) <= 1e-9 * abs(want)
 
-        assert close(dec.remainder_max, r_max)
-        assert close(dec.remainder_l2, r_l2)
-        assert close(dec.fdiff_max, fd_max)
+        assert close(regression_decompose(steps, *regression_at(case, n)), r_l2)
+        assert fd_max <= _fdiff_envelope(params, n, gamma)
         assert close(variance_term(steps), var_w)
         assert close(variance_term_classwise(steps), classwise)
         for A, thresh in zip(halfwidths, thresholds):
