@@ -35,7 +35,7 @@ from .exact import (
 )
 from .mcmc import run_chain
 from .model import BETA_C, ModelParams, classify_region, critical_K, minimize_G
-from .rates import default_ladder, run_all, run_case, run_rung, summary_row
+from .rates import DEFAULT_MIN_EXP, default_ladder, run_all, run_case, run_rung, summary_row
 
 _SCHEMA_VERSION = 1
 
@@ -93,13 +93,6 @@ class _Output:
         for row in self.rows:
             writer.writerow([_fmt(row.get(c, "")) for c in self.columns])
         return buf.getvalue()
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--output", default=None, help="output path (default stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--seed", type=int, default=0, help="64-bit seed where applicable")
-    p.add_argument("--threads", type=int, default=1, help="worker cap for sweeps")
 
 
 # ---------------------------------------------------------------------------
@@ -203,29 +196,19 @@ def _cmd_stein_bound(args) -> _Output:
 
 def _cmd_rate_scan(args) -> _Output:
     out = _Output(args)
-    explicit = None
-    if args.max_exp is not None:
-        if args.max_exp < args.min_exp:
-            raise ValidationError(
-                f"--max-exp {args.max_exp} is below --min-exp {args.min_exp}"
-            )
-        explicit = [2**e for e in range(args.min_exp, args.max_exp + 1)]
     if args.all:
-        reports = run_all(threads=args.threads, n_ladder=explicit)
+        reports = run_all(threads=args.threads, min_exp=args.min_exp, max_exp=args.max_exp)
     else:
         if not args.case:
             raise ValidationError("rate-scan needs --case ID or --all")
         case = case_by_id(args.case)
-        ladder = explicit if explicit is not None else default_ladder(case, args.min_exp)
-        reports = [run_case(case, ladder)]
+        reports = [run_case(case, default_ladder(case, args.min_exp, args.max_exp))]
     if args.per_n:
         out.columns = ["case_id", "n", "d_k", "scaled_d_k"]
         for rep in reports:
-            r = rep.case.predicted_exponent
-            for p in rep.ladder:
+            for p, scaled in zip(rep.ladder, rep.scaled_distances):
                 out.rows.append({
-                    "case_id": rep.case.case_id, "n": p.n, "d_k": p.d_k,
-                    "scaled_d_k": p.d_k * p.n**r,
+                    "case_id": rep.case.case_id, "n": p.n, "d_k": p.d_k, "scaled_d_k": scaled,
                 })
     else:
         out.columns = [
@@ -352,6 +335,16 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     return rest[:1] + extra + rest[1:]
 
 
+# flags several subcommands share, each declared once
+_SHARED_FLAGS = {
+    "n": {"type": int, "required": True},
+    "beta": {"type": float, "required": True},
+    "K": {"type": float, "required": True},
+    "gamma": {"type": float, "default": 0.5},
+    "cap": {"type": int, "default": DEFAULT_N_CAP},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="begrates",
@@ -360,98 +353,69 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("phase-diagram", help="sample the critical curve K_c(beta)")
+    def command(name, func, help, shared=()):
+        p = sub.add_parser(name, help=help)
+        for flag in shared:
+            p.add_argument(f"--{flag}", **_SHARED_FLAGS[flag])
+        p.add_argument("--output", default=None, help="output path (default stdout)")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--seed", type=int, default=0, help="64-bit seed where applicable")
+        p.add_argument("--threads", type=int, default=1, help="worker cap for sweeps")
+        p.set_defaults(func=func)
+        return p
+
+    p = command("phase-diagram", _cmd_phase_diagram, "sample the critical curve K_c(beta)")
     p.add_argument("--beta-min", type=float, default=0.2)
     p.add_argument("--beta-max", type=float, default=2.5)
     p.add_argument("--samples", type=int, default=64)
-    _add_common(p)
-    p.set_defaults(func=_cmd_phase_diagram)
 
-    p = sub.add_parser("exact-law", help="exact (s, M) law and its statistics")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--K", type=float, required=True)
-    p.add_argument("--gamma", type=float, default=0.5)
-    p.add_argument("--cap", type=int, default=DEFAULT_N_CAP)
-    p.add_argument("--check-bruteforce", action="store_true", dest="check_bruteforce")
+    p = command("exact-law", _cmd_exact_law, "exact (s, M) law and its statistics",
+                ("n", "beta", "K", "gamma", "cap"))
+    p.add_argument("--check-bruteforce", action="store_true")
     p.add_argument("--max-atoms-listed", type=int, default=512,
-                   dest="max_atoms_listed",
                    help="omit the atom table when n exceeds this")
-    _add_common(p)
-    p.set_defaults(func=_cmd_exact_law)
 
-    p = sub.add_parser("limit-density", help="normalise a comparison density")
+    p = command("limit-density", _cmd_limit_density, "normalise a comparison density")
     p.add_argument("--b1", type=float, default=0.0)
     p.add_argument("--b2", type=float, default=0.0)
     p.add_argument("--b3", type=float, default=0.0)
-    p.add_argument("--max-moment", type=int, default=8, dest="max_moment")
-    p.add_argument("--stein-constants", action="store_true", dest="stein_constants")
-    _add_common(p)
-    p.set_defaults(func=_cmd_limit_density)
+    p.add_argument("--max-moment", type=int, default=8)
+    p.add_argument("--stein-constants", action="store_true")
 
-    p = sub.add_parser("kolmogorov", help="exact Kolmogorov distance")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--K", type=float, required=True)
-    p.add_argument("--gamma", type=float, default=0.5)
+    p = command("kolmogorov", _cmd_kolmogorov, "exact Kolmogorov distance",
+                ("n", "beta", "K", "gamma", "cap"))
     p.add_argument("--b1", type=float, default=0.5)
     p.add_argument("--b2", type=float, default=0.0)
     p.add_argument("--b3", type=float, default=0.0)
     p.add_argument("--self", action="store_true", dest="self_check",
                    help="compare the law against its own step CDF")
-    p.add_argument("--cap", type=int, default=DEFAULT_N_CAP)
-    _add_common(p)
-    p.set_defaults(func=_cmd_kolmogorov)
 
-    p = sub.add_parser("stein-bound", help="itemised bound vs exact distance")
+    p = command("stein-bound", _cmd_stein_bound, "itemised bound vs exact distance",
+                ("n", "cap"))
     p.add_argument("--case", required=True)
-    p.add_argument("--n", type=int, required=True)
     p.add_argument("--halfwidth", type=float, default=None,
                    help="A in the bound (default n^(gamma-1))")
-    p.add_argument("--cap", type=int, default=DEFAULT_N_CAP)
-    _add_common(p)
-    p.set_defaults(func=_cmd_stein_bound)
 
-    p = sub.add_parser("rate-scan", help="ladder experiments and slope fits")
+    p = command("rate-scan", _cmd_rate_scan, "ladder experiments and slope fits")
     p.add_argument("--case", default=None)
     p.add_argument("--all", action="store_true")
-    p.add_argument("--min-exp", type=int, default=6, dest="min_exp")
-    p.add_argument("--max-exp", type=int, default=None, dest="max_exp")
-    p.add_argument("--per-n", action="store_true", dest="per_n",
+    p.add_argument("--min-exp", type=int, default=DEFAULT_MIN_EXP)
+    p.add_argument("--max-exp", type=int, default=None,
+                   help="top exponent of every ladder (default each case's own)")
+    p.add_argument("--per-n", action="store_true",
                    help="one row per ladder point instead of a summary")
-    _add_common(p)
-    p.set_defaults(func=_cmd_rate_scan)
 
-    p = sub.add_parser("mcmc", help="heat-bath sampler with batch-means errors")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--K", type=float, required=True)
-    p.add_argument("--gamma", type=float, default=0.5)
+    p = command("mcmc", _cmd_mcmc, "heat-bath sampler with batch-means errors",
+                ("n", "beta", "K", "gamma"))
     p.add_argument("--sweeps", type=int, default=20000)
-    p.add_argument("--burn-in", type=int, default=2000, dest="burn_in")
+    p.add_argument("--burn-in", type=int, default=2000)
     p.add_argument("--trace", action="store_true",
                    help="one row per measured sweep instead of a summary")
-    _add_common(p)
-    p.set_defaults(func=_cmd_mcmc)
 
-    p = sub.add_parser("case-catalog", help="all 42 convergence-rate cases")
-    _add_common(p)
-    p.set_defaults(func=_cmd_case_catalog)
-
-    p = sub.add_parser("minimizers", help="global minimizers of G")
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--K", type=float, required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_minimizers)
-
-    p = sub.add_parser("hs-check", help="Gaussian-smoothing identity error")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--K", type=float, required=True)
-    p.add_argument("--gamma", type=float, default=0.5)
-    _add_common(p)
-    p.set_defaults(func=_cmd_hs_check)
-
+    command("case-catalog", _cmd_case_catalog, "all 42 convergence-rate cases")
+    command("minimizers", _cmd_minimizers, "global minimizers of G", ("beta", "K"))
+    command("hs-check", _cmd_hs_check, "Gaussian-smoothing identity error",
+            ("n", "beta", "K", "gamma"))
     return parser
 
 

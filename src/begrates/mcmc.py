@@ -36,12 +36,8 @@ class ChainResult:
     ``trace`` (optional) holds one (sweep index, s, M) row per measurement.
     """
 
-    params: ModelParams
     n: int
-    gamma: float
     sweeps: int
-    burn_in: int
-    seed: int
     moments: dict[int, tuple[float, float]]  # order -> (estimate, stderr)
     m_fraction: tuple[float, float]  # (E[M]/n estimate, stderr)
     batch_count: int
@@ -123,18 +119,8 @@ def run_chain(
     if keep_trace:
         trace = list(zip(range(burn_in, sweeps), s_series, m_series))
 
-    return ChainResult(
-        params=params,
-        n=n,
-        gamma=gamma,
-        sweeps=sweeps,
-        burn_in=burn_in,
-        seed=seed,
-        moments=moments,
-        m_fraction=m_frac,
-        batch_count=_BATCHES,
-        trace=trace,
-    )
+    return ChainResult(n=n, sweeps=sweeps, moments=moments, m_fraction=m_frac,
+                       batch_count=_BATCHES, trace=trace)
 
 
 def _sweep(n_plus: int, n_minus: int, sites: list, draws: list,

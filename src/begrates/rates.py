@@ -5,8 +5,10 @@ built, the comparison density constructed from the finite-n moments E[W^2],
 E[W^4] and E[W^6], and the exact Kolmogorov distance computed; on request the
 exchangeable-pair Stein bound is set against it.  ``run_rung`` is the one
 home of that chain: the ladders here, the ``stein-bound`` command and the
-acceptance sweep all call it.  An ordinary least-squares fit of log d_K on
-log n summarises a ladder's decay.
+acceptance sweep all call it.  A ladder is the rungs n = 2^min_exp ..
+2^max_exp (``default_ladder``, the one ladder rule of ``rate-scan --case``
+and ``--all``), and an ordinary least-squares fit of log d_K on log n
+summarises its decay.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ __all__ = [
 
 SLOPE_TOLERANCE = 0.15
 BOUNDEDNESS_FACTOR = 10.0
+DEFAULT_MIN_EXP = 6
 
 
 @dataclass(frozen=True)
@@ -121,8 +124,19 @@ class RateReport:
         }
 
 
-def default_ladder(case: CaseSpec, min_exp: int = 6) -> list[int]:
-    return [2**e for e in range(min_exp, case.ladder_max_exp + 1)]
+def default_ladder(case: CaseSpec, min_exp: int = DEFAULT_MIN_EXP,
+                   max_exp: int | None = None) -> list[int]:
+    """Sizes 2^min_exp .. 2^max_exp; the top defaults to ``case.ladder_max_exp``.
+
+    The exponents are ``rate-scan``'s ``--min-exp`` and ``--max-exp``.
+    """
+    top = case.ladder_max_exp if max_exp is None else max_exp
+    if min_exp < 0:
+        raise ValidationError(f"--min-exp must be >= 0, got {min_exp}")
+    if top < min_exp:
+        named = f"--max-exp {top}" if max_exp is not None else f"{case.case_id}'s top {top}"
+        raise ValidationError(f"{named} is below --min-exp {min_exp}")
+    return [2**e for e in range(min_exp, top + 1)]
 
 
 def fit_loglog(points: list[tuple[int, float]]) -> tuple[float, float, float]:
@@ -144,7 +158,7 @@ def fit_loglog(points: list[tuple[int, float]]) -> tuple[float, float, float]:
     return float(slope), float(intercept), r2
 
 
-def run_case(case: CaseSpec, n_ladder: list[int] | None = None) -> RateReport:
+def run_case(case: CaseSpec, n_ladder: list[int]) -> RateReport:
     """Run one case over a ladder of sizes.
 
     Each rung (``run_rung``) records E[W^2], E[W^4] and E[W^6], the moments
@@ -153,7 +167,7 @@ def run_case(case: CaseSpec, n_ladder: list[int] | None = None) -> RateReport:
     Per-n schedule or cap failures are recorded and skipped; at least four
     successful points are required for the fit.
     """
-    ladder = sorted(n_ladder) if n_ladder is not None else default_ladder(case)
+    ladder = sorted(n_ladder)
     if len(set(ladder)) != len(ladder):
         raise ValidationError("ladder entries must be distinct")
     points: list[Rung] = []
@@ -179,19 +193,22 @@ def run_case(case: CaseSpec, n_ladder: list[int] | None = None) -> RateReport:
     )
 
 
-def run_all(*, threads: int = 1, n_ladder: list[int] | None = None) -> list[RateReport]:
+def run_all(*, threads: int = 1, min_exp: int = DEFAULT_MIN_EXP,
+            max_exp: int | None = None) -> list[RateReport]:
     """Run every case of the catalog, sorted by case id.
 
-    ``n_ladder`` overrides each case's default ladder.  ``threads`` > 1 fans
-    the cases out to worker processes; results are aggregated in
-    deterministic (sorted) order either way.
+    Each case runs ``default_ladder(case, min_exp, max_exp)``, so an absent
+    ``max_exp`` tops each ladder at the case's own ``ladder_max_exp``; every
+    ladder is checked before any case runs.  ``threads`` > 1 fans the cases
+    out to worker processes; results are aggregated in deterministic
+    (sorted) order either way.
     """
     cases = sorted(case_catalog(), key=lambda c: c.case_id)
+    ladders = [default_ladder(c, min_exp, max_exp) for c in cases]
     if threads <= 1:
-        return [run_case(c, n_ladder) for c in cases]
+        return [run_case(c, ladder) for c, ladder in zip(cases, ladders)]
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        reports = list(pool.map(run_case, cases, [n_ladder] * len(cases)))
-    return reports
+        return list(pool.map(run_case, cases, ladders))
 
 
 def summary_row(report: RateReport) -> dict:

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import pytest
 
 from begrates import cli, mcmc
+from begrates.cases import case_catalog
 from begrates.cli import main
 
 
@@ -312,3 +313,80 @@ class TestOtherCommands:
         report = doc["meta"]["report"]
         assert report["case_id"] == "fixed-A"
         assert len(report["ladder"]) == 4
+
+    def test_rate_scan_min_exp_starts_every_ladder(self, capsys):
+        code, out, err = run_cli(capsys, "rate-scan", "--all", "--min-exp", "9", "--per-n",
+                                 "--format", "json")
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["config"]["min_exp"] == 9
+        tops = {case.case_id: 2**case.ladder_max_exp for case in case_catalog()}
+        ns: dict[str, list[int]] = {}
+        for row in doc["rows"]:
+            ns.setdefault(row["case_id"], []).append(row["n"])
+        assert sorted(ns) == sorted(tops)
+        for case_id, sizes in ns.items():
+            assert min(sizes) >= 512 and max(sizes) == tops[case_id], case_id
+
+    @pytest.mark.parametrize("scope", [("--case", "fixed-C"), ("--all",)], ids=str)
+    def test_rate_scan_negative_min_exp(self, capsys, scope):
+        code, out, err = run_cli(capsys, "rate-scan", *scope, "--min-exp", "-1")
+        assert code == 2
+        assert out == "" and "kind=validation" in err and "--min-exp" in err
+
+    def test_rate_scan_worker_processes_match_one_process(self, capsys):
+        docs = []
+        for threads in ("1", "2"):
+            code, out, err = run_cli(capsys, "rate-scan", "--all", "--max-exp", "9",
+                                     "--threads", threads, "--format", "json")
+            assert code == 0, err
+            docs.append(json.loads(out))
+        assert [d["config"].pop("threads") for d in docs] == [1, 2]
+        assert docs[0] == docs[1]
+
+
+# the resolved configuration every output echoes, per subcommand, when only
+# the required flags are given: a parser change must not rename or re-default
+# a key
+_COMMON_CONFIG = {"output": None, "format": "csv", "seed": 0, "threads": 1}
+_LAW = {"n": 8, "beta": 1.0, "K": 0.6}
+_CONFIGS = {
+    "phase-diagram": ({}, {"beta_min": 0.2, "beta_max": 2.5, "samples": 64}),
+    "exact-law": (_LAW, {"gamma": 0.5, "cap": 20000, "check_bruteforce": False,
+                         "max_atoms_listed": 512}),
+    "limit-density": ({}, {"b1": 0.0, "b2": 0.0, "b3": 0.0, "max_moment": 8,
+                           "stein_constants": False}),
+    "kolmogorov": (_LAW, {"gamma": 0.5, "b1": 0.5, "b2": 0.0, "b3": 0.0,
+                          "self_check": False, "cap": 20000}),
+    "stein-bound": ({"case": "fixed-A", "n": 64}, {"halfwidth": None, "cap": 20000}),
+    "rate-scan": ({}, {"case": None, "all": False, "min_exp": 6, "max_exp": None,
+                       "per_n": False}),
+    "mcmc": (_LAW, {"gamma": 0.5, "sweeps": 20000, "burn_in": 2000, "trace": False}),
+    "case-catalog": ({}, {}),
+    "minimizers": ({"beta": 1.0, "K": 0.6}, {}),
+    "hs-check": (_LAW, {"gamma": 0.5}),
+}
+
+
+class TestParserConfig:
+    @pytest.mark.parametrize("command", sorted(_CONFIGS))
+    def test_resolved_config_of_required_flags(self, command):
+        required, defaults = _CONFIGS[command]
+        argv = [command]
+        for key, value in required.items():
+            argv += [f"--{key}", str(value)]
+        config = vars(cli.build_parser().parse_args(argv))
+        del config["func"]
+        assert config == {"subcommand": command, **required, **defaults, **_COMMON_CONFIG}
+
+    @pytest.mark.parametrize("command", sorted(c for c in _CONFIGS if _CONFIGS[c][0]))
+    def test_each_required_flag_is_required(self, command, capsys):
+        required = _CONFIGS[command][0]
+        for missing in required:
+            argv = [command]
+            for key, value in required.items():
+                if key != missing:
+                    argv += [f"--{key}", str(value)]
+            with pytest.raises(SystemExit):
+                cli.build_parser().parse_args(argv)
+            assert f"--{missing}" in capsys.readouterr().err

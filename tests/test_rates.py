@@ -141,6 +141,14 @@ class TestRunCase:
         assert default_ladder(case_by_id("fixed-A"))[-1] == 2**12
         assert default_ladder(case_by_id("fixed-C"))[-1] == 2**13
 
+    def test_default_ladder_bounds(self):
+        case = case_by_id("fixed-A")
+        assert default_ladder(case, 7, 9) == [128, 256, 512]
+        assert default_ladder(case, 11) == [2**11, 2**12]
+        for lo, hi in ((-1, None), (-1, 3), (9, 7), (13, None)):
+            with pytest.raises(ValidationError):
+                default_ladder(case, lo, hi)
+
     def test_summary_row_fields(self):
         rep = run_case(case_by_id("fixed-A"), [64, 128, 256, 512])
         row = summary_row(rep)
