@@ -20,7 +20,7 @@ coefficients from gamma and the density pattern.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from .density import PolyDensity, density_from_regression
@@ -446,8 +446,3 @@ def case_by_id(case_id: str) -> CaseSpec:
     if case_id not in _BY_ID:
         raise InvalidCaseParametersError(f"unknown case id {case_id!r}")
     return _BY_ID[case_id]
-
-
-def with_schedule(case: CaseSpec, **schedule_updates) -> CaseSpec:
-    """Copy of a case with modified schedule fields (rate recomputed)."""
-    return replace(case, schedule=replace(case.schedule, **schedule_updates))

@@ -359,8 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(f"--{flag}", **_SHARED_FLAGS[flag])
         p.add_argument("--output", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--seed", type=int, default=0, help="64-bit seed where applicable")
-        p.add_argument("--threads", type=int, default=1, help="worker cap for sweeps")
         p.set_defaults(func=func)
         return p
 
@@ -397,6 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="A in the bound (default n^(gamma-1))")
 
     p = command("rate-scan", _cmd_rate_scan, "ladder experiments and slope fits")
+    p.add_argument("--threads", type=int, default=1, help="worker cap for --all")
     p.add_argument("--case", default=None)
     p.add_argument("--all", action="store_true")
     p.add_argument("--min-exp", type=int, default=DEFAULT_MIN_EXP)
@@ -407,6 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("mcmc", _cmd_mcmc, "heat-bath sampler with batch-means errors",
                 ("n", "beta", "K", "gamma"))
+    p.add_argument("--seed", type=int, default=0, help="64-bit sampler seed")
     p.add_argument("--sweeps", type=int, default=20000)
     p.add_argument("--burn-in", type=int, default=2000)
     p.add_argument("--trace", action="store_true",

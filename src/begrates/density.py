@@ -142,11 +142,6 @@ class PolyDensity:
         out = np.clip(self._cdf[idx] + self._segment_mass(self._grid[idx], t), 0.0, 1.0)
         return float(out[0]) if scalar else out
 
-    def sf(self, t):
-        """Survival function 1 - CDF.  p is even, so S(t) = F(-t), and a
-        small right tail is summed from small cells as a small left tail is."""
-        return self.cdf(np.negative(t))
-
     def _segment_mass(self, a, b, k: int = 0) -> np.ndarray:
         """E[X^k; a_i < X < b_i] for each segment."""
         seg = _segment_integrals(a, b, _poly_integrand((self.b1, self.b2, self.b3),

@@ -11,7 +11,8 @@ free-energy function
 
 with its Taylor data at the origin, the single-spin conditional-mean kernel
 and the finite-n resampling law of one spin, region classification in the
-(beta, K) plane and the (beta_n, K_n) parameter schedules.
+(beta, K) plane, the (beta_n, K_n) parameter schedules and the global
+minimizers of G.
 
 All functions are pure; there is no shared mutable state.
 """
@@ -327,63 +328,31 @@ def classify_region(params: ModelParams, tol: float = 1e-9) -> RegionTag:
 
 
 def minimize_G(params: ModelParams) -> list[float]:
-    """Global minimizers of G on [-1.5, 1.5].
+    """Global minimizers of G on [-1.5, 1.5], sorted; the origin is exactly 0.0.
 
-    Coarse grid scan (G is even and real-analytic, so a 1e-3 grid brackets
-    every local minimum at these parameter ranges), then bisection on G' to
-    |G'| < 1e-12.  The returned set is symmetric under negation.
+    G is even, so only [0, 1.5] is scanned, on a 1e-3 grid, and only G' is
+    read there.  The origin is a local minimum when G' >= 0 at the first grid
+    point to its right; every other local minimum is a sign change of G' from
+    - to + between neighbouring grid points, bisected on G' until the midpoint
+    stops moving.  The minima whose G is within 1e-12 (relative) of the least
+    are kept and mirrored.  A well closer to the origin than one grid step is
+    not resolved: it is found between the first two grid points or not at all.
     """
     step = 1e-3
-    xs = np.arange(-1.5, 1.5 + 0.5 * step, step)
-    gs = G_eval(params, xs)
-    gmin = gs.min()
-    window = 1e-6 * max(1.0, abs(gmin))
-    interior = np.arange(1, len(xs) - 1)
-    is_min = (gs[interior] <= gs[interior - 1]) & (gs[interior] <= gs[interior + 1])
-    # G is even: polish the nonnegative branch and mirror, so the returned
-    # set is exactly symmetric
-    candidates = [
-        int(i)
-        for i in interior[is_min]
-        if gs[i] <= gmin + window and xs[i] >= -0.5 * step
-    ]
-
-    polished: list[float] = []
-    for i in candidates:
-        lo, hi = float(xs[i - 1]), float(xs[i + 1])
-        glo, ghi = G_prime(params, lo), G_prime(params, hi)
-        if glo > 0 or ghi < 0:  # no sign change; grid point itself is the best guess
-            polished.append(float(xs[i]))
-            continue
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            gm = G_prime(params, mid)
-            if abs(gm) < 1e-12 or (hi - lo) < 1e-16:
-                break
-            if gm > 0:
-                hi = mid
-            else:
+    xs = np.arange(0.0, 1.5 + 0.5 * step, step)
+    gp = G_prime(params, xs)
+    minima = [0.0] if gp[1] >= 0.0 else []
+    for i in np.flatnonzero((gp[:-1] < 0.0) & (gp[1:] >= 0.0)):
+        lo, hi = float(xs[i]), float(xs[i + 1])
+        mid = 0.5 * (lo + hi)
+        while lo < mid < hi:
+            if G_prime(params, mid) < 0.0:
                 lo = mid
-        polished.append(0.5 * (lo + hi))
-
-    values = [G_eval(params, x) for x in polished]
+            else:
+                hi = mid
+            mid = 0.5 * (lo + hi)
+        minima.append(mid)
+    values = [G_eval(params, x) for x in minima]
     vmin = min(values)
-    keep = sorted(
-        x for x, v in zip(polished, values) if v <= vmin + 1e-12 * max(1.0, abs(vmin))
-    )
-    # where G is extremely flat (high-order minimum) neighbouring grid points
-    # tie; merge each run of near-adjacent survivors into one representative,
-    # preferring the point closest to the origin
-    clusters: list[list[float]] = []
-    for x in keep:
-        if clusters and x - clusters[-1][-1] <= 2.5 * step:
-            clusters[-1].append(x)
-        else:
-            clusters.append([x])
-    out = []
-    for cluster in clusters:
-        x = min(cluster, key=abs)
-        out.append(0.0 if abs(x) < 1e-9 or min(abs(c) for c in cluster) < 1e-9 else x)
-    # mirror the positive minimizers (G is even)
-    out = sorted(set(out) | {-x for x in out if x > 0.0})
-    return out
+    keep = [x for x, v in zip(minima, values) if v <= vmin + 1e-12 * max(1.0, abs(vmin))]
+    return sorted(set(keep) | {-x for x in keep if x > 0.0})

@@ -6,20 +6,21 @@ differentiation, dense-grid scans and plain trapezoid quadrature.  Oracles
 deliberately avoid the package's own code paths except for elementary inputs.
 
 The last sections hold quantities that only the tests read, built on the
-package's own kernels: the pair kernels (f1, f2), the conditional-mean
-sandwich gap, the Stein solution f_z and the Gaussian bound.
+package's own kernels: a case with a modified schedule, the pair kernels
+(f1, f2), the conditional-mean sandwich gap, the Stein solution f_z and the
+Gaussian bound.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
 from scipy.special import gammaln, ndtr
 
-from begrates.cases import params_at, regression_at
+from begrates.cases import CaseSpec, params_at, regression_at
 from begrates.density import _LOG_FLOOR, _cdf_and_ratio, normalize_density
 from begrates.errors import ValidationError
 from begrates.exact import kolmogorov_distance, moment
@@ -464,7 +465,7 @@ def scan_stein_constants(d, half_range: float, step: float) -> dict:
     grid in chunks of z rows and takes every maximum directly, O(N^2).
     The grid is clipped where the density leaves its representable range and
     mirrored, exactly as ``estimate_stein_constants`` declares it; S comes
-    from its own ``d.sf`` pass, so agreement also checks that the package's
+    from its own ``d.cdf(-xs)`` pass, so agreement also checks that the package's
     S = F reversed holds on that grid.
     """
     floor = 600.0
@@ -483,7 +484,7 @@ def scan_stein_constants(d, half_range: float, step: float) -> dict:
     xs = 0.5 * (xs - xs[::-1])
     h = xs[1] - xs[0]
     F = d.cdf(xs)
-    S = d.sf(xs)
+    S = d.cdf(-xs)
     pdf = np.exp(d.logpdf(xs))
     psi = d.psi(xs)
 
@@ -505,6 +506,11 @@ def scan_stein_constants(d, half_range: float, step: float) -> dict:
 
 # ---------------------------------------------------------------------------
 # quantities only the tests read
+
+
+def with_schedule(case: CaseSpec, **schedule_updates) -> CaseSpec:
+    """Copy of a case with modified schedule fields (rate recomputed)."""
+    return replace(case, schedule=replace(case.schedule, **schedule_updates))
 
 
 def pair_conditional_funcs(params: ModelParams, x):
@@ -559,10 +565,10 @@ def stein_solution(d, z: float, x) -> np.ndarray | float:
     left = xs <= z
     y, Z = np.where(left, xs, -xs), np.where(left, z, -z)
     _, A = _cdf_and_ratio(d, y)
-    out = d.sf(Z) * A
+    out = d.cdf(-Z) * A
     far = (y > 0.0) & (d.poly(y) - d.poly_min > _LOG_FLOOR)
     y, Z = y[far], Z[far]
-    S = d.sf(Z)
+    S = d.cdf(-Z)
     mills = np.divide(S, d.pdf(Z), out=-1.0 / d.psi(Z), where=S >= np.finfo(float).tiny)
     out[far] = mills * np.exp(d.poly(y) - d.poly(Z))
     return float(out[0]) if scalar else out

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from begrates.cases import case_by_id, case_catalog, with_schedule
+from begrates.cases import case_by_id, case_catalog
 from begrates.exact import (
     brute_force_law,
     build_joint_law,
@@ -39,6 +39,7 @@ from oracles import (
     pair_conditional_funcs,
     pair_f1_expanded,
     series_g6_oracle,
+    with_schedule,
 )
 
 SIX_POINTS = [

@@ -11,12 +11,11 @@ from begrates.cases import (
     phase_speed,
     predicted_rate,
     regression_at,
-    with_schedule,
 )
 from begrates.errors import InvalidCaseParametersError
 from begrates.exact import build_joint_law, moment
 from begrates.model import BETA_C, critical_K, g_derivs_at_zero
-from oracles import branch_regression_at, stein_solution
+from oracles import branch_regression_at, stein_solution, with_schedule
 
 SIXTH, TWELFTH = 1.0 / 6.0, 1.0 / 12.0
 

@@ -348,7 +348,7 @@ class TestOtherCommands:
 # the resolved configuration every output echoes, per subcommand, when only
 # the required flags are given: a parser change must not rename or re-default
 # a key
-_COMMON_CONFIG = {"output": None, "format": "csv", "seed": 0, "threads": 1}
+_COMMON_CONFIG = {"output": None, "format": "csv"}
 _LAW = {"n": 8, "beta": 1.0, "K": 0.6}
 _CONFIGS = {
     "phase-diagram": ({}, {"beta_min": 0.2, "beta_max": 2.5, "samples": 64}),
@@ -360,8 +360,9 @@ _CONFIGS = {
                           "self_check": False, "cap": 20000}),
     "stein-bound": ({"case": "fixed-A", "n": 64}, {"halfwidth": None, "cap": 20000}),
     "rate-scan": ({}, {"case": None, "all": False, "min_exp": 6, "max_exp": None,
-                       "per_n": False}),
-    "mcmc": (_LAW, {"gamma": 0.5, "sweeps": 20000, "burn_in": 2000, "trace": False}),
+                       "per_n": False, "threads": 1}),
+    "mcmc": (_LAW, {"gamma": 0.5, "sweeps": 20000, "burn_in": 2000, "trace": False,
+                    "seed": 0}),
     "case-catalog": ({}, {}),
     "minimizers": ({"beta": 1.0, "K": 0.6}, {}),
     "hs-check": (_LAW, {"gamma": 0.5}),

@@ -199,7 +199,7 @@ class TestCumulativeTable:
         idx = np.searchsorted(d._grid, np.linspace(-3.0 * sd, 3.0 * sd, 13))
         want = quad_cdf(*coeffs, d.truncation, d._grid[idx])
         assert np.abs(d._cdf[idx] - want).max() <= 1e-13
-        assert np.abs(d.sf(d._grid[idx]) - (1.0 - want)).max() <= 1e-13
+        assert np.abs(d.cdf(-d._grid[idx]) - (1.0 - want)).max() <= 1e-13
 
     @pytest.mark.parametrize("coeffs", TABLE_SHAPES, ids=str)
     def test_matches_a_24_point_build(self, coeffs, monkeypatch):
@@ -216,20 +216,13 @@ class TestCumulativeTable:
         for k in (2, 4, 6):
             assert abs(got[k] - ref.moment(k)) <= 4e-15 * ref.moment(k)
 
-    @pytest.mark.parametrize("coeffs", TABLE_SHAPES, ids=str)
-    def test_survival_is_the_mirrored_cdf(self, coeffs):
-        d = normalize_density(*coeffs)
-        ts = np.linspace(-1.2, 1.2, 97) * d.truncation
-        np.testing.assert_array_equal(d.sf(ts), d.cdf(-ts))
-        assert d.sf(0.7) == d.cdf(-0.7)
-
     def test_normal_right_tail(self):
         # the right tail is read from small cells on the left, so it keeps
         # its relative accuracy far beyond 1 - CDF
         d = normalize_density(0.5, 0.0, 0.0)
         xs = np.array([3.0, 5.0, 10.0, 20.0, 30.0])
         want = ndtr(-xs)
-        assert np.all(np.abs(d.sf(xs) - want) <= 1e-12 * want)
+        assert np.all(np.abs(d.cdf(-xs) - want) <= 1e-12 * want)
 
     @pytest.mark.parametrize("case_id,n", [("C3.2", 128), ("C3.1", 128), ("B2.1", 64)])
     def test_kolmogorov_distance_against_adaptive_quadrature(self, case_id, n):
@@ -403,7 +396,7 @@ class TestSteinSolution:
         assert np.abs(np.diff(f)).max() < 0.02  # no jumps on a 5e-3 grid
         edge = abs(float(stein_solution(d, z, 10.0)))
         assert edge <= 1.05 / abs(d.psi(10.0))
-        num = d.cdf(z) * d.sf(10.0)
+        num = d.cdf(z) * d.cdf(-10.0)
         assert num < 1e-6
 
     def test_ode_residual_off_the_jump(self):
@@ -425,7 +418,7 @@ class TestSteinSolution:
         d = normalize_density(0.5, 0.0, 0.0)
         xs = np.array([-40.0, -35.0, 35.0, 40.0])
         got = stein_solution(d, z, xs)
-        want = np.where(xs <= z, d.sf(z), -d.cdf(z)) / d.psi(xs)
+        want = np.where(xs <= z, d.cdf(-z), -d.cdf(z)) / d.psi(xs)
         assert np.all(np.isfinite(got))
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
@@ -463,7 +456,7 @@ class TestSteinConstants:
         reach = estimate_stein_constants(d).grid_spec["x_max"]
         assert xs[0] == -reach and xs[-1] == reach
         np.testing.assert_array_equal(xs, -xs[::-1])
-        np.testing.assert_array_equal(d.sf(xs), d.cdf(xs)[::-1])
+        np.testing.assert_array_equal(d.cdf(-xs), d.cdf(xs)[::-1])
 
     @pytest.mark.parametrize("step", [5e-3, 1e-3])
     def test_standard_normal_envelopes_within_the_proved_bounds(self, step):

@@ -339,3 +339,45 @@ class TestMinimizeG:
         for K in (1.3, 1.5, 2.0):
             mins = minimize_G(ModelParams(1.0, K))
             assert mins == sorted(-x for x in mins)
+
+
+_NEAR_CRITICAL = ModelParams(1.3, critical_K(1.3) * (1.0 + 1e-7))
+
+
+class TestMinimizersAgainstOracles:
+    @pytest.mark.parametrize(
+        "params",
+        [ModelParams(beta, f * critical_K(beta))
+         for beta in (0.5, 1.0, 1.3, BETA_C, 2.0, 2.5) for f in (0.9, 1.0, 1.1, 1.8)]
+        + [ModelParams(1.0, 1.5), _NEAR_CRITICAL],
+        ids=str,
+    )
+    def test_nonzero_minimizers_are_critical_points(self, params):
+        # bisection on G' runs until the bracket cannot shrink, so G' is
+        # zero to rounding there, also for a well inside the first grid step
+        for x in minimize_G(params):
+            if x != 0.0:
+                assert abs(G_prime(params, x)) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            ModelParams(1.0, 0.6),  # A
+            ModelParams(1.0, critical_K(1.0)),  # B
+            TRICRITICAL,  # C
+            ModelParams(1.0, 1.5),  # two-phase
+            ModelParams(0.5, 3.0),
+            _NEAR_CRITICAL,
+            ModelParams(2.0, 0.5),  # beta > log 4
+            ModelParams(2.0, 0.9 * critical_K(2.0)),
+            ModelParams(2.0, critical_K(2.0)),
+            ModelParams(2.5, critical_K(2.5)),
+        ],
+        ids=str,
+    )
+    def test_no_grid_point_lies_lower(self, params):
+        # G is a difference of terms below 1 in size, so a dense-grid value
+        # may undercut the true minimum by a few ulp of rounding
+        grid_min = G_eval(params, np.linspace(-1.5, 1.5, 10**6)).min()
+        for x in minimize_G(params):
+            assert G_eval(params, x) <= grid_min + 4.0 * np.finfo(float).eps

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from begrates import rates, stein
-from begrates.cases import case_by_id, with_schedule
+from begrates.cases import case_by_id
 from begrates.errors import (
     CapExceededError,
     ComputationError,
@@ -22,6 +22,7 @@ from begrates.rates import (
     run_rung,
     summary_row,
 )
+from oracles import with_schedule
 
 
 class TestFitLogLog:
