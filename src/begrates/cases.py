@@ -224,8 +224,10 @@ def predicted_rate(case: CaseSpec) -> float:
         _require(
             1.0 / 6.0 < g < 0.25
             and abs(4 * g - (1 - s.delta1)) < _EPS
-            and 2 * s.delta2 > s.delta1 + 1.0,
-            case, "needs 4 gamma = 1 - delta1, gamma in (1/6, 1/4), 2 delta2 > delta1 + 1",
+            and 2 * s.delta2 > s.delta1 + 1.0
+            and s.b > 0,
+            case,
+            "needs 4 gamma = 1 - delta1, gamma in (1/6, 1/4), 2 delta2 > delta1 + 1, b > 0",
         )
         return min(g, 2 * g + s.delta2 - 1.0, 6 * g - 1.0)
     if th == "C6":
@@ -248,8 +250,10 @@ def predicted_rate(case: CaseSpec) -> float:
         _require(
             1.0 / 6.0 < g < 0.25
             and abs(4 * g - (1 - s.delta1)) < _EPS
-            and abs(2 * s.delta2 - (s.delta1 + 1.0)) < _EPS,
-            case, "needs 4 gamma = 1 - delta1, 2 delta2 = delta1 + 1, gamma in (1/6, 1/4)",
+            and abs(2 * s.delta2 - (s.delta1 + 1.0)) < _EPS
+            and s.b > 0,
+            case,
+            "needs 4 gamma = 1 - delta1, 2 delta2 = delta1 + 1, gamma in (1/6, 1/4), b > 0",
         )
         return min(g, 6 * g - 1.0)
     raise InvalidCaseParametersError(f"unknown theorem tag {th!r}")

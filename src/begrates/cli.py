@@ -30,7 +30,6 @@ from .exact import (
     kolmogorov_distance,
     moment,
     pair_covariance,
-    step_cdf_pair,
     tv_distance,
 )
 from .mcmc import run_chain
@@ -164,14 +163,9 @@ def _cmd_kolmogorov(args) -> _Output:
     params = ModelParams(args.beta, args.K)
     law = build_joint_law(params, args.n, cap=args.cap)
     out.columns = ["comparison", "d_k"]
-    if args.self_check:
-        right, left = step_cdf_pair(law, args.gamma)
-        d = kolmogorov_distance(law, args.gamma, right, cdf_left=left)
-        out.rows.append({"comparison": "self", "d_k": d})
-    else:
-        d_obj = normalize_density(args.b1, args.b2, args.b3)
-        d = kolmogorov_distance(law, args.gamma, d_obj.cdf_at_sorted)
-        out.rows.append({"comparison": f"poly({args.b1},{args.b2},{args.b3})", "d_k": d})
+    d_obj = normalize_density(args.b1, args.b2, args.b3)
+    d = kolmogorov_distance(law, args.gamma, d_obj.cdf_at_sorted)
+    out.rows.append({"comparison": f"poly({args.b1},{args.b2},{args.b3})", "d_k": d})
     return out
 
 
@@ -380,13 +374,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-moment", type=int, default=8)
     p.add_argument("--stein-constants", action="store_true")
 
-    p = command("kolmogorov", _cmd_kolmogorov, "exact Kolmogorov distance",
+    p = command("kolmogorov", _cmd_kolmogorov,
+                "exact Kolmogorov distance to the density exp(-(b1 x^2 + b2 x^4 + b3 x^6))",
                 ("n", "beta", "K", "gamma", "cap"))
     p.add_argument("--b1", type=float, default=0.5)
     p.add_argument("--b2", type=float, default=0.0)
     p.add_argument("--b3", type=float, default=0.0)
-    p.add_argument("--self", action="store_true", dest="self_check",
-                   help="compare the law against its own step CDF")
 
     p = command("stein-bound", _cmd_stein_bound, "itemised bound vs exact distance",
                 ("n", "cap"))

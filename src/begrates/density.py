@@ -363,14 +363,18 @@ class SteinConstants:
 def _envelope_grid(d: PolyDensity, step: float) -> np.ndarray:
     """The (z, x) grid over [-reach, reach], reach = 10 clipped to where the
     density is representable; mirror-symmetric bit for bit, so
-    x[N-1-i] == -x[i] and the endpoints are exactly +-reach.  A double well
-    whose barrier at 0 is past _LOG_FLOOR raises EnvelopeGridError: the
-    clipping assumes poly - poly_min grows from 0 outwards."""
-    if -d.poly_min > _LOG_FLOOR:  # poly(0) = 0
-        raise EnvelopeGridError(
-            f"the barrier at 0 of (b1={d.b1}, b2={d.b2}, b3={d.b3}) is {-d.poly_min:.6g} "
-            f"above its wells, past {_LOG_FLOOR:g}: no envelope grid spans both wells")
+    x[N-1-i] == -x[i] and the endpoints are exactly +-reach.  A density with
+    a critical point in |x| <= 10 (at 0 or between wells) more than
+    _LOG_FLOOR above poly_min raises EnvelopeGridError: the clipping assumes
+    poly - poly_min grows from 0 outwards."""
     reach = 10.0
+    _, crit = _poly_minimum(d.b1, d.b2, d.b3)
+    barrier, at = max((float(d.poly(c)) - d.poly_min, abs(c)) for c in crit if abs(c) <= reach)
+    if barrier > _LOG_FLOOR:
+        where = "at 0" if at == 0.0 else f"at +-{at:.6g}"
+        raise EnvelopeGridError(
+            f"the barrier {where} of (b1={d.b1}, b2={d.b2}, b3={d.b3}) is {barrier:.6g} "
+            f"above its wells, past {_LOG_FLOOR:g}: no envelope grid spans both wells")
     if d.poly(reach) - d.poly_min > _LOG_FLOOR:
         lo, hi = 0.0, reach
         for _ in range(80):

@@ -34,8 +34,9 @@ class NonIntegrableDensityError(ComputationError):
 
 class EnvelopeGridError(ComputationError):
     """The Stein envelopes need one interval about 0 on which the density is
-    representable, and a double well whose density at 0 is below e^-600
-    times its peak has none."""
+    representable, and a multi-well density with a barrier (at 0 or between
+    wells, within |x| <= 10) where the density is below e^-600 times its
+    peak has none."""
 
 
 class DegenerateFitError(ComputationError):

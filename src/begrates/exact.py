@@ -283,28 +283,21 @@ def _check_gamma(gamma: float) -> None:
 
 
 def kolmogorov_distance(
-    law: JointLaw,
-    gamma: float,
-    cdf: Callable[[np.ndarray], np.ndarray],
-    *,
-    cdf_left: Callable[[np.ndarray], np.ndarray] | None = None,
+    law: JointLaw, gamma: float, cdf: Callable[[np.ndarray], np.ndarray]
 ) -> float:
-    """sup_z |P(W <= z) - F(z)| against a distribution function F.
+    """sup_z |P(W <= z) - F(z)| against a continuous distribution function F.
 
     Exact for the discrete law: the supremum is attained at an atom of W or
-    at its left limit, so it suffices to compare F with the step CDF at the
-    jump points.  ``cdf_left`` supplies left limits of F when F itself has
-    jumps (it defaults to F, which is correct for continuous F).  Both are
-    called once on the array of atoms and must return an array of its shape;
-    otherwise ValidationError.
+    at its left limit, so it suffices to compare F with the step CDF and its
+    left limit at the jump points.  F is called once on the array of atoms
+    and must return an array of its shape; otherwise ValidationError.
     """
     _check_gamma(gamma)
     w = law.w_values(gamma)
     fn = np.cumsum(law.s_probs)
     fn_prev = np.concatenate(([0.0], fn[:-1]))
-    f_at = _eval_cdf(cdf, w)
-    f_left = f_at if cdf_left is None else _eval_cdf(cdf_left, w)
-    d = np.maximum(np.abs(fn - f_at), np.abs(f_left - fn_prev))
+    f = _eval_cdf(cdf, w)
+    d = np.maximum(np.abs(fn - f), np.abs(f - fn_prev))
     return float(d.max())
 
 
@@ -319,18 +312,6 @@ def _eval_cdf(cdf: Callable, xs: np.ndarray) -> np.ndarray:
             f"the CDF returned shape {out.shape} for {xs.shape} points"
         )
     return out
-
-
-def step_cdf_pair(law: JointLaw, gamma: float) -> tuple[Callable, Callable]:
-    """Right-continuous CDF of W and its left-limit evaluator, each taking
-    an array of points."""
-    w = law.w_values(gamma)
-    fn = np.concatenate(([0.0], np.cumsum(law.s_probs)))
-
-    def step_cdf(side):
-        return lambda t: fn[np.searchsorted(w, t, side=side)]
-
-    return step_cdf("right"), step_cdf("left")
 
 
 # ---------------------------------------------------------------------------

@@ -200,14 +200,14 @@ def run_all(*, threads: int = 1, min_exp: int = DEFAULT_MIN_EXP,
     Each case runs ``default_ladder(case, min_exp, max_exp)``, so an absent
     ``max_exp`` tops each ladder at the case's own ``ladder_max_exp``; every
     ladder is checked before any case runs.  ``threads`` > 1 fans the cases
-    out to worker processes; results are aggregated in deterministic
-    (sorted) order either way.
+    out to at most one worker process per case; results are aggregated in
+    deterministic (sorted) order either way.
     """
     cases = sorted(case_catalog(), key=lambda c: c.case_id)
     ladders = [default_ladder(c, min_exp, max_exp) for c in cases]
     if threads <= 1:
         return [run_case(c, ladder) for c, ladder in zip(cases, ladders)]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=min(threads, len(cases))) as pool:
         return list(pool.map(run_case, cases, ladders))
 
 

@@ -101,6 +101,12 @@ class TestPredictedRate:
         with pytest.raises(InvalidCaseParametersError):
             with_schedule(case_by_id("C1.k+b+"), delta1=0.5)
 
+    @pytest.mark.parametrize("case_id", ["C5.1", "C8.1.k+"])
+    def test_c5_c8_need_positive_b(self, case_id):
+        # with b < 0 a rung's comparison density cannot be normalised
+        with pytest.raises(InvalidCaseParametersError, match="b > 0"):
+            with_schedule(case_by_id(case_id), b=-1.0)
+
 
 class TestParamsAt:
     def test_fixed_cases(self):

@@ -1,4 +1,7 @@
+import argparse
+import inspect
 import json
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -71,14 +74,11 @@ class TestExactLawCommand:
 
 
 class TestKolmogorovCommand:
-    def test_self_comparison_zero(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "kolmogorov", "--n", "16", "--beta", "1.0", "--K", "0.6",
-            "--self", "--format", "json",
-        )
-        assert code == 0
-        doc = json.loads(out)
-        assert float(doc["rows"][0]["d_k"]) == 0.0
+    def test_self_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["kolmogorov", "--n", "16", "--beta", "1.0", "--K", "0.6", "--self"])
+        assert exc.value.code == 2
+        assert "--self" in capsys.readouterr().err
 
     def test_scalar_only_cdf_is_a_validation_error(self, capsys, monkeypatch):
         # a CDF that only takes one float at a time is rejected, not looped over
@@ -222,6 +222,12 @@ class TestOtherCommands:
         assert out == "" and "kind=computation" in err and "barrier at 0" in err
         assert "Traceback" not in err
 
+    def test_stein_constants_behind_an_outer_barrier_is_a_computation_error(self, capsys):
+        code, out, err = run_cli(capsys, "limit-density", "--b1", "1120", "--b2", "-560",
+                                 "--b3", "70", "--stein-constants")
+        assert code == 3
+        assert out == "" and "kind=computation" in err and "barrier at +-1.1547" in err
+
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "out.csv"
         code, out, _ = run_cli(
@@ -357,7 +363,7 @@ _CONFIGS = {
     "limit-density": ({}, {"b1": 0.0, "b2": 0.0, "b3": 0.0, "max_moment": 8,
                            "stein_constants": False}),
     "kolmogorov": (_LAW, {"gamma": 0.5, "b1": 0.5, "b2": 0.0, "b3": 0.0,
-                          "self_check": False, "cap": 20000}),
+                          "cap": 20000}),
     "stein-bound": ({"case": "fixed-A", "n": 64}, {"halfwidth": None, "cap": 20000}),
     "rate-scan": ({}, {"case": None, "all": False, "min_exp": 6, "max_exp": None,
                        "per_n": False, "threads": 1}),
@@ -391,3 +397,20 @@ class TestParserConfig:
             with pytest.raises(SystemExit):
                 cli.build_parser().parse_args(argv)
             assert f"--{missing}" in capsys.readouterr().err
+
+
+class TestEveryFlagIsRead:
+    def test_every_declared_flag_is_read_by_its_command(self):
+        # a flag its command never reads is a silent no-op; --output and
+        # --format are read by the shared output code
+        subparsers = next(a for a in cli.build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        unread = []
+        for name, parser in subparsers.choices.items():
+            source = inspect.getsource(parser.get_default("func"))
+            for action in parser._actions:
+                if action.dest in ("help", "output", "format"):
+                    continue
+                if not re.search(rf"\bargs\.{action.dest}\b", source):
+                    unread.append((name, action.dest))
+        assert unread == []

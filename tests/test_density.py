@@ -499,6 +499,12 @@ class TestSteinConstants:
         with pytest.raises(EnvelopeGridError, match="barrier at 0"):
             estimate_stein_constants(normalize_density(*coeffs))
 
+    def test_outer_barrier_has_no_envelope_grid(self):
+        # poly = 70 y (y - 4)^2, y = x^2: equal wells at 0 and +-2 behind a
+        # barrier of 663.7 at +-1.1547, which a grid clipped from 0 stops inside
+        with pytest.raises(EnvelopeGridError, match=r"barrier at \+-1\.1547"):
+            estimate_stein_constants(normalize_density(1120.0, -560.0, 70.0))
+
     def test_narrow_density_grid_clipped(self):
         d = normalize_density(0.0, 0.0, 0.225)
         consts = estimate_stein_constants(d)

@@ -15,7 +15,6 @@ from begrates.exact import (
     kolmogorov_distance,
     moment,
     pair_covariance,
-    step_cdf_pair,
     tv_distance,
 )
 from begrates.model import BETA_C, ModelParams, critical_K
@@ -221,11 +220,6 @@ class TestMoments:
 
 
 class TestKolmogorov:
-    def test_self_comparison_is_zero(self):
-        law = build_joint_law(POINT_A, 30)
-        right, left = step_cdf_pair(law, 0.5)
-        assert kolmogorov_distance(law, 0.5, right, cdf_left=left) == 0.0
-
     def test_point_mass_far_left(self):
         law = build_joint_law(POINT_A, 12)
         far = float(law.w_values(0.5)[0]) - 10.0

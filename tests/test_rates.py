@@ -175,3 +175,26 @@ class TestRunAll:
         assert [r.case.case_id for r in reports] == ["B2.1", "fixed-A"]
         for r in reports:
             assert r.slope_ok() and r.bounded_ok()
+
+    def test_pool_is_sized_by_the_cases(self, monkeypatch):
+        # a stub pool records its size and maps in-process, so a huge
+        # --threads starts no processes
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(rates, "ProcessPoolExecutor", SerialPool)
+        pooled = run_all(threads=10**6, max_exp=9)
+        assert sizes == [42]
+        assert pooled == run_all(threads=1, max_exp=9)
