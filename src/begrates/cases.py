@@ -43,7 +43,6 @@ __all__ = [
     "params_at",
     "regression_at",
     "comparison_density",
-    "phase_speed",
 ]
 
 _GAUSSIAN = "x2"
@@ -94,17 +93,6 @@ def params_at(case: CaseSpec, n: int) -> ModelParams:
     return case.fixed_params
 
 
-def phase_speed(case: CaseSpec) -> float:
-    """The exponent v (family B) or w (family C); zero for every valid case."""
-    g = case.gamma
-    s = case.schedule
-    if case.theorem.startswith("B"):
-        return min(2 * g + s.delta2 - 1.0, 4 * g - 1.0)
-    if case.theorem.startswith("C"):
-        return min(2 * g + s.delta2 - 1.0, 4 * g + s.delta1 - 1.0, 6 * g - 1.0)
-    return 0.0
-
-
 def regression_at(case: CaseSpec, n: int) -> tuple[float, tuple[float, float, float]]:
     """(lambda, (q1, q3, q5)) of the exchangeable-pair regression at size n.
 
@@ -153,9 +141,10 @@ _EPS = 1e-12
 def predicted_rate(case: CaseSpec) -> float:
     """Rate exponent r such that d_K <= const * n^-r for this case.
 
-    Validates the case's branch predicate (gamma, delta1, delta2 ranges and
-    the v = 0 / w = 0 constraints) and raises InvalidCaseParametersError when
-    the parameters fall outside it.
+    Validates the case's branch predicate (gamma, delta1, delta2 ranges) and
+    raises InvalidCaseParametersError when the parameters fall outside it.
+    Each B and C predicate implies the paper's standing hypothesis v = 0
+    (family B) or w = 0 (family C).
     """
     g = case.gamma
     th = case.theorem
@@ -170,11 +159,6 @@ def predicted_rate(case: CaseSpec) -> float:
     if th == "fixed-C":
         _require(abs(g - 1.0 / 6.0) < _EPS, case, "gamma must be 1/6")
         return 1.0 / 6.0
-
-    if th.startswith("B"):
-        _require(abs(phase_speed(case)) < _EPS, case, "v must vanish")
-    if th.startswith("C"):
-        _require(abs(phase_speed(case)) < _EPS, case, "w must vanish")
 
     if th == "B1":
         _require(abs(g - 0.25) < _EPS and abs(s.delta2 - 0.5) < _EPS, case,

@@ -103,6 +103,8 @@ def _cmd_phase_diagram(args) -> _Output:
     out.columns = ["beta", "K_c", "region_at_0p9Kc", "region_at_Kc", "region_at_1p1Kc"]
     out.meta["beta_c"] = BETA_C
     out.meta["K_c_at_beta_c"] = critical_K(BETA_C)
+    if args.samples < 1:
+        raise ValidationError(f"--samples must be >= 1, got {args.samples}")
     span, steps = args.beta_max - args.beta_min, max(args.samples - 1, 1)
     betas = [args.beta_min + i * span / steps for i in range(args.samples)]
     for beta in betas:
@@ -145,6 +147,8 @@ def _cmd_exact_law(args) -> _Output:
 
 def _cmd_limit_density(args) -> _Output:
     out = _Output(args)
+    if args.max_moment < 0:
+        raise ValidationError(f"--max-moment must be >= 0, got {args.max_moment}")
     d = normalize_density(args.b1, args.b2, args.b3)
     out.meta.update(d.to_json_dict())
     out.columns = ["order", "moment"]
@@ -303,7 +307,8 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     """Prepend defaults from --config FILE (key=value per line); flags win.
 
     Keys are flag names without the dashes; ``_`` may stand for ``-``, so
-    ``burn_in`` and ``burn-in`` both set ``--burn-in``.
+    ``burn_in`` and ``burn-in`` both set ``--burn-in``.  A line without
+    ``=`` sets a switch: ``check-bruteforce`` gives ``--check-bruteforce``.
     """
     if "--config" not in argv:
         return argv
@@ -322,8 +327,10 @@ def _apply_config_file(argv: list[str]) -> list[str]:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        key, _, value = line.partition("=")
-        extra.extend([f"--{key.strip().replace('_', '-')}", value.strip()])
+        key, eq, value = line.partition("=")
+        extra.append(f"--{key.strip().replace('_', '-')}")
+        if eq:
+            extra.append(value.strip())
     # subcommand first, then file defaults, then explicit flags (argparse
     # lets later occurrences win)
     return rest[:1] + extra + rest[1:]

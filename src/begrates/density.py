@@ -56,7 +56,7 @@ _NORM_START_CELLS = 32
 _QUADRATURE_TOL = 1e-12
 _NORM_EPSREL = 1e-13
 _NORM_LIMIT = 500  # most intervals the check may use
-_LOG_FLOOR = 600.0  # switch to tail asymptotics once exp(-(poly-min)) < e^-600
+_LOG_FLOOR = 600.0  # the envelope grid stops where poly - poly_min passes this
 # exp(x) rounds to exactly 0.0 for every double x below log(2^-1075) ~ -745.13
 _EXP_ZERO = -746.0
 
@@ -327,17 +327,6 @@ def density_from_regression(
 # Stein equation
 
 
-def _cdf_and_ratio(d: PolyDensity, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """F(x) and A(x) = F(x)/p(x).  Where p underflows (poly - min above
-    _LOG_FLOOR) A is read as its left-tail limit 1/psi(x) instead of 0/0."""
-    F = d.cdf(x)
-    deep = d.poly(x) - d.poly_min > _LOG_FLOOR
-    A = np.empty_like(F)
-    np.divide(F, d.pdf(x), out=A, where=~deep)
-    np.divide(1.0, d.psi(x), out=A, where=deep)
-    return F, A
-
-
 @dataclass(frozen=True)
 class SteinConstants:
     """Grid-maximised envelopes for the Stein solution of one density.
@@ -407,7 +396,8 @@ def estimate_stein_constants(d: PolyDensity, *, step: float = 0.005) -> SteinCon
     """
     xs = _envelope_grid(d, step)
     h = xs[1] - xs[0]
-    F, A = _cdf_and_ratio(d, xs)
+    F = d.cdf(xs)
+    A = F / d.pdf(xs)  # every grid point is within _LOG_FLOOR of poly_min
     S = F[::-1]
 
     d1 = (S * np.maximum.accumulate(A)).max()

@@ -36,7 +36,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .density import _exp_nonzero, _segment_integrals
-from .errors import CapExceededError, ValidationError
+from .errors import CapExceededError, ComputationError, ValidationError
 from .model import G_eval, ModelParams
 
 __all__ = [
@@ -54,7 +54,7 @@ __all__ = [
 DEFAULT_N_CAP = 20000
 # e^beta times s must stay finite in the ratio recurrence
 _BETA_MAX = 600.0
-# ln 2 in two parts; k * _LN2_HI is exact for |k| < 2^20
+# ln 2 in two parts; k * _LN2_HI is exact for |k| < 2^21, so for every x >= -2^20
 _LN2_HI = 6.93147180369123816490e-01
 _LN2_LO = 1.90821492927058770002e-10
 # hs_check: normal CDFs are evaluated within this many noise widths of each
@@ -144,10 +144,6 @@ class JointLaw:
         """E[values(s)] for an array of per-s values over s = -n..n."""
         return float((self.s_probs * values).sum())
 
-    def count_moments(self) -> tuple[float, float]:
-        """(E[M], E[M^2]) of the nonzero-spin count."""
-        return self.expect(self.m_mean), self.expect(self.m_second)
-
 
 def _ratio_row(m: int, inv_a: float, size: int) -> np.ndarray:
     """rho_s = c_{s-1} / c_s for s = 0..size-1, c_s = [x^s](1 + a(x + 1/x))^m.
@@ -218,8 +214,12 @@ def build_joint_law(params: ModelParams, n: int, *, cap: int = DEFAULT_N_CAP) ->
         raise ValidationError(f"the exact law needs beta <= {_BETA_MAX}, got {beta}")
 
     # w_{s-1} / w_s = rho_s e^x with x = -beta K (2s-1) / n, s = 1..n; e^x
-    # alone underflows once beta K is large, so it is split as 2^k e^r
-    x = -beta * K * (2.0 * np.arange(1, n + 1) - 1.0) / n
+    # alone underflows once beta K is large, so it is split as 2^k e^r.  x is
+    # floored at -2^20, which keeps k an int64 and r small; the floor acts only
+    # when beta K > 2^19, where rho_s < 4e266 leaves every P(s) with |s| < n
+    # below e^(-5e5) P(n), so the law is P(+-n) = 1/2 with or without it
+    with np.errstate(over="ignore"):  # an overflow to -inf is floored too
+        x = np.maximum(-beta * K * (2.0 * np.arange(1, n + 1) - 1.0) / n, -(2.0**20))
     k = np.round(x / math.log(2.0))
     r = (x - k * _LN2_HI) - k * _LN2_LO
     ratio = _ratio_row(n, math.exp(beta), n + 1)[1:] * np.exp(r)
@@ -229,6 +229,8 @@ def build_joint_law(params: ModelParams, n: int, *, cap: int = DEFAULT_N_CAP) ->
     total = 2.0 * w.sum() - w[0]
     # w_n = c_n e^(beta K n) = e^(-beta n + beta K n)
     log_partition = beta * (K - 1.0) * n + math.log(total) + top * math.log(2.0) - n * math.log(3.0)
+    if not math.isfinite(log_partition):
+        raise ComputationError(f"log Z overflows at beta={beta}, K={K}, n={n}")
 
     return JointLaw(
         n=n,
@@ -384,6 +386,10 @@ def hs_check(params: ModelParams, n: int, gamma: float) -> float:
     xs = np.unique(np.concatenate((np.linspace(lo, hi, 4097), ts)))
     seg = _segment_integrals(xs[:-1], xs[1:], lambda y: _exp_nonzero(-(neg_log_kernel(y) - ref)))
     cum = np.concatenate(([0.0], np.cumsum(seg)))
+    if not (0.0 < cum[-1] < math.inf):
+        raise ComputationError(
+            f"the G-density of hs_check has total {cum[-1]:g} on its grid at "
+            f"beta={params.beta}, K={params.K}, n={n}: its wells are narrower than a cell")
     cum /= cum[-1]
     cdf2 = cum[np.searchsorted(xs, ts)]
 
@@ -408,7 +414,7 @@ def pair_covariance(params: ModelParams, n: int, *, law: JointLaw | None = None)
         raise ValidationError("pair covariance needs n >= 2")
     if law is None:
         law = build_joint_law(params, n)
-    em, em2 = law.count_moments()
+    em, em2 = law.expect(law.m_mean), law.expect(law.m_second)
     return (em2 - em) / (n * (n - 1.0)) - (em / n) ** 2
 
 

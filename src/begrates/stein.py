@@ -108,7 +108,7 @@ def regression_decompose(
     law = steps.law
     q1, q3, q5 = psi_coeffs
     m0, m1 = steps.mean
-    w = law.s_values / float(law.n) ** (1.0 - steps.gamma)
+    w = law.w_values(steps.gamma)
     r0 = m0 - lam * (q1 * w + q3 * w**3 + q5 * w**5)  # R = r0 + m1 M on each class
     # E[R^2 | s] unexpanded, so the small residual does not cancel away
     m_var = np.maximum(law.m_second - law.m_mean**2, 0.0)

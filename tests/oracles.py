@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import gammaln, ndtr
 
 from begrates.cases import CaseSpec, params_at, regression_at
-from begrates.density import _LOG_FLOOR, _cdf_and_ratio, normalize_density
+from begrates.density import _LOG_FLOOR, normalize_density
 from begrates.errors import ValidationError
 from begrates.exact import kolmogorov_distance, moment
 from begrates.model import (
@@ -558,15 +558,19 @@ def stein_solution(d, z: float, x) -> np.ndarray | float:
     right floor F(y) = 1 and p(y) may underflow, so S(Z)/p(y) is read as
     S(Z)/p(Z) e^(poly(y) - poly(Z)), with S(Z)/p(Z) from the table while S(Z)
     is a normal double and -1/psi(Z) beyond.  The envelopes of
-    ``density.estimate_stein_constants`` read the same factor A.
+    ``density.estimate_stein_constants`` read the same factor A, F/p alone:
+    their grid stops within _LOG_FLOOR of poly_min, where no tail rule acts.
     """
     scalar = np.ndim(x) == 0
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     left = xs <= z
     y, Z = np.where(left, xs, -xs), np.where(left, z, -z)
-    _, A = _cdf_and_ratio(d, y)
+    deep = d.poly(y) - d.poly_min > _LOG_FLOOR
+    A = np.empty_like(y)
+    np.divide(d.cdf(y), d.pdf(y), out=A, where=~deep)
+    np.divide(1.0, d.psi(y), out=A, where=deep)
     out = d.cdf(-Z) * A
-    far = (y > 0.0) & (d.poly(y) - d.poly_min > _LOG_FLOOR)
+    far = (y > 0.0) & deep
     y, Z = y[far], Z[far]
     S = d.cdf(-Z)
     mills = np.divide(S, d.pdf(Z), out=-1.0 / d.psi(Z), where=S >= np.finfo(float).tiny)

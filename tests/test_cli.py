@@ -147,6 +147,21 @@ class TestConfigFile:
         assert outs[0] == outs[1]
         assert "# config burn_in=50" in outs[0]
 
+    def test_bare_key_sets_a_switch(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n=6\nbeta=1.0\nK=0.6\ncheck-bruteforce\nformat=json\n")
+        code, out, err = run_cli(capsys, "exact-law", "--config", str(cfg))
+        assert code == 0, err
+        assert float(json.loads(out)["meta"]["bruteforce_tv"]) < 1e-12
+
+    def test_bare_trace_line_gives_trace_rows(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n=12\nbeta=1.0\nK=0.6\nsweeps=140\nburn_in=40\nseed=9\ntrace\n")
+        code, out, err = run_cli(capsys, "mcmc", "--config", str(cfg))
+        assert code == 0, err
+        data = [l for l in out.splitlines() if l and not l.startswith("#")]
+        assert data[0] == "sweep,s,M,w,w2" and len(data) == 1 + 100
+
     def test_config_without_path(self, capsys):
         code, _, err = run_cli(capsys, "exact-law", "--n", "4", "--config")
         assert code == 2
@@ -158,6 +173,26 @@ class TestConfigFile:
         )
         assert code == 2
         assert "kind=validation" in err
+
+
+class TestExitCodes:
+    # extreme inputs end in an exit code, never a traceback, nan or inf
+    @pytest.mark.parametrize("argv, code", [
+        ("exact-law --n 1000 --beta 1 --K 1e17", 0),
+        ("kolmogorov --n 1000 --beta 1 --K 1e300", 0),
+        ("exact-law --n 1000 --beta 1 --K 1e306", 3),
+        ("hs-check --n 64 --beta 1 --K 1e10", 3),
+        ("hs-check --n 64 --beta 1 --K 1e17", 3),
+        ("phase-diagram --samples 0", 2),
+        ("phase-diagram --samples -5", 2),
+        ("limit-density --b1 0.5 --max-moment -4", 2),
+    ])
+    def test_exit_code(self, capsys, argv, code):
+        got, out, err = run_cli(capsys, *argv.split(), "--format", "json")
+        assert got == code, err
+        assert not re.search(r"\b(nan|inf|infinity)\b|traceback", out + err, re.IGNORECASE)
+        if argv.startswith("kolmogorov"):
+            assert json.loads(out)["rows"][0]["d_k"] == 0.5
 
 
 class TestOtherCommands:

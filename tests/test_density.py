@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 from scipy.stats import norm
 
@@ -504,6 +506,37 @@ class TestSteinConstants:
         # barrier of 663.7 at +-1.1547, which a grid clipped from 0 stops inside
         with pytest.raises(EnvelopeGridError, match=r"barrier at \+-1\.1547"):
             estimate_stein_constants(normalize_density(1120.0, -560.0, 70.0))
+
+    @staticmethod
+    def _assert_grid_within_floor(d):
+        # estimate_stein_constants reads A = F/p on this grid with no tail
+        # rule, which holds only while p is representable at every point
+        try:
+            xs = density_module._envelope_grid(d, 0.005)
+        except EnvelopeGridError:
+            return
+        assert np.max(d.poly(xs) - d.poly_min) <= density_module._LOG_FLOOR
+
+    # each coefficient is 0 or at least 1e-3 in size: normalize_density's
+    # quadrature overflows (a RuntimeWarning) before it rejects some shapes
+    # whose leading coefficient is far smaller, such as (0, -1, 1e-100)
+    @settings(max_examples=200, deadline=None)
+    @given(b1=st.just(0.0) | st.floats(1e-3, 200.0) | st.floats(-200.0, -1e-3),
+           b2=st.just(0.0) | st.floats(1e-3, 50.0) | st.floats(-50.0, -1e-3),
+           b3=st.just(0.0) | st.floats(1e-3, 10.0))
+    def test_envelope_grid_stays_within_the_log_floor(self, b1, b2, b3):
+        try:
+            d = normalize_density(b1, b2, b3)
+        except NonIntegrableDensityError:
+            assume(False)
+        self._assert_grid_within_floor(d)
+
+    def test_catalog_envelope_grids_stay_within_the_log_floor(self):
+        for case in case_catalog():
+            for n in (64, 1024):
+                law = build_joint_law(params_at(case, n), n)
+                moments = {k: moment(law, case.gamma, k) for k in (2, 4, 6)}
+                self._assert_grid_within_floor(comparison_density(case, n, moments))
 
     def test_narrow_density_grid_clipped(self):
         d = normalize_density(0.0, 0.0, 0.225)

@@ -7,7 +7,7 @@ from scipy.stats import norm
 
 from begrates import exact
 from begrates.cases import case_by_id, case_catalog, params_at
-from begrates.errors import CapExceededError, ValidationError
+from begrates.errors import CapExceededError, ComputationError, ValidationError
 from begrates.exact import (
     brute_force_law,
     build_joint_law,
@@ -84,6 +84,19 @@ class TestBuildJointLaw:
             build_joint_law(POINT_A, 0)
         with pytest.raises(ValidationError):
             build_joint_law(ModelParams(700.0, 0.5), 4)
+
+    @pytest.mark.parametrize("n", [10, 1000])
+    @pytest.mark.parametrize("K", [1e17, 1e300])
+    def test_huge_beta_K_is_a_two_point_law(self, K, n):
+        # the tilt factor's exponent is floored at -2^20; the law is P(+-n) = 1/2
+        law = build_joint_law(ModelParams(1.0, K), n)
+        assert law.s_probs[0] == law.s_probs[-1] == 0.5
+        assert not law.s_probs[1:-1].any()
+        assert math.isfinite(law.log_partition)
+
+    def test_log_partition_overflow_is_a_computation_error(self):
+        with pytest.raises(ComputationError, match="log Z overflows"):
+            build_joint_law(ModelParams(1.0, 1e306), 1000)
 
     def test_log_partition_against_brute_force(self):
         # Z = 3^-n sum exp(-beta H); n = 4 is enough to pin the constant
@@ -313,6 +326,13 @@ class TestHubbardStratonovich:
         monkeypatch.setattr(exact, "_exp_nonzero", np.exp)
         monkeypatch.setattr(exact, "_HS_CHUNK", 4_000_000)
         assert got == hs_check(params, 1024, gamma)
+
+    @pytest.mark.parametrize("K, n, gamma", [(1e8, 1024, 0.25), (1e10, 64, 0.5),
+                                             (1e14, 64, 0.5), (1e17, 64, 0.5)])
+    def test_vanishing_g_density_is_a_computation_error(self, K, n, gamma):
+        # the wells of exp(-n G) are narrower than a cell, so its total is 0
+        with pytest.raises(ComputationError, match="G-density"):
+            hs_check(ModelParams(1.0, K), n, gamma)
 
     def test_both_cdfs_symmetric(self):
         # symmetry of the smoothed law: P(W+Y <= -t) + P(W+Y <= t) = 1
