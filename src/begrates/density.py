@@ -265,7 +265,9 @@ def normalize_density(b1: float, b2: float, b3: float) -> PolyDensity:
     while _poly_of_square(T * T, b1, b2, b3) - pmin < 760.0:
         T *= 1.5
 
-    shifted = _adaptive_total(_poly_integrand((b1, b2, b3), pmin), T, crit)
+    # an overflowing quadrature yields a non-finite total, rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        shifted = _adaptive_total(_poly_integrand((b1, b2, b3), pmin), T, crit)
     if not (shifted > 0.0 and math.isfinite(shifted)):
         raise NonIntegrableDensityError("normalisation quadrature failed")
 

@@ -4,10 +4,11 @@ The pair (W, W') resamples one uniformly chosen spin from its exact
 conditional law.  The bound reads lambda and the drift psi of
 ``cases.regression_at``, the L2 size of the regression residual R,
 Var(E[(W-W')^2 | W]) and the truncated tail expectation, each exact under
-the (s, M) law.  For fixed s each per-class increment
-moment is affine in M; ``step_table`` builds those affine rows once per
-bound, from one ``resampling_law`` pass, and every pass reads them as one
-O(n) expression in P(s), E[M|s] and E[M^2|s].
+the (s, M) law.  ``step_table`` takes the pair's increment law once per
+bound, from one ``resampling_law`` pass.  For fixed s every class moment of
+the increment is affine in M, and one rule (``StepTable.class_moment``) gives
+each as (intercept, slope) rows, which every pass reads as one O(n)
+expression in P(s), E[M|s] and E[M^2|s].
 """
 
 from __future__ import annotations
@@ -33,64 +34,58 @@ __all__ = [
 ]
 
 
-def _site_sum(n: int, s: np.ndarray, plus, minus, zero):
-    """(intercept, slope) of n+ plus + n- minus + n0 zero as a function of M,
-    with n+- = (M +- s)/2 and n0 = n - M."""
-    return 0.5 * s * (plus - minus) + n * zero, 0.5 * (plus + minus) - zero
-
-
 @dataclass(frozen=True)
 class StepTable:
-    """Per-s (intercept, slope) rows, over s = -n..n, of the class moments
+    """The pair's increment law per s = -n..n, built by ``step_table``.
 
-        E[W - W' | s, M]                   = mean[0] + mean[1] M
-        E[(W - W')^2 | s, M]               = second[0] + second[1] M
-        E[(W - W')^2 ; |t - l| = 2 | s, M] = jump2[0] + jump2[1] M
-
-    with t the removed and l the resampled spin.  Built by ``step_table``.
+    W - W' = (t - l)/n^(1-gamma), with t the removed and l the resampled
+    spin.  ``resample`` holds the law (pi_t(-1), pi_t(0), pi_t(+1)) of l for
+    the site groups t = +1, -1, 0.  Every class moment is one call of
+    ``class_moment``; ``mean`` and ``second`` are its rows for p = 1 and 2.
     """
 
     law: JointLaw
     gamma: float
-    mean: tuple[np.ndarray, np.ndarray]
-    second: tuple[np.ndarray, np.ndarray]
-    jump2: tuple[np.ndarray, np.ndarray]
+    resample: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+    def class_moment(self, p: int, sizes=(1, 2)) -> tuple[np.ndarray, np.ndarray]:
+        """(intercept, slope) rows over s of E[(W - W')^p ; |t - l| in sizes | s, M]
+        = intercept + slope M: per site, the sum over l of (t - l)^p pi_t(l)."""
+        n = self.law.n
+        plus, minus, zero = (
+            sum((t - l) ** p * pi_l for l, pi_l in zip((-1, 0, 1), pi) if abs(t - l) in sizes)
+            for t, pi in zip((1, -1, 0), self.resample))
+        # summed over the n+- = (M +- s)/2 and n0 = n - M sites of the class
+        s = self.law.s_values.astype(float)
+        c0, c1 = 0.5 * s * (plus - minus) + n * zero, 0.5 * (plus + minus) - zero
+        norm = n * (float(n) ** (1.0 - self.gamma)) ** p
+        return c0 / norm, c1 / norm
+
+    mean = property(lambda self: self.class_moment(1))
+    second = property(lambda self: self.class_moment(2))
 
     def tail(self, A: float) -> float:
         """E[(W - W')^2 ; |W - W'| >= A], exactly.
 
-        Increment values are (t - l)/n^(1-gamma) and |t - l| takes values
-        0, 1, 2; a jump of 0 adds nothing to the second moment.
+        |t - l| takes the sizes 1 and 2, and a size counts when it reaches
+        the threshold A n^(1-gamma).  The 1e-15 slack is there because at the
+        default A = n^(gamma-1) the threshold is the size 1 up to rounding
+        (1 + 2.2e-16 or 1 - 1.1e-16 on some rungs), so every size-1 jump counts.
         """
         thresh = A * float(self.law.n) ** (1.0 - self.gamma)
-        if 1.0 >= thresh - 1e-15:
-            v0, v1 = self.second
-        elif 2.0 >= thresh - 1e-15:
-            v0, v1 = self.jump2
-        else:
-            return 0.0
+        v0, v1 = self.class_moment(2, [k for k in (1, 2) if k >= thresh - 1e-15])
         return self.law.expect(v0 + v1 * self.law.m_mean)
 
 
 def step_table(law: JointLaw, gamma: float) -> StepTable:
-    """The class moments of ``StepTable`` from one ``resampling_law`` pass.
+    """The increment law of ``StepTable`` from one ``resampling_law`` pass.
 
     Site groups per class: n+ spins at +1 (each sees u = s - 1), n- at -1
     (u = s + 1), n0 at 0 (u = s).
     """
     n = law.n
-    scale = float(n) ** (1.0 - gamma)
-    s = law.s_values.astype(float)
     pi = resampling_law(law.params, n, np.arange(-n - 1, n + 2))  # u = -n-1..n+1
-    pm_p, pz_p, pp_p = pi[:, :-2]  # t = +1, u = s - 1
-    pm_m, pz_m, pp_m = pi[:, 2:]  # t = -1, u = s + 1
-    pm_z, pz_z, pp_z = pi[:, 1:-1]  # t = 0, u = s
-    e0, e1 = _site_sum(n, s, pp_p - pm_p, pp_m - pm_m, pp_z - pm_z)  # sum of E[w']
-    v0, v1 = _site_sum(n, s, 4.0 * pm_p + pz_p, 4.0 * pp_m + pz_m, pp_z + pm_z)
-    j0, j1 = _site_sum(n, s, 4.0 * pm_p, 4.0 * pp_m, 0.0)
-    var_scale = n * scale**2
-    return StepTable(law, gamma, ((s - e0) / (n * scale), -e1 / (n * scale)),
-                     (v0 / var_scale, v1 / var_scale), (j0 / var_scale, j1 / var_scale))
+    return StepTable(law, gamma, tuple(pi[:, 1 - t : 2 * n + 2 - t] for t in (1, -1, 0)))
 
 
 # ---------------------------------------------------------------------------

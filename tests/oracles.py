@@ -268,6 +268,51 @@ def conditional_step_moments(params: ModelParams, n: int, gamma: float) -> StepM
     return StepMomentTable(mean1, sec)
 
 
+def mpmath_step_rows(law, gamma: float, lam: float, psi_coeffs, dps: int = 40):
+    """``StepTable.mean``, ``StepTable.second`` and ``regression_decompose``'s
+    ||R||_2 at ``dps`` digits, from the same float law (P(s), E[M|s],
+    E[M^2|s]), lambda and psi coefficients, with the resampling law taken
+    exactly from the law's parameters.
+
+    Returns ((m0, m1), (v0, v1), r_l2), the rows as float arrays over
+    s = -n..n and r_l2 as a float, each rounded once from its mpf value.
+    """
+    import mpmath as mp
+
+    n = law.n
+    with mp.workdps(dps):
+        beta, K = mp.mpf(law.params.beta), mp.mpf(law.params.K)
+
+        def pi(u):  # (pi(-1), pi(0), pi(+1)) given the other spins sum to u
+            ws = [mp.exp(-beta * l * l + beta * K * (l * l + 2 * l * u) / n) for l in (-1, 0, 1)]
+            total = mp.fsum(ws)
+            return [x / total for x in ws]
+
+        law_u = {u: pi(u) for u in range(-n - 1, n + 2)}
+        scale = mp.mpf(n) ** (1 - mp.mpf(gamma))
+        rows = []
+        for p in (1, 2):
+            c0, c1 = [], []
+            for s in range(-n, n + 1):
+                plus, minus, zero = (
+                    mp.fsum((t - l) ** p * x for l, x in zip((-1, 0, 1), law_u[s - t]))
+                    for t in (1, -1, 0))
+                c0.append((s * (plus - minus) / 2 + n * zero) / (n * scale**p))
+                c1.append(((plus + minus) / 2 - zero) / (n * scale**p))
+            rows.append((c0, c1))
+        q1, q3, q5 = (mp.mpf(q) for q in psi_coeffs)
+        terms = []
+        for i, s in enumerate(range(-n, n + 1)):
+            w = s / scale
+            m0, m1 = rows[0][0][i], rows[0][1][i]
+            mm, msec = mp.mpf(law.m_mean[i]), mp.mpf(law.m_second[i])
+            r_bar = m0 - lam * (q1 * w + q3 * w**3 + q5 * w**5) + m1 * mm
+            terms.append(mp.mpf(law.s_probs[i]) * (r_bar**2 + m1**2 * max(msec - mm**2, 0)))
+        r_l2 = float(mp.sqrt(mp.fsum(terms)))
+        mean, second = (tuple(np.array([float(x) for x in c]) for c in row) for row in rows)
+    return mean, second, r_l2
+
+
 def variance_term_classwise(steps) -> float:
     """Var(E[(W - W')^2 | F]) over the full (s, M) classes, from a
     ``stein.StepTable``: ``variance_term`` plus the mean within-s variance of

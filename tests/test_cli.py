@@ -2,6 +2,7 @@ import argparse
 import inspect
 import json
 import re
+import warnings
 from types import SimpleNamespace
 
 import pytest
@@ -248,6 +249,16 @@ class TestOtherCommands:
         assert code == 3
         assert out == "" and "kind=computation" in err
         assert "Traceback" not in err
+
+    def test_overflowing_norm_check_is_a_computation_error_without_warnings(self, capsys):
+        # the norm check's quadrature overflows on this shape before it is
+        # rejected; the overflow must not leak out as a numpy warning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "limit-density", "--b2", "-1", "--b3", "1e-17")
+        assert code == 3 and out == ""
+        assert err.startswith("error kind=computation") and len(err.splitlines()) == 1
+        assert [str(w.message) for w in caught] == []
 
     @pytest.mark.parametrize("coeffs", [("--b1", "-1", "--b2", "1e-4"),
                                         ("--b1", "0", "--b2", "-20", "--b3", "1")], ids=str)

@@ -517,13 +517,10 @@ class TestSteinConstants:
             return
         assert np.max(d.poly(xs) - d.poly_min) <= density_module._LOG_FLOOR
 
-    # each coefficient is 0 or at least 1e-3 in size: normalize_density's
-    # quadrature overflows (a RuntimeWarning) before it rejects some shapes
-    # whose leading coefficient is far smaller, such as (0, -1, 1e-100)
     @settings(max_examples=200, deadline=None)
-    @given(b1=st.just(0.0) | st.floats(1e-3, 200.0) | st.floats(-200.0, -1e-3),
-           b2=st.just(0.0) | st.floats(1e-3, 50.0) | st.floats(-50.0, -1e-3),
-           b3=st.just(0.0) | st.floats(1e-3, 10.0))
+    @given(b1=st.just(0.0) | st.floats(1e-300, 200.0) | st.floats(-200.0, -1e-300),
+           b2=st.just(0.0) | st.floats(1e-300, 50.0) | st.floats(-50.0, -1e-300),
+           b3=st.just(0.0) | st.floats(1e-300, 10.0))
     def test_envelope_grid_stays_within_the_log_floor(self, b1, b2, b3):
         try:
             d = normalize_density(b1, b2, b3)

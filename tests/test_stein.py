@@ -18,6 +18,7 @@ from oracles import (
     conditional_step_moments,
     enumerated_joint_law,
     max_increment,
+    mpmath_step_rows,
     normal_bound,
     variance_term_classwise,
 )
@@ -229,6 +230,12 @@ class TestVectorisedPasses:
         # size 1 and 2, of size 2 only, and none count
         halfwidths = [t / scale for t in (0.5, 1.5, 3.0)]
         thresholds = [A * scale for A in halfwidths]
+        # evaluate_bound's default A and twice it sit at the sizes 1 and 2 up
+        # to rounding (1 + 2.2e-16 for fixed-A at 512 and B1.k- at 64), and
+        # the jumps of that size count
+        default_A = float(n) ** (gamma - 1.0)
+        halfwidths += [default_A, 2.0 * default_A]
+        thresholds += [1, 2]
         r_l2, fd_max, var_w, classwise, tails = _per_class_passes(
             case, params, n, gamma, thresholds
         )
@@ -247,6 +254,60 @@ class TestVectorisedPasses:
                 assert got == 0.0 == tails[thresh]
             else:
                 assert close(got, tails[thresh])
+
+
+class TestStepRowsAgainstMpmath:
+    """``mean``, ``second`` and ||R||_2 against 40 digits from the same float law.
+
+    The tolerances are rounding budgets, with eps = 2^-53:
+
+    - A float pi_t(l) is an exp of a log-weight difference of size at most
+      2Y, Y = beta (1 + 3K), whose roundings add up to 6 Y eps; with the exp,
+      the 3-term sum and the division, pi carries (12 Y + 5) eps relative.
+    - The per-site sums over l, the fold over the sites of a class and the
+      division by n^(1 + p(1-gamma)) add at most 12 roundings more.
+    - Every term is at most 2^p per site (|t - l|^p <= 2^p, sum_l pi = 1),
+      so the terms of an intercept add up to at most 2^p (|s| + n) and those
+      of a slope to 2^(p+1), before the division.
+    """
+
+    @pytest.mark.parametrize("case_id", ["fixed-A", "fixed-C", "C2.3", "C4.2"])
+    def test_rows_and_residual(self, case_id):
+        n, eps = 1024, 2.0**-53
+        case = case_by_id(case_id)
+        gamma, params = case.gamma, params_at(case, n)
+        law = build_joint_law(params, n)
+        lam, psi = regression_at(case, n)
+        steps = step_table(law, gamma)
+        mean, second, r_l2 = mpmath_step_rows(law, gamma, lam, psi)
+
+        k = 12.0 * params.beta * (1.0 + 3.0 * params.K) + 17.0
+        s = np.abs(law.s_values)
+        tol = {}
+        for p, got, want in ((1, steps.mean, mean), (2, steps.second, second)):
+            norm = n * (float(n) ** (1.0 - gamma)) ** p
+            tol[p] = (k * eps * 2**p * (s + n) / norm, k * eps * 2 ** (p + 1) / norm)
+            assert np.all(np.abs(got[0] - want[0]) <= tol[p][0])
+            assert np.all(np.abs(got[1] - want[1]) <= tol[p][1])
+
+        # ||R~ - R||_2 bounds the change of the norm.  The class mean
+        # r0 + m1 E[M|s] adds the row errors, the drift's (w and its powers
+        # up to w^5 and the 3-term sum: 20 eps of sum |q_k w^k|) and 3
+        # roundings of r0 and the sum.  The within-class variance loses
+        # 3 eps E[M^2|s] to cancellation, and the squares, the pairwise sum
+        # over 2n + 1 classes and the square root (log2(2n + 1) + 8) eps.
+        q1, q3, q5 = psi
+        w = law.w_values(gamma)
+        m0, m1 = steps.mean
+        drift = lam * (np.abs(q1 * w) + np.abs(q3 * w**3) + np.abs(q5 * w**5))
+        r0 = m0 - lam * (q1 * w + q3 * w**3 + q5 * w**5)
+        m_var = np.maximum(law.m_second - law.m_mean**2, 0.0)
+        e0 = tol[1][0] + 20.0 * eps * drift + 3.0 * eps * (np.abs(r0) + np.abs(m1) * law.m_mean)
+        e1 = tol[1][1]
+        err = math.sqrt(law.expect((e0 + e1 * law.m_mean) ** 2 + e1**2 * m_var))
+        err += 3.0 * eps * law.expect(m1**2 * law.m_second) / r_l2
+        err += (math.log2(2 * n + 1) + 8.0) * eps * r_l2
+        assert abs(regression_decompose(steps, lam, psi) - r_l2) <= err
 
 
 def _bound_inputs(case_id, n):
