@@ -167,11 +167,11 @@ def predicted_rate(case: CaseSpec) -> float:
     if th == "B2":
         _require(0.25 < g < 0.5 and abs(2 * g - (1 - s.delta2)) < _EPS, case,
                  "needs 2 gamma = 1 - delta2 with gamma in (1/4, 1/2)")
-        return 4 * g - 1.0 if g <= 1.0 / 3.0 else g
+        return min(g, 4 * g - 1.0)
     if th == "B3":
         _require(abs(g - 0.25) < _EPS and s.delta2 > 0.5, case,
                  "needs gamma=1/4, delta2 > 1/2")
-        return s.delta2 - 0.5 if s.delta2 < 0.75 else 0.25
+        return min(0.25, s.delta2 - 0.5)
     if th == "C1":
         _require(
             abs(g - 1.0 / 6.0) < _EPS
@@ -184,9 +184,7 @@ def predicted_rate(case: CaseSpec) -> float:
     if th == "C2":
         _require(0.25 < g < 0.5 and abs(2 * g - (1 - s.delta2)) < _EPS and s.delta1 > 0,
                  case, "needs 2 gamma = 1 - delta2, gamma in (1/4, 1/2)")
-        if g >= 1.0 / 3.0:
-            return g
-        return 4 * g + s.delta1 - 1.0 if s.delta1 < 1 - 3 * g else g
+        return min(g, 4 * g + s.delta1 - 1.0)
     if th == "C3":
         _require(
             1.0 / 6.0 < g <= 0.25
@@ -195,9 +193,7 @@ def predicted_rate(case: CaseSpec) -> float:
             case,
             "needs 2 gamma = 1 - delta2, gamma in (1/6, 1/4], delta1 > 2 delta2 - 1",
         )
-        if g <= 0.2:
-            return 4 * g + s.delta1 - 1.0 if s.delta1 < 2 * g else 6 * g - 1.0
-        return 4 * g + s.delta1 - 1.0 if s.delta1 < 1 - 3 * g else g
+        return min(g, 6 * g - 1.0, 4 * g + s.delta1 - 1.0)
     if th == "C4":
         _require(
             abs(g - 1.0 / 6.0) < _EPS and s.delta1 > 1.0 / 3.0 and s.delta2 > 2.0 / 3.0,

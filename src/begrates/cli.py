@@ -3,8 +3,10 @@
 Every computation is exposed as a subcommand with machine-readable CSV or
 JSON output.  Runs are deterministic given the flags and the seed: floats are
 printed with 17 significant digits and every output embeds its fully resolved
-configuration.  Exit codes: 0 success, 2 validation error, 3 computational
-error.
+configuration.  A CSV table's header is its rows' keys in the order the
+subcommand writes them; only ``exact-law`` names its columns, since its atom
+table is empty past ``--max-atoms-listed``.  Exit codes: 0 success, 2
+validation error, 3 computational error.
 
 A config file in ``key=value`` format may supply defaults; explicit flags
 override it.
@@ -51,7 +53,12 @@ def _resolved_config(args: argparse.Namespace) -> dict:
 
 
 class _Output:
-    """Collects rows plus metadata and serialises to CSV or JSON."""
+    """Collects rows plus metadata and serialises to CSV or JSON.
+
+    ``main`` builds one per run and the subcommand fills it.  The CSV header
+    is the first row's keys in their order; ``columns`` overrides it only
+    where a table may have no rows (``exact-law`` past ``--max-atoms-listed``).
+    """
 
     def __init__(self, args: argparse.Namespace):
         self.fmt = args.format
@@ -74,7 +81,7 @@ class _Output:
     def _to_json(self) -> str:
         doc = {
             "schema_version": _SCHEMA_VERSION,
-            "config": {k: v for k, v in self.config.items()},
+            "config": self.config,
             "meta": self.meta,
             "rows": self.rows,
         }
@@ -88,9 +95,10 @@ class _Output:
         for k, v in sorted(self.meta.items()):
             buf.write(f"# meta {k}={_fmt(v)}\n")
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.columns)
+        columns = self.columns or list(self.rows[0] if self.rows else ())
+        writer.writerow(columns)
         for row in self.rows:
-            writer.writerow([_fmt(row.get(c, "")) for c in self.columns])
+            writer.writerow([_fmt(row.get(c, "")) for c in columns])
         return buf.getvalue()
 
 
@@ -98,9 +106,7 @@ class _Output:
 # subcommands
 
 
-def _cmd_phase_diagram(args) -> _Output:
-    out = _Output(args)
-    out.columns = ["beta", "K_c", "region_at_0p9Kc", "region_at_Kc", "region_at_1p1Kc"]
+def _cmd_phase_diagram(args, out: _Output) -> None:
     out.meta["beta_c"] = BETA_C
     out.meta["K_c_at_beta_c"] = critical_K(BETA_C)
     if args.samples < 1:
@@ -116,11 +122,9 @@ def _cmd_phase_diagram(args) -> _Output:
             "beta": beta, "K_c": kc,
             "region_at_0p9Kc": tags[0], "region_at_Kc": tags[1], "region_at_1p1Kc": tags[2],
         })
-    return out
 
 
-def _cmd_exact_law(args) -> _Output:
-    out = _Output(args)
+def _cmd_exact_law(args, out: _Output) -> None:
     params = ModelParams(args.beta, args.K)
     law = build_joint_law(params, args.n, cap=args.cap)
     out.meta["log_partition"] = law.log_partition
@@ -142,16 +146,13 @@ def _cmd_exact_law(args) -> _Output:
             out.rows.append({"s": s, "M": M, "probability": p})
     else:
         out.meta["atoms_omitted"] = True
-    return out
 
 
-def _cmd_limit_density(args) -> _Output:
-    out = _Output(args)
+def _cmd_limit_density(args, out: _Output) -> None:
     if args.max_moment < 0:
         raise ValidationError(f"--max-moment must be >= 0, got {args.max_moment}")
     d = normalize_density(args.b1, args.b2, args.b3)
     out.meta.update(d.to_json_dict())
-    out.columns = ["order", "moment"]
     for k in range(0, args.max_moment + 1, 2):
         out.rows.append({"order": k, "moment": d.moment(k)})
     if args.stein_constants:
@@ -159,22 +160,17 @@ def _cmd_limit_density(args) -> _Output:
         out.meta.update({f"stein_{k}": v for k, v in consts.to_json_dict().items()
                          if k != "grid_spec"})
         out.meta["stein_grid"] = json.dumps(consts.grid_spec, sort_keys=True)
-    return out
 
 
-def _cmd_kolmogorov(args) -> _Output:
-    out = _Output(args)
+def _cmd_kolmogorov(args, out: _Output) -> None:
     params = ModelParams(args.beta, args.K)
     law = build_joint_law(params, args.n, cap=args.cap)
-    out.columns = ["comparison", "d_k"]
     d_obj = normalize_density(args.b1, args.b2, args.b3)
     d = kolmogorov_distance(law, args.gamma, d_obj.cdf_at_sorted)
     out.rows.append({"comparison": f"poly({args.b1},{args.b2},{args.b3})", "d_k": d})
-    return out
 
 
-def _cmd_stein_bound(args) -> _Output:
-    out = _Output(args)
+def _cmd_stein_bound(args, out: _Output) -> None:
     report = run_rung(case_by_id(args.case), args.n, cap=args.cap, bound=True,
                       halfwidth=args.halfwidth).bound
     out.meta["case_id"] = report.case_id
@@ -186,14 +182,11 @@ def _cmd_stein_bound(args) -> _Output:
     out.meta["dominates"] = report.dominates()
     for k, v in report.constants.items():
         out.meta[k] = v
-    out.columns = ["term", "value"]
     for name, value in report.terms.items():
         out.rows.append({"term": name, "value": value})
-    return out
 
 
-def _cmd_rate_scan(args) -> _Output:
-    out = _Output(args)
+def _cmd_rate_scan(args, out: _Output) -> None:
     if args.all:
         reports = run_all(threads=args.threads, min_exp=args.min_exp, max_exp=args.max_exp)
     else:
@@ -202,29 +195,21 @@ def _cmd_rate_scan(args) -> _Output:
         case = case_by_id(args.case)
         reports = [run_case(case, default_ladder(case, args.min_exp, args.max_exp))]
     if args.per_n:
-        out.columns = ["case_id", "n", "d_k", "scaled_d_k"]
         for rep in reports:
             for p, scaled in zip(rep.ladder, rep.scaled_distances):
                 out.rows.append({
                     "case_id": rep.case.case_id, "n": p.n, "d_k": p.d_k, "scaled_d_k": scaled,
                 })
     else:
-        out.columns = [
-            "case_id", "theorem", "gamma", "predicted_exponent", "fitted_slope",
-            "r_squared", "n_min", "n_max", "d_k_at_n_max", "scaled_max_over_first",
-            "slope_ok", "bounded_ok",
-        ]
         for rep in reports:
             out.rows.append(summary_row(rep))
         out.meta["all_slope_ok"] = all(r.slope_ok() for r in reports)
         out.meta["all_bounded_ok"] = all(r.bounded_ok() for r in reports)
         if not args.all and args.format == "json":
             out.meta["report"] = reports[0].to_json_dict()
-    return out
 
 
-def _cmd_mcmc(args) -> _Output:
-    out = _Output(args)
+def _cmd_mcmc(args, out: _Output) -> None:
     params = ModelParams(args.beta, args.K)
     result = run_chain(
         params, args.n, args.sweeps, args.burn_in, args.seed, gamma=args.gamma,
@@ -238,31 +223,22 @@ def _cmd_mcmc(args) -> _Output:
         for k, (est, se) in sorted(result.moments.items()):
             out.meta[f"moment_w{k}"] = est
             out.meta[f"moment_w{k}_stderr"] = se
-        out.columns = ["sweep", "s", "M", "w", "w2"]
         for sweep, s, M in result.trace:
             w = s / scale
             out.rows.append({"sweep": sweep, "s": s, "M": M, "w": w, "w2": w * w})
     else:
-        out.columns = ["order", "estimate", "stderr"]
         for k, (est, se) in sorted(result.moments.items()):
             out.rows.append({"order": k, "estimate": est, "stderr": se})
-    return out
 
 
-def _cmd_case_catalog(args) -> _Output:
-    out = _Output(args)
-    out.columns = [
-        "case_id", "theorem", "subcase", "gamma", "density_pattern",
-        "predicted_exponent", "validity", "mode", "beta_fixed", "b", "k",
-        "delta1", "delta2", "ladder_max_exp",
-    ]
+def _cmd_case_catalog(args, out: _Output) -> None:
     for case in case_catalog():
         row = {
             "case_id": case.case_id, "theorem": case.theorem, "subcase": case.subcase,
             "gamma": case.gamma, "density_pattern": case.density_pattern,
             "predicted_exponent": case.predicted_exponent, "validity": case.validity,
-            "ladder_max_exp": case.ladder_max_exp,
             "mode": "", "beta_fixed": "", "b": "", "k": "", "delta1": "", "delta2": "",
+            "ladder_max_exp": case.ladder_max_exp,
         }
         s = case.schedule
         if s is not None:
@@ -277,26 +253,19 @@ def _cmd_case_catalog(args) -> _Output:
             row["k"] = case.fixed_params.K
         out.rows.append(row)
     out.meta["count"] = len(out.rows)
-    return out
 
 
-def _cmd_minimizers(args) -> _Output:
-    out = _Output(args)
+def _cmd_minimizers(args, out: _Output) -> None:
     params = ModelParams(args.beta, args.K)
     out.meta["region"] = classify_region(params).value
-    out.columns = ["minimizer"]
     for x in minimize_G(params):
         out.rows.append({"minimizer": x})
-    return out
 
 
-def _cmd_hs_check(args) -> _Output:
-    out = _Output(args)
+def _cmd_hs_check(args, out: _Output) -> None:
     params = ModelParams(args.beta, args.K)
     err = hs_check(params, args.n, args.gamma)
-    out.columns = ["n", "gamma", "sup_cdf_error"]
     out.rows.append({"n": args.n, "gamma": args.gamma, "sup_cdf_error": err})
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +393,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         argv = _apply_config_file(argv)
         args = build_parser().parse_args(argv)
-        out = args.func(args)
+        out = _Output(args)
+        args.func(args, out)
         out.emit(args.output)
         return 0
     except ValidationError as exc:

@@ -89,14 +89,14 @@ def _segment_integrals(a, b, integrand, rule=None) -> np.ndarray:
     return (integrand(nodes[:, None] * half + mid) * weights[:, None]).sum(axis=0) * half
 
 
-def _poly_integrand(coeffs, shift: float, k: int = 0):
-    """x^k exp(-(poly(x) - shift)), k even, as an ``integrand``."""
+def _poly_integrand(coeffs, shift: float, k: int = 0, unit: float = 1.0):
+    """(x/unit)^k exp(-(poly(x) - shift)), k even, as an ``integrand``."""
 
     def integrand(Y):
         Y *= Y  # square the nodes in place: no second node-sized array stays alive
         V = _exp_nonzero(-(_poly_of_square(Y, *coeffs) - shift))
         if k:
-            V *= Y ** (k // 2)
+            V *= (Y / unit / unit) ** (k // 2)
         return V
 
     return integrand
@@ -142,10 +142,10 @@ class PolyDensity:
         out = np.clip(self._cdf[idx] + self._segment_mass(self._grid[idx], t), 0.0, 1.0)
         return float(out[0]) if scalar else out
 
-    def _segment_mass(self, a, b, k: int = 0) -> np.ndarray:
-        """E[X^k; a_i < X < b_i] for each segment."""
+    def _segment_mass(self, a, b, k: int = 0, unit: float = 1.0) -> np.ndarray:
+        """E[(X/unit)^k; a_i < X < b_i] for each segment."""
         seg = _segment_integrals(a, b, _poly_integrand((self.b1, self.b2, self.b3),
-                                                       self.poly_min, k))
+                                                       self.poly_min, k, unit))
         return seg * math.exp(-self.poly_min - self.log_norm)
 
     # the d_K call sites pass this name, and the benchmark's tracer wraps it
@@ -154,16 +154,21 @@ class PolyDensity:
 
     def moment(self, k: int) -> float:
         """E[X^k] by quadrature on the cached grid; odd k is exactly zero.
-        A value past the double range (x^k overflows on a very wide grid)
-        raises NonIntegrableDensityError instead of returning inf or nan."""
+
+        The integrand is (x/u)^k with u = 2^e the power of two just above
+        the truncation, so it stays below 1 on the grid and the value is
+        scaled back by the exact factor 2^(k e).  A value past the double
+        range raises NonIntegrableDensityError instead of returning inf."""
         if k < 0:
             raise ValidationError("moment order must be nonnegative")
         if k == 0:
             return 1.0
         if k % 2 == 1:
             return 0.0
+        e = math.frexp(self.truncation)[1]
         with np.errstate(over="ignore", invalid="ignore"):
-            value = float(self._segment_mass(self._grid[:-1], self._grid[1:], k).sum())
+            scaled = self._segment_mass(self._grid[:-1], self._grid[1:], k, math.ldexp(1.0, e))
+            value = float(np.ldexp(scaled.sum(), k * e))
         if not math.isfinite(value):
             raise NonIntegrableDensityError(
                 f"E[X^{k}] is not finite in double precision for "

@@ -461,16 +461,16 @@ def rowmajor_segment_integrals(a, b, integrand, rule=None) -> np.ndarray:
     return (integrand(X) * weights[None, :]).sum(axis=1) * half
 
 
-def plain_exp_poly_integrand(coeffs, shift: float, k: int = 0):
-    """x^k exp(-(poly(x) - shift)) with a plain ``np.exp`` over every node,
-    the exponent in the Horner form in x^2."""
+def plain_exp_poly_integrand(coeffs, shift: float, k: int = 0, unit: float = 1.0):
+    """(x/unit)^k exp(-(poly(x) - shift)) with a plain ``np.exp`` over every
+    node, the exponent in the Horner form in x^2."""
     b1, b2, b3 = coeffs
 
     def integrand(Y):
         Y = Y * Y
         V = np.exp(-(Y * (b1 + Y * (b2 + Y * b3)) - shift))
         if k:
-            V *= Y ** (k // 2)
+            V *= (Y / unit / unit) ** (k // 2)
         return V
 
     return integrand

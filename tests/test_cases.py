@@ -1,9 +1,13 @@
 import math
 from collections import Counter
+from dataclasses import replace
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from begrates.cases import (
+    CaseSpec,
     case_by_id,
     case_catalog,
     comparison_density,
@@ -114,6 +118,62 @@ class TestPredictedRate:
         # with b < 0 a rung's comparison density cannot be normalised
         with pytest.raises(InvalidCaseParametersError, match="b > 0"):
             with_schedule(case_by_id(case_id), b=-1.0)
+
+
+def _ladder_rate(theorem, g, d1, d2):
+    """The B2, B3, C2 and C3 rates as if/else ladders over the theorems'
+    sub-branches, the form they had before they were stated as minima."""
+    if theorem == "B2":
+        return 4 * g - 1.0 if g <= 1.0 / 3.0 else g
+    if theorem == "B3":
+        return d2 - 0.5 if d2 < 0.75 else 0.25
+    if theorem == "C2":
+        if g >= 1.0 / 3.0:
+            return g
+        return 4 * g + d1 - 1.0 if d1 < 1 - 3 * g else g
+    if g <= 0.2:
+        return 4 * g + d1 - 1.0 if d1 < 2 * g else 6 * g - 1.0
+    return 4 * g + d1 - 1.0 if d1 < 1 - 3 * g else g
+
+
+def _open(lo, hi):
+    return st.floats(lo, hi, exclude_min=True, exclude_max=True)
+
+
+# (gamma, delta1, delta2) inside each theorem's branch predicate
+_BRANCH_PARAMS = {
+    "B2": _open(0.25, 0.5).map(lambda g: (g, 1.0, 1.0 - 2 * g)),
+    "B3": _open(0.5, 2.0).map(lambda d2: (0.25, 1.0, d2)),
+    "C2": st.tuples(_open(0.25, 0.5), _open(0.0, 2.0)).map(
+        lambda t: (t[0], t[1], 1.0 - 2 * t[0])),
+    "C3": st.tuples(st.floats(1.0 / 6.0, 0.25, exclude_min=True), _open(0.0, 2.0)).map(
+        lambda t: (t[0], 1.0 - 4 * t[0] + t[1], 1.0 - 2 * t[0])),
+}
+_BRANCH_CASES = {"B2": "B2.1", "B3": "B3.1", "C2": "C2.1", "C3": "C3.1"}
+
+
+class TestRatesAsMinima:
+    @pytest.mark.parametrize("theorem", sorted(_BRANCH_PARAMS))
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_minimum_is_the_branch_ladder(self, theorem, data):
+        g, d1, d2 = data.draw(_BRANCH_PARAMS[theorem])
+        base = case_by_id(_BRANCH_CASES[theorem])
+        schedule = replace(base.schedule, delta2=d2)
+        if theorem.startswith("C"):
+            schedule = replace(schedule, delta1=d1)
+        try:
+            case = replace(base, gamma=g, schedule=schedule)
+        except InvalidCaseParametersError:
+            assume(False)  # rounding put the draw on the predicate's edge
+        # the forms differ only by rounding, where two branches meet
+        assert case.predicted_exponent == pytest.approx(_ladder_rate(theorem, g, d1, d2),
+                                                        abs=1e-15)
+
+    def test_unknown_theorem_tag_is_rejected(self):
+        with pytest.raises(InvalidCaseParametersError, match="unknown theorem tag 'D1'"):
+            CaseSpec(case_id="D1.1", theorem="D1", subcase="", gamma=0.5,
+                     density_pattern="x2", validity="")
 
 
 class TestParamsAt:

@@ -10,6 +10,7 @@ import pytest
 from begrates import cli, mcmc
 from begrates.cases import case_catalog
 from begrates.cli import main
+from begrates.density import estimate_stein_constants, normalize_density
 
 
 def run_cli(capsys, *argv):
@@ -163,6 +164,18 @@ class TestConfigFile:
         data = [l for l in out.splitlines() if l and not l.startswith("#")]
         assert data[0] == "sweep,s,M,w,w2" and len(data) == 1 + 100
 
+    def test_comment_and_blank_lines_are_skipped(self, capsys, tmp_path):
+        outs = []
+        for name, text in (("plain", "n=12\nbeta=1.0\nK=0.6\n"),
+                           ("commented", "# a law at n = 12\n\nn=12\n   \n  # beta and K\n"
+                                         "beta=1.0\nK=0.6\n")):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(text)
+            code, out, err = run_cli(capsys, "exact-law", "--config", str(cfg))
+            assert code == 0, err
+            outs.append(out)
+        assert outs[0] == outs[1] and "# config n=12" in outs[0]
+
     def test_config_without_path(self, capsys):
         code, _, err = run_cli(capsys, "exact-law", "--n", "4", "--config")
         assert code == 2
@@ -187,6 +200,8 @@ class TestExitCodes:
         ("phase-diagram --samples 0", 2),
         ("phase-diagram --samples -5", 2),
         ("limit-density --b1 0.5 --max-moment -4", 2),
+        ("limit-density --b1 nan", 2),
+        ("rate-scan", 2),
     ])
     def test_exit_code(self, capsys, argv, code):
         got, out, err = run_cli(capsys, *argv.split(), "--format", "json")
@@ -194,6 +209,16 @@ class TestExitCodes:
         assert not re.search(r"\b(nan|inf|infinity)\b|traceback", out + err, re.IGNORECASE)
         if argv.startswith("kolmogorov"):
             assert json.loads(out)["rows"][0]["d_k"] == 0.5
+
+    def test_stein_constants_are_echoed_as_meta(self, capsys):
+        code, out, err = run_cli(capsys, "limit-density", "--b1", "0.5", "--stein-constants",
+                                 "--format", "json")
+        assert code == 0, err
+        meta = json.loads(out)["meta"]
+        consts = estimate_stein_constants(normalize_density(0.5, 0.0, 0.0))
+        assert [meta[f"stein_d{i}"] for i in range(1, 5)] == [consts.d1, consts.d2, consts.d3,
+                                                              consts.d4]
+        assert json.loads(meta["stein_grid"]) == consts.grid_spec
 
 
 class TestOtherCommands:
@@ -249,6 +274,14 @@ class TestOtherCommands:
         assert code == 3
         assert out == "" and "kind=computation" in err
         assert "Traceback" not in err
+
+    def test_limit_density_moment_past_the_grid_range_is_printed(self, capsys):
+        # E[X^2] = 1 / (2 b1) = 5e299 is a double although x^2 overflows
+        # on the ~1e152-wide grid
+        code, out, err = run_cli(capsys, "limit-density", "--b1", "1e-300", "--max-moment", "2",
+                                 "--format", "json")
+        assert code == 0, err
+        assert json.loads(out)["rows"][1]["moment"] == pytest.approx(5e299, rel=1e-12)
 
     def test_overflowing_norm_check_is_a_computation_error_without_warnings(self, capsys):
         # the norm check's quadrature overflows on this shape before it is
@@ -419,6 +452,45 @@ _CONFIGS = {
     "minimizers": ({"beta": 1.0, "K": 0.6}, {}),
     "hs-check": (_LAW, {"gamma": 0.5}),
 }
+
+
+# the CSV header of every table, one invocation per table: the keys of its
+# rows in the order the subcommand writes them
+_MCMC = "mcmc --n 8 --beta 1 --K 0.6 --sweeps 140 --burn-in 40"
+_HEADERS = {
+    "phase-diagram --samples 2": "beta,K_c,region_at_0p9Kc,region_at_Kc,region_at_1p1Kc",
+    "exact-law --n 8 --beta 1 --K 0.6": "s,M,probability",
+    "limit-density --b1 0.5": "order,moment",
+    "kolmogorov --n 8 --beta 1 --K 0.6": "comparison,d_k",
+    "stein-bound --case fixed-A --n 64": "term,value",
+    "rate-scan --case fixed-A --max-exp 9": (
+        "case_id,theorem,gamma,predicted_exponent,fitted_slope,r_squared,n_min,n_max,"
+        "d_k_at_n_max,scaled_max_over_first,slope_ok,bounded_ok"),
+    "rate-scan --case fixed-A --max-exp 9 --per-n": "case_id,n,d_k,scaled_d_k",
+    _MCMC: "order,estimate,stderr",
+    f"{_MCMC} --trace": "sweep,s,M,w,w2",
+    "case-catalog": (
+        "case_id,theorem,subcase,gamma,density_pattern,predicted_exponent,validity,mode,"
+        "beta_fixed,b,k,delta1,delta2,ladder_max_exp"),
+    "minimizers --beta 1 --K 0.6": "minimizer",
+    "hs-check --n 8 --beta 1 --K 0.6": "n,gamma,sup_cdf_error",
+}
+
+
+class TestCsvHeaders:
+    @pytest.mark.parametrize("argv", sorted(_HEADERS))
+    def test_header(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert code == 0, err
+        data = [l for l in out.splitlines() if not l.startswith("#")]
+        assert data[0] == _HEADERS[argv] and len(data) > 1
+
+    def test_exact_law_without_atoms_keeps_its_header(self, capsys):
+        code, out, err = run_cli(capsys, "exact-law", "--n", "8", "--beta", "1", "--K", "0.6",
+                                 "--max-atoms-listed", "4")
+        assert code == 0, err
+        assert "# meta atoms_omitted=True" in out
+        assert [l for l in out.splitlines() if not l.startswith("#")] == ["s,M,probability"]
 
 
 class TestParserConfig:

@@ -15,7 +15,7 @@ from begrates.density import (
     estimate_stein_constants,
     normalize_density,
 )
-from begrates.errors import EnvelopeGridError, NonIntegrableDensityError
+from begrates.errors import EnvelopeGridError, NonIntegrableDensityError, ValidationError
 from begrates.exact import build_joint_law, kolmogorov_distance, moment
 from oracles import (
     gaussian_stein_solution,
@@ -130,16 +130,26 @@ class TestCdfAndMoments:
         assert d.moment(1) == 0.0
         assert d.moment(5) == 0.0
 
-    @pytest.mark.parametrize("coeffs,order", [((1e-300, 0.0, 0.0), 2), ((0.0, 1e-200, 0.0), 6),
-                                              ((0.0, 0.0, 1e-300), 6)], ids=str)
-    def test_moment_past_the_double_range_raises(self, coeffs, order):
-        # a grid of half-width ~1e50..1e150: x^k overflows, and 0 * inf in
-        # the far tail is nan; either raises, without a RuntimeWarning
+    # exp(-b x^p) on a grid of half-width ~1e50..1e150, with the first even
+    # order whose moment b^(-k/p) Gamma((k+1)/p) / Gamma(1/p) is past the
+    # double range: every lower moment is a double, however far x^k on the
+    # grid is past the range
+    @pytest.mark.parametrize("coeffs,power,order", [
+        ((1e-300, 0.0, 0.0), 2, 4), ((1e-100, 0.0, 0.0), 2, 8), ((0.0, 1e-200, 0.0), 4, 8),
+        ((0.0, 0.0, 1e-300), 6, 8)], ids=str)
+    def test_moment_past_the_double_range_raises(self, coeffs, power, order):
         d = normalize_density(*coeffs)
+        b = max(coeffs)
         for k in range(2, order, 2):
-            assert math.isfinite(d.moment(k))
+            closed = (-k / power * math.log(b) + math.lgamma((k + 1) / power)
+                      - math.lgamma(1 / power))
+            assert math.log(d.moment(k)) == pytest.approx(closed, abs=1e-9), k
         with pytest.raises(NonIntegrableDensityError, match=rf"E\[X\^{order}\]"):
             d.moment(order)
+
+    def test_negative_moment_order_is_a_validation_error(self):
+        with pytest.raises(ValidationError, match="nonnegative"):
+            normalize_density(0.5, 0.0, 0.0).moment(-2)
 
     def test_gaussian_even_moments(self):
         # N(0, s^2): E[X^4] = 3 s^4, E[X^6] = 15 s^6

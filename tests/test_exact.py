@@ -356,6 +356,10 @@ class TestPairCovariance:
             want = brute_pair_covariance(params, n)
             assert abs(got - want) < 1e-12
 
+    def test_single_spin_rejected(self):
+        with pytest.raises(ValidationError, match="n >= 2"):
+            pair_covariance(POINT_A, 1)
+
     def test_region_a_against_mpmath(self):
         # the two O(1) terms cancel to a covariance of ~1e-8, so every
         # rounding in the per-slice moments is magnified ~1e8; the reference

@@ -83,6 +83,10 @@ class TestValidation:
         with pytest.raises(ValidationError, match="gamma"):
             run_chain(POINT_A, 10, 100, 20, seed=0, gamma=gamma)
 
+    def test_empty_system(self):
+        with pytest.raises(ValidationError, match="n must be >= 1"):
+            run_chain(POINT_A, 0, 100, 20, seed=0)
+
     def test_negative_seed(self):
         with pytest.raises(ValidationError, match="seed"):
             run_chain(POINT_A, 10, 100, 20, seed=-1)

@@ -287,6 +287,13 @@ class TestSchedule:
             Schedule(mode=ScheduleMode.FIXED_BETA, beta_fixed=1.0, k=0.0, delta2=0.5)
         with pytest.raises(ValidationError):
             Schedule(mode=ScheduleMode.MOVING_BETA, k=1.0, b=0.0, delta1=0.3, delta2=0.5)
+        with pytest.raises(ValidationError, match="requires beta_fixed"):
+            Schedule(mode=ScheduleMode.FIXED_BETA, k=1.0, delta2=0.5)
+
+    def test_size_below_one_rejected(self):
+        s = Schedule(mode=ScheduleMode.FIXED_BETA, beta_fixed=1.0, k=1.0, delta2=0.5)
+        with pytest.raises(ValidationError, match="n must be >= 1"):
+            schedule_eval(s, 0)
 
 
 class TestRegions:

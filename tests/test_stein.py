@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from begrates.cases import case_by_id, comparison_density, params_at, regression_at
-from begrates.density import SteinConstants, estimate_stein_constants
+from begrates.density import SteinConstants, estimate_stein_constants, normalize_density
 from begrates.errors import ValidationError
 from begrates.exact import build_joint_law, moment
 from begrates.model import BETA_C, ModelParams, critical_K, f_single, resampling_law
@@ -21,6 +21,7 @@ from oracles import (
     mpmath_step_rows,
     normal_bound,
     variance_term_classwise,
+    with_schedule,
 )
 from test_density import SHAPE_CASES
 
@@ -377,6 +378,16 @@ class TestEvaluateBound:
         w = law.w_values(case.gamma)
         plain = math.fsum(law.s_probs * np.abs(q1 * w + q3 * w**3 + q5 * w**5))
         assert report.terms["psi_term"] == 1.5 * report.a_halfwidth * plain
+
+    def test_positive_drift_scale_required(self):
+        # with k = -1 the drift of C8.1.k- at n = 64 has
+        # c = E[W(-psi(W))] = -0.494; a valid density stands in for its own,
+        # which cannot be normalised
+        case = with_schedule(case_by_id("C8.1.k-"), k=-1.0)
+        law = build_joint_law(params_at(case, 64), 64)
+        unit = SteinConstants(d1=1.0, d2=1.0, d3=1.0, d4=1.0, grid_spec={})
+        with pytest.raises(ValidationError, match=r"drift scale .* = -0\.494"):
+            evaluate_bound(law, case.gamma, case, normalize_density(0.5, 0.0, 0.0), unit)
 
     @pytest.mark.parametrize("A", [0.0, -1.0, math.nan, math.inf])
     def test_positive_halfwidth_required(self, A):
