@@ -40,7 +40,6 @@ from .model import (
     ModelParams,
     RegionTag,
     Schedule,
-    ScheduleMode,
     classify_region,
     critical_K,
     cumulant_gf,

@@ -11,10 +11,11 @@ rate exponent r with d_K <= const * n^-r.  The catalog covers:
 
 Multi-branch rate tables contribute one catalog entry per branch; cases whose
 mixed density changes shape with the sign of k or b contribute one entry per
-sign.  Each fact is stated once: ``predicted_rate`` derives r from gamma and
-the schedule, and enforces the branch predicate, whenever a case is built;
-``regression_at`` takes lambda = n^(2 gamma - 2) and the active regression
-coefficients from gamma and the density pattern.
+sign.  Each fact is stated once: ``_THEOREMS`` fixes each theorem's density
+pattern and parameter kind; ``predicted_rate`` checks the kind, derives r from
+gamma and the schedule and enforces the branch predicate whenever a case is
+built; ``regression_at`` takes lambda = n^(2 gamma - 2) and the active
+regression coefficients from gamma and the density pattern.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .model import (
     BETA_C,
     ModelParams,
     Schedule,
-    ScheduleMode,
     critical_K,
     g_derivs_at_zero,
     schedule_eval,
@@ -45,7 +45,18 @@ __all__ = [
     "comparison_density",
 ]
 
-_GAUSSIAN = "x2"
+# theorem tag -> (density pattern, parameter kind): the active exponent
+# monomials of the limit density, and whether (beta_n, K_n) is a fixed point
+# (seq-A drifts onto its point by itself), a fixed-beta or a moving-beta schedule
+_THEOREMS = {
+    "fixed-A": ("x2", "fixed-point"), "seq-A": ("x2", "fixed-point"),
+    "fixed-B": ("x4", "fixed-point"), "fixed-C": ("x6", "fixed-point"),
+    "B1": ("x2+x4", "fixed-beta"), "B2": ("x2", "fixed-beta"), "B3": ("x4", "fixed-beta"),
+    "C1": ("x2+x4+x6", "moving-beta"), "C2": ("x2", "moving-beta"),
+    "C3": ("x2", "moving-beta"), "C4": ("x6", "moving-beta"), "C5": ("x4", "moving-beta"),
+    "C6": ("x4+x6", "moving-beta"), "C7": ("x2+x6", "moving-beta"),
+    "C8": ("x2+x4", "moving-beta"),
+}
 
 # default fixed-parameter points
 _POINT_A = ModelParams(1.0, 0.6)
@@ -57,26 +68,29 @@ _POINT_C = ModelParams(BETA_C, critical_K(BETA_C))
 class CaseSpec:
     """One convergence-rate case.
 
-    ``density_pattern`` lists the active exponent monomials ("x2", "x2+x4",
-    ...); ``validity`` describes the branch predicate the defaults were
-    chosen to satisfy.  ``ladder_max_exp`` is the top power of two of the
-    default ladder.  ``predicted_exponent``, the r in d_K <= const * n^-r, is
-    computed by ``predicted_rate`` on construction, so a case outside its
-    branch predicate cannot be built.
+    ``validity`` describes the branch predicate the defaults were chosen to
+    satisfy.  ``ladder_max_exp`` is the top power of two of the default
+    ladder.  ``density_pattern`` ("x2", "x2+x4", ...) is read from the
+    theorem's row of ``_THEOREMS`` and ``predicted_exponent``, the r in
+    d_K <= const * n^-r, is computed by ``predicted_rate``, both on
+    construction, so a case that does not fit its theorem cannot be built.
     """
 
     case_id: str
     theorem: str
     subcase: str
     gamma: float
-    density_pattern: str
     validity: str
     schedule: Schedule | None = None
     fixed_params: ModelParams | None = None
     ladder_max_exp: int = 12
+    density_pattern: str = field(init=False)
     predicted_exponent: float = field(init=False)
 
     def __post_init__(self) -> None:
+        if self.theorem not in _THEOREMS:
+            raise InvalidCaseParametersError(f"unknown theorem tag {self.theorem!r}")
+        object.__setattr__(self, "density_pattern", _THEOREMS[self.theorem][0])
         object.__setattr__(self, "predicted_exponent", predicted_rate(self))
 
 
@@ -113,7 +127,7 @@ def regression_at(case: CaseSpec, n: int) -> tuple[float, tuple[float, float, fl
     if "x2" in active:
         q1 = g2 / b2k if s is None else s.k / critical_K(p.beta)
     if "x4" in active:
-        moving = s is not None and s.mode is ScheduleMode.MOVING_BETA
+        moving = s is not None and s.beta_fixed is None
         q3 = g4 * (float(n) ** s.delta1 if moving else 1.0) / (6.0 * b2k)
     if "x6" in active:
         q5 = g6 / (120.0 * b2k)
@@ -141,14 +155,19 @@ _EPS = 1e-12
 def predicted_rate(case: CaseSpec) -> float:
     """Rate exponent r such that d_K <= const * n^-r for this case.
 
-    Validates the case's branch predicate (gamma, delta1, delta2 ranges) and
-    raises InvalidCaseParametersError when the parameters fall outside it.
-    Each B and C predicate implies the paper's standing hypothesis v = 0
-    (family B) or w = 0 (family C).
+    First checks that the case carries exactly one of ``fixed_params`` and
+    ``schedule``, of the kind its theorem's row of ``_THEOREMS`` names, then
+    its branch predicate (gamma, delta1, delta2 ranges); raises
+    InvalidCaseParametersError when either fails.  Each B and C predicate
+    implies the paper's standing hypothesis v = 0 (family B) or w = 0
+    (family C).
     """
-    g = case.gamma
-    th = case.theorem
-    s = case.schedule
+    g, th, s = case.gamma, case.theorem, case.schedule
+    kind = _THEOREMS[th][1]
+    carried = ("fixed-point" if s is None
+               else "moving-beta" if s.beta_fixed is None else "fixed-beta")
+    _require((s is None) != (case.fixed_params is None) and carried == kind, case,
+             f"{th} needs a {kind} parameter set")
 
     if th in ("fixed-A", "seq-A"):
         _require(abs(g - 0.5) < _EPS, case, "gamma must be 1/2")
@@ -226,33 +245,20 @@ def predicted_rate(case: CaseSpec) -> float:
             case, "needs gamma=1/6, delta1 > 1/3, delta2=2/3",
         )
         return min(1.0 / 6.0, s.delta1 - 1.0 / 3.0)
-    if th == "C8":
-        _require(
-            1.0 / 6.0 < g < 0.25
-            and abs(4 * g - (1 - s.delta1)) < _EPS
-            and abs(2 * s.delta2 - (s.delta1 + 1.0)) < _EPS
-            and s.b > 0,
-            case,
-            "needs 4 gamma = 1 - delta1, 2 delta2 = delta1 + 1, gamma in (1/6, 1/4), b > 0",
-        )
-        return min(g, 6 * g - 1.0)
-    raise InvalidCaseParametersError(f"unknown theorem tag {th!r}")
+    # C8, the last tag of _THEOREMS
+    _require(
+        1.0 / 6.0 < g < 0.25
+        and abs(4 * g - (1 - s.delta1)) < _EPS
+        and abs(2 * s.delta2 - (s.delta1 + 1.0)) < _EPS
+        and s.b > 0,
+        case,
+        "needs 4 gamma = 1 - delta1, 2 delta2 = delta1 + 1, gamma in (1/6, 1/4), b > 0",
+    )
+    return min(g, 6 * g - 1.0)
 
 
 # ---------------------------------------------------------------------------
 # the catalog
-
-
-def _fixed_beta(k: float, delta2: float) -> Schedule:
-    return Schedule(
-        mode=ScheduleMode.FIXED_BETA, beta_fixed=1.0, k=k, delta2=delta2
-    )
-
-
-def _moving(k: float, b: float, delta1: float, delta2: float) -> Schedule:
-    return Schedule(
-        mode=ScheduleMode.MOVING_BETA, k=k, b=b, delta1=delta1, delta2=delta2
-    )
 
 
 def _build_catalog() -> list[CaseSpec]:
@@ -265,48 +271,42 @@ def _build_catalog() -> list[CaseSpec]:
 
     cases.append(CaseSpec(
         case_id="fixed-A", theorem="fixed-A", subcase="(beta, K) in region A",
-        gamma=0.5, density_pattern=_GAUSSIAN,
-        validity="K < K_c(beta), beta <= log 4", fixed_params=_POINT_A))
+        gamma=0.5, validity="K < K_c(beta), beta <= log 4", fixed_params=_POINT_A))
     cases.append(CaseSpec(
         case_id="fixed-B", theorem="fixed-B", subcase="(beta, K_c(beta)), beta < log 4",
-        gamma=0.25, density_pattern="x4",
-        validity="on the critical curve below the tricritical point",
+        gamma=0.25, validity="on the critical curve below the tricritical point",
         fixed_params=_POINT_B))
     cases.append(CaseSpec(
         case_id="fixed-C", theorem="fixed-C", subcase="tricritical point",
-        gamma=1.0 / 6.0, density_pattern="x6",
-        validity="(log 4, 3/(2 log 4))", fixed_params=_POINT_C, ladder_max_exp=13))
+        gamma=1.0 / 6.0, validity="(log 4, 3/(2 log 4))", fixed_params=_POINT_C,
+        ladder_max_exp=13))
     cases.append(CaseSpec(
         case_id="seq-A", theorem="seq-A", subcase="bounded sequence into region A",
-        gamma=0.5, density_pattern=_GAUSSIAN,
-        validity="any positive bounded sequence converging into A",
+        gamma=0.5, validity="any positive bounded sequence converging into A",
         fixed_params=_POINT_A))
 
     # family B: K_n onto the critical curve at fixed beta = 1.0
     for sign, tag in ((1.0, "k+"), (-1.0, "k-")):
         cases.append(CaseSpec(
             case_id=f"B1.{tag}", theorem="B1", subcase=f"critical speed, {tag}",
-            gamma=0.25, density_pattern="x2+x4",
-            validity="gamma=1/4, delta2=1/2",
-            schedule=_fixed_beta(k=sign, delta2=0.5)))
+            gamma=0.25, validity="gamma=1/4, delta2=1/2",
+            schedule=Schedule(beta_fixed=1.0, k=sign, delta2=0.5)))
     cases.append(CaseSpec(
         case_id="B2.1", theorem="B2", subcase="gamma in (1/4, 1/3]",
-        gamma=0.3, density_pattern=_GAUSSIAN,
-        validity="2 gamma = 1 - delta2, slow K_n",
-        schedule=_fixed_beta(k=1.0, delta2=0.4)))
+        gamma=0.3, validity="2 gamma = 1 - delta2, slow K_n",
+        schedule=Schedule(beta_fixed=1.0, k=1.0, delta2=0.4)))
     cases.append(CaseSpec(
         case_id="B2.2", theorem="B2", subcase="gamma in [1/3, 1/2)",
-        gamma=0.4, density_pattern=_GAUSSIAN,
-        validity="2 gamma = 1 - delta2, slow K_n",
-        schedule=_fixed_beta(k=1.0, delta2=0.2)))
+        gamma=0.4, validity="2 gamma = 1 - delta2, slow K_n",
+        schedule=Schedule(beta_fixed=1.0, k=1.0, delta2=0.2)))
     cases.append(CaseSpec(
         case_id="B3.1", theorem="B3", subcase="delta2 in (1/2, 3/4)",
-        gamma=0.25, density_pattern="x4",
-        validity="gamma=1/4, fast K_n", schedule=_fixed_beta(k=1.0, delta2=0.6)))
+        gamma=0.25, validity="gamma=1/4, fast K_n",
+        schedule=Schedule(beta_fixed=1.0, k=1.0, delta2=0.6)))
     cases.append(CaseSpec(
         case_id="B3.2", theorem="B3", subcase="delta2 >= 3/4",
-        gamma=0.25, density_pattern="x4",
-        validity="gamma=1/4, fastest K_n", schedule=_fixed_beta(k=1.0, delta2=1.0)))
+        gamma=0.25, validity="gamma=1/4, fastest K_n",
+        schedule=Schedule(beta_fixed=1.0, k=1.0, delta2=1.0)))
 
     # family C: (beta_n, K_n) into the tricritical point
     third, two_thirds = 1.0 / 3.0, 2.0 / 3.0
@@ -315,9 +315,8 @@ def _build_catalog() -> list[CaseSpec]:
             tag = f"k{'+' if k > 0 else '-'}b{'+' if b > 0 else '-'}"
             cases.append(CaseSpec(
                 case_id=f"C1.{tag}", theorem="C1", subcase=f"critical speeds, {tag}",
-                gamma=1.0 / 6.0, density_pattern="x2+x4+x6",
-                validity="gamma=1/6, delta1=1/3, delta2=2/3",
-                schedule=_moving(k=k, b=b, delta1=third, delta2=two_thirds),
+                gamma=1.0 / 6.0, validity="gamma=1/6, delta1=1/3, delta2=2/3",
+                schedule=Schedule(k=k, b=b, delta1=third, delta2=two_thirds),
                 ladder_max_exp=13))
 
     c2 = [
@@ -328,9 +327,8 @@ def _build_catalog() -> list[CaseSpec]:
     for cid, g, d1, desc in c2:
         cases.append(CaseSpec(
             case_id=cid, theorem="C2", subcase=desc, gamma=g,
-            density_pattern=_GAUSSIAN,
             validity="2 gamma = 1 - delta2, delta1 > 0",
-            schedule=_moving(k=1.0, b=1.0, delta1=d1, delta2=1.0 - 2.0 * g),
+            schedule=Schedule(k=1.0, b=1.0, delta1=d1, delta2=1.0 - 2.0 * g),
             ladder_max_exp=13))
 
     c3 = [
@@ -342,9 +340,8 @@ def _build_catalog() -> list[CaseSpec]:
     for cid, g, d1, desc in c3:
         cases.append(CaseSpec(
             case_id=cid, theorem="C3", subcase=desc, gamma=g,
-            density_pattern=_GAUSSIAN,
             validity="2 gamma = 1 - delta2, delta1 > 2 delta2 - 1",
-            schedule=_moving(k=1.0, b=1.0, delta1=d1, delta2=1.0 - 2.0 * g),
+            schedule=Schedule(k=1.0, b=1.0, delta1=d1, delta2=1.0 - 2.0 * g),
             ladder_max_exp=13))
 
     c4 = [
@@ -357,9 +354,8 @@ def _build_catalog() -> list[CaseSpec]:
     for cid, d1, d2, desc in c4:
         cases.append(CaseSpec(
             case_id=cid, theorem="C4", subcase=desc, gamma=1.0 / 6.0,
-            density_pattern="x6",
             validity="gamma=1/6, delta1 > 1/3, delta2 > 2/3",
-            schedule=_moving(k=1.0, b=1.0, delta1=d1, delta2=d2),
+            schedule=Schedule(k=1.0, b=1.0, delta1=d1, delta2=d2),
             ladder_max_exp=13))
 
     c5 = [
@@ -371,9 +367,8 @@ def _build_catalog() -> list[CaseSpec]:
     for cid, g, d2, desc in c5:
         cases.append(CaseSpec(
             case_id=cid, theorem="C5", subcase=desc, gamma=g,
-            density_pattern="x4",
             validity="4 gamma = 1 - delta1, 2 delta2 > delta1 + 1, b > 0",
-            schedule=_moving(k=1.0, b=1.0, delta1=1.0 - 4.0 * g, delta2=d2),
+            schedule=Schedule(k=1.0, b=1.0, delta1=1.0 - 4.0 * g, delta2=d2),
             ladder_max_exp=13))
 
     for br, d2 in (("1", 0.75), ("2", 1.0)):
@@ -382,9 +377,8 @@ def _build_catalog() -> list[CaseSpec]:
             cases.append(CaseSpec(
                 case_id=f"C6.{br}.{tag}", theorem="C6",
                 subcase=f"delta2 {'in (2/3, 5/6)' if br == '1' else '>= 5/6'}, {tag}",
-                gamma=1.0 / 6.0, density_pattern="x4+x6",
-                validity="gamma=1/6, delta1=1/3, delta2 > 2/3",
-                schedule=_moving(k=1.0, b=b, delta1=third, delta2=d2),
+                gamma=1.0 / 6.0, validity="gamma=1/6, delta1=1/3, delta2 > 2/3",
+                schedule=Schedule(k=1.0, b=b, delta1=third, delta2=d2),
                 ladder_max_exp=13))
 
     for br, d1 in (("1", 0.45), ("2", 0.70)):
@@ -393,9 +387,8 @@ def _build_catalog() -> list[CaseSpec]:
             cases.append(CaseSpec(
                 case_id=f"C7.{br}.{tag}", theorem="C7",
                 subcase=f"delta1 {'in (1/3, 1/2)' if br == '1' else '>= 1/2'}, {tag}",
-                gamma=1.0 / 6.0, density_pattern="x2+x6",
-                validity="gamma=1/6, delta1 > 1/3, delta2=2/3",
-                schedule=_moving(k=k, b=1.0, delta1=d1, delta2=two_thirds),
+                gamma=1.0 / 6.0, validity="gamma=1/6, delta1 > 1/3, delta2=2/3",
+                schedule=Schedule(k=k, b=1.0, delta1=d1, delta2=two_thirds),
                 ladder_max_exp=13))
 
     # the k < 0 side of C8 sits above the critical curve at finite n; a unit
@@ -408,9 +401,8 @@ def _build_catalog() -> list[CaseSpec]:
             cases.append(CaseSpec(
                 case_id=f"C8.{br}.{tag}", theorem="C8",
                 subcase=f"gamma {'in (1/6, 1/5]' if br == '1' else 'in [1/5, 1/4)'}, {tag}",
-                gamma=g, density_pattern="x2+x4",
-                validity="4 gamma = 1 - delta1, 2 delta2 = delta1 + 1, b > 0",
-                schedule=_moving(k=k, b=1.0, delta1=d1, delta2=(d1 + 1.0) / 2.0),
+                gamma=g, validity="4 gamma = 1 - delta1, 2 delta2 = delta1 + 1, b > 0",
+                schedule=Schedule(k=k, b=1.0, delta1=d1, delta2=(d1 + 1.0) / 2.0),
                 ladder_max_exp=13))
 
     return cases

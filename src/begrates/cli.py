@@ -243,7 +243,7 @@ def _cmd_case_catalog(args, out: _Output) -> None:
         s = case.schedule
         if s is not None:
             row.update({
-                "mode": s.mode.value,
+                "mode": "moving-beta" if s.beta_fixed is None else "fixed-beta",
                 "beta_fixed": "" if s.beta_fixed is None else s.beta_fixed,
                 "b": s.b, "k": s.k, "delta1": s.delta1, "delta2": s.delta2,
             })

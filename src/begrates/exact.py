@@ -37,7 +37,7 @@ import numpy as np
 
 from .density import _exp_nonzero, _segment_integrals
 from .errors import CapExceededError, ComputationError, ValidationError
-from .model import G_eval, ModelParams
+from .model import G_eval, ModelParams, minimize_G
 
 __all__ = [
     "DEFAULT_N_CAP",
@@ -348,6 +348,22 @@ def _smoothed_atom_cdf(w: np.ndarray, probs: np.ndarray, sigma: float,
     return cdf
 
 
+def _G_second(params: ModelParams, x: float) -> float:
+    """G''(x) = 2 beta K (1 - 2 beta K c''(2 beta K x)).
+
+    The spin variance c''(t) = (2a cosh t + 4a^2) / (1 + 2a cosh t)^2, with
+    a = e^-beta, is evaluated as (r + sech^2 t) / (1 + r) / (1 + r) with
+    r = e^beta / (2 cosh t); r and sech^2 t are formed from e^(beta - |t|)
+    and e^(-2|t|), so nothing overflows for the beta <= 600 the law admits.
+    """
+    b2k = params.two_beta_K
+    t = abs(b2k * x)
+    e2 = math.exp(-2.0 * t)
+    r = math.exp(params.beta - t) / (1.0 + e2)
+    sech2 = 4.0 * e2 / (1.0 + e2) ** 2
+    return b2k * (1.0 - b2k * (r + sech2) / (1.0 + r) / (1.0 + r))
+
+
 def hs_check(params: ModelParams, n: int, gamma: float) -> float:
     """Sup CDF gap of the Gaussian-smoothing identity for W.
 
@@ -361,6 +377,13 @@ def hs_check(params: ModelParams, n: int, gamma: float) -> float:
     G-density over ~4097 cells.  Through n = 4096 the returned sup sits at
     the rounding floor of the two sums, at most 3.7e-15 in regions A, B and C;
     at larger n the quadrature side's error grows.
+
+    Each global minimizer x* of G is a well of the G-density of width
+    n^gamma / sqrt(n G''(x*)).  A well narrower than one cell falls between
+    the rule's nodes, so its mass is caught at a node or two or missed, and
+    the quadrature CDF is wrong by up to the whole mass of the well (the sup
+    read 0.5 at beta = 1, K = 1e8, n = 64).  Such a G-density, like one whose
+    total on the grid is 0, is refused with ComputationError.
     """
     _check_gamma(gamma)
     law = build_joint_law(params, n)
@@ -390,6 +413,15 @@ def hs_check(params: ModelParams, n: int, gamma: float) -> float:
         raise ComputationError(
             f"the G-density of hs_check has total {cum[-1]:g} on its grid at "
             f"beta={params.beta}, K={params.K}, n={n}: its wells are narrower than a cell")
+    # a nonzero total can still come from wells narrower than a cell
+    cell = (hi - lo) / 4096.0
+    for x in minimize_G(params):
+        g2 = _G_second(params, x)  # <= 0 only where the well is flat (B, C)
+        if g2 > 0.0 and scale < cell * math.sqrt(n * g2):
+            raise ComputationError(
+                f"the G-density of hs_check has a well at x={x:.6g} of width "
+                f"{scale / math.sqrt(n * g2):.3g}, narrower than its cell width {cell:.3g}, "
+                f"at beta={params.beta}, K={params.K}, n={n}")
     cum /= cum[-1]
     cdf2 = cum[np.searchsorted(xs, ts)]
 

@@ -32,7 +32,6 @@ __all__ = [
     "BETA_C",
     "ModelParams",
     "Schedule",
-    "ScheduleMode",
     "RegionTag",
     "cumulant_gf",
     "cumulant_gf_prime",
@@ -143,10 +142,15 @@ def critical_K(beta: float) -> float:
     """Critical interaction strength K_c(beta) = (e^beta + 2) / (4 beta).
 
     Zeroes the quadratic Taylor coefficient of G at the origin:
-    K_c = 1 / (2 beta c''(0)).
+    K_c = 1 / (2 beta c''(0)).  Raises ValidationError once e^beta passes the
+    double range (beta > log(max double) ~ 709.78).
     """
     beta = _check_positive("beta", beta)
-    return (math.exp(beta) + 2.0) / (4.0 * beta)
+    try:
+        return (math.exp(beta) + 2.0) / (4.0 * beta)
+    except OverflowError:
+        raise ValidationError(
+            f"K_c(beta) is past the double range at beta={beta!r} (beta > 709.78)") from None
 
 
 def f_single(params: ModelParams, x):
@@ -217,20 +221,16 @@ def resampling_law(params: ModelParams, n: int, u) -> np.ndarray:
 # parameter schedules
 
 
-class ScheduleMode(str, Enum):
-    FIXED_BETA = "fixed-beta"
-    MOVING_BETA = "moving-beta"
-
-
 @dataclass(frozen=True)
 class Schedule:
     """Parameter sequences beta_n, K_n.
 
-    In moving-beta mode beta_n = log(e^{BETA_C} - b / n^delta1); in fixed-beta
-    mode beta_n = beta_fixed.  In both modes K_n = K_c(beta_n) - k / n^delta2.
+    A schedule is fixed-beta exactly when ``beta_fixed`` is set: then
+    beta_n = beta_fixed and it takes no b.  Otherwise beta moves to BETA_C as
+    beta_n = log(e^{BETA_C} - b / n^delta1), with b != 0.  Either way
+    K_n = K_c(beta_n) - k / n^delta2.
     """
 
-    mode: ScheduleMode
     k: float
     delta2: float
     beta_fixed: float | None = None
@@ -238,20 +238,18 @@ class Schedule:
     delta1: float = 1.0
 
     def __post_init__(self) -> None:
-        mode = ScheduleMode(self.mode)
-        object.__setattr__(self, "mode", mode)
         if self.k == 0.0:
             raise ValidationError("schedule requires k != 0")
         _check_finite("k", self.k)
         _check_positive("delta2", self.delta2)
-        if mode is ScheduleMode.MOVING_BETA:
+        if self.beta_fixed is None:
             if self.b == 0.0:
                 raise ValidationError("moving-beta schedule requires b != 0")
             _check_finite("b", self.b)
             _check_positive("delta1", self.delta1)
         else:
-            if self.beta_fixed is None:
-                raise ValidationError("fixed-beta schedule requires beta_fixed")
+            if self.b != 0.0:
+                raise ValidationError(f"fixed-beta schedule takes no b, got b={self.b!r}")
             _check_positive("beta_fixed", self.beta_fixed)
 
 
@@ -263,7 +261,7 @@ def schedule_eval(schedule: Schedule, n: int) -> ModelParams:
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    if schedule.mode is ScheduleMode.MOVING_BETA:
+    if schedule.beta_fixed is None:
         arg = 4.0 - schedule.b / float(n) ** schedule.delta1
         if arg <= 1.0:
             raise ScheduleUnderflowError(

@@ -17,7 +17,7 @@ from begrates.cases import (
 )
 from begrates.errors import InvalidCaseParametersError
 from begrates.exact import build_joint_law, moment
-from begrates.model import BETA_C, critical_K, g_derivs_at_zero
+from begrates.model import BETA_C, Schedule, critical_K, g_derivs_at_zero
 from oracles import branch_regression_at, stein_solution, with_schedule
 
 SIXTH, TWELFTH = 1.0 / 6.0, 1.0 / 12.0
@@ -172,8 +172,34 @@ class TestRatesAsMinima:
 
     def test_unknown_theorem_tag_is_rejected(self):
         with pytest.raises(InvalidCaseParametersError, match="unknown theorem tag 'D1'"):
-            CaseSpec(case_id="D1.1", theorem="D1", subcase="", gamma=0.5,
-                     density_pattern="x2", validity="")
+            CaseSpec(case_id="D1.1", theorem="D1", subcase="", gamma=0.5, validity="")
+
+
+class TestTheoremKinds:
+    # each theorem fixes whether (beta_n, K_n) is a fixed point, a fixed-beta
+    # or a moving-beta schedule; a case carrying another kind is not built
+    def test_moving_beta_theorem_rejects_a_fixed_beta_schedule(self):
+        fixed_beta = Schedule(beta_fixed=1.0, k=1.0, delta2=0.8)
+        with pytest.raises(InvalidCaseParametersError, match="C4.1: C4 needs a moving-beta"):
+            replace(case_by_id("C4.1"), schedule=fixed_beta)
+
+    def test_fixed_beta_theorem_rejects_a_moving_beta_schedule(self):
+        moving_beta = Schedule(k=1.0, b=1.0, delta1=0.6, delta2=0.6)
+        with pytest.raises(InvalidCaseParametersError, match="B3.1: B3 needs a fixed-beta"):
+            replace(case_by_id("B3.1"), schedule=moving_beta)
+
+    def test_schedule_theorem_without_a_schedule_is_rejected(self):
+        with pytest.raises(InvalidCaseParametersError, match="B1 needs a fixed-beta"):
+            CaseSpec(case_id="B1.x", theorem="B1", subcase="", gamma=0.25, validity="")
+
+    def test_fixed_point_theorem_without_a_point_is_rejected(self):
+        with pytest.raises(InvalidCaseParametersError, match="fixed-A needs a fixed-point"):
+            CaseSpec(case_id="fixed-A.x", theorem="fixed-A", subcase="", gamma=0.5,
+                     validity="")
+
+    def test_density_pattern_is_not_an_argument(self):
+        with pytest.raises(ValueError, match="density_pattern"):
+            replace(case_by_id("C4.1"), density_pattern="x2")
 
 
 class TestParamsAt:

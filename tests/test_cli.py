@@ -3,6 +3,7 @@ import inspect
 import json
 import re
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -11,6 +12,8 @@ from begrates import cli, mcmc
 from begrates.cases import case_catalog
 from begrates.cli import main
 from begrates.density import estimate_stein_constants, normalize_density
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -31,6 +34,12 @@ class TestCatalogCommand:
         doc = json.loads(out)
         assert doc["meta"]["count"] == 42
         assert len(doc["rows"]) == 42
+
+
+    def test_csv_is_pinned(self, capsys):
+        code, out, err = run_cli(capsys, "case-catalog", "--format", "csv")
+        assert code == 0 and err == ""
+        assert out.encode() == (DATA / "case-catalog.csv").read_bytes()
 
 
 class TestPhaseDiagramCommand:
@@ -197,6 +206,11 @@ class TestExitCodes:
         ("exact-law --n 1000 --beta 1 --K 1e306", 3),
         ("hs-check --n 64 --beta 1 --K 1e10", 3),
         ("hs-check --n 64 --beta 1 --K 1e17", 3),
+        ("hs-check --n 64 --beta 1 --K 1e8", 3),
+        ("hs-check --n 64 --beta 1 --K 1e12", 3),
+        ("hs-check --n 1024 --gamma 0.25 --beta 1 --K 1e12", 3),
+        ("phase-diagram --beta-min 1 --beta-max 710 --samples 2", 2),
+        ("minimizers --beta 710 --K 1", 2),
         ("phase-diagram --samples 0", 2),
         ("phase-diagram --samples -5", 2),
         ("limit-density --b1 0.5 --max-moment -4", 2),

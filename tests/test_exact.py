@@ -17,7 +17,7 @@ from begrates.exact import (
     pair_covariance,
     tv_distance,
 )
-from begrates.model import BETA_C, ModelParams, critical_K
+from begrates.model import BETA_C, G_prime, ModelParams, critical_K, g_derivs_at_zero
 from begrates.rates import run_rung
 from oracles import (
     brute_moment,
@@ -333,6 +333,17 @@ class TestHubbardStratonovich:
         # the wells of exp(-n G) are narrower than a cell, so its total is 0
         with pytest.raises(ComputationError, match="G-density"):
             hs_check(ModelParams(1.0, K), n, gamma)
+
+    @pytest.mark.parametrize("params", [POINT_A, ModelParams(2.0, 1.2), ModelParams(600.0, 1.0),
+                                        ModelParams(1.0, 1e12)], ids=str)
+    def test_well_curvature_is_g_second(self, params):
+        # against G''(0) in closed form and a central difference of G'
+        assert exact._G_second(params, 0.0) == pytest.approx(g_derivs_at_zero(params).g2,
+                                                             rel=1e-14)
+        for x in (0.3, 1.0):
+            h = 1e-6 * x
+            fdiff = (G_prime(params, x + h) - G_prime(params, x - h)) / (2.0 * h)
+            assert exact._G_second(params, x) == pytest.approx(fdiff, rel=1e-6)
 
     def test_both_cdfs_symmetric(self):
         # symmetry of the smoothed law: P(W+Y <= -t) + P(W+Y <= t) = 1

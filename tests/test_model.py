@@ -11,7 +11,6 @@ from begrates.model import (
     ModelParams,
     RegionTag,
     Schedule,
-    ScheduleMode,
     classify_region,
     critical_K,
     cumulant_gf,
@@ -87,6 +86,12 @@ class TestCriticalK:
 
     def test_at_beta_one(self):
         assert abs(critical_K(1.0) - (math.e + 2.0) / 4.0) < 1e-14
+
+    def test_past_the_double_range_is_a_validation_error(self):
+        # e^beta is finite up to beta = log(max double) ~ 709.78
+        assert math.isfinite(critical_K(709.0))
+        with pytest.raises(ValidationError, match="double range"):
+            critical_K(710.0)
 
     @pytest.mark.parametrize("beta", [0.5, 1.0, BETA_C, 2.0])
     def test_consistent_with_curvature(self, beta):
@@ -256,42 +261,41 @@ class TestPairConditionals:
 
 class TestSchedule:
     def test_moving_beta_monotone_to_beta_c(self):
-        s = Schedule(mode=ScheduleMode.MOVING_BETA, k=1.0, b=1.0, delta1=1.0 / 3.0,
-                     delta2=0.5)
+        s = Schedule(k=1.0, b=1.0, delta1=1.0 / 3.0, delta2=0.5)
         betas = [schedule_eval(s, n).beta for n in (4, 16, 64, 256, 4096)]
         assert all(b2 > b1 for b1, b2 in zip(betas, betas[1:]))
         assert betas[-1] < BETA_C
         assert BETA_C - betas[-1] < 0.02
 
     def test_fixed_beta_value(self):
-        s = Schedule(mode=ScheduleMode.FIXED_BETA, beta_fixed=1.0, k=1.0, delta2=0.5)
+        s = Schedule(beta_fixed=1.0, k=1.0, delta2=0.5)
         p = schedule_eval(s, 100)
         assert p.beta == 1.0
         assert abs(p.K - (critical_K(1.0) - 0.1)) < 1e-14
 
     def test_K_converges_to_critical(self):
-        s = Schedule(mode=ScheduleMode.FIXED_BETA, beta_fixed=1.0, k=1.0, delta2=0.5)
+        s = Schedule(beta_fixed=1.0, k=1.0, delta2=0.5)
         gaps = [critical_K(1.0) - schedule_eval(s, n).K for n in (10, 1000, 100000)]
         assert gaps[0] > gaps[1] > gaps[2] > 0.0
 
     def test_underflow_raises(self):
-        s = Schedule(mode=ScheduleMode.MOVING_BETA, k=1.0, b=3.5, delta1=0.5, delta2=0.5)
+        s = Schedule(k=1.0, b=3.5, delta1=0.5, delta2=0.5)
         with pytest.raises(ScheduleUnderflowError):
             schedule_eval(s, 1)  # 4 - 3.5 = 0.5 <= 1
-        big_k = Schedule(mode=ScheduleMode.FIXED_BETA, beta_fixed=1.0, k=10.0, delta2=0.5)
+        big_k = Schedule(beta_fixed=1.0, k=10.0, delta2=0.5)
         with pytest.raises(ScheduleUnderflowError):
             schedule_eval(big_k, 2)
 
     def test_invalid_schedules_rejected(self):
         with pytest.raises(ValidationError):
-            Schedule(mode=ScheduleMode.FIXED_BETA, beta_fixed=1.0, k=0.0, delta2=0.5)
+            Schedule(beta_fixed=1.0, k=0.0, delta2=0.5)
         with pytest.raises(ValidationError):
-            Schedule(mode=ScheduleMode.MOVING_BETA, k=1.0, b=0.0, delta1=0.3, delta2=0.5)
-        with pytest.raises(ValidationError, match="requires beta_fixed"):
-            Schedule(mode=ScheduleMode.FIXED_BETA, k=1.0, delta2=0.5)
+            Schedule(k=1.0, b=0.0, delta1=0.3, delta2=0.5)
+        with pytest.raises(ValidationError, match="takes no b"):
+            Schedule(beta_fixed=1.0, k=1.0, b=1.0, delta2=0.5)
 
     def test_size_below_one_rejected(self):
-        s = Schedule(mode=ScheduleMode.FIXED_BETA, beta_fixed=1.0, k=1.0, delta2=0.5)
+        s = Schedule(beta_fixed=1.0, k=1.0, delta2=0.5)
         with pytest.raises(ValidationError, match="n must be >= 1"):
             schedule_eval(s, 0)
 
