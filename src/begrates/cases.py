@@ -11,10 +11,11 @@ rate exponent r with d_K <= const * n^-r.  The catalog covers:
 
 Multi-branch rate tables contribute one catalog entry per branch; cases whose
 mixed density changes shape with the sign of k or b contribute one entry per
-sign.  Each fact is stated once: ``_THEOREMS`` fixes each theorem's density
-pattern and parameter kind; ``predicted_rate`` checks the kind, derives r from
-gamma and the schedule and enforces the branch predicate whenever a case is
-built; ``regression_at`` takes lambda = n^(2 gamma - 2) and the active
+sign.  Each fact is stated once: one row of ``_THEOREMS`` per theorem holds
+its density pattern, its parameter kind, its hypothesis as a predicate and as
+text, and the terms of the minimum that gives its rate; ``predicted_rate``
+checks a case against its row whenever the case is built and takes r as that
+minimum; ``regression_at`` takes lambda = n^(2 gamma - 2) and the active
 regression coefficients from gamma and the density pattern.
 """
 
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .density import PolyDensity, density_from_regression
 from .errors import InvalidCaseParametersError
@@ -45,17 +46,79 @@ __all__ = [
     "comparison_density",
 ]
 
-# theorem tag -> (density pattern, parameter kind): the active exponent
-# monomials of the limit density, and whether (beta_n, K_n) is a fixed point
-# (seq-A drifts onto its point by itself), a fixed-beta or a moving-beta schedule
+_EPS = 1e-12
+
+
+def _eq(a: float, b: float) -> bool:
+    return abs(a - b) < _EPS
+
+
+class _Theorem(NamedTuple):
+    """What one theorem fixes: the active exponent monomials of its limit
+    density; whether (beta_n, K_n) is a fixed point (seq-A drifts onto its
+    point by itself), a fixed-beta or a moving-beta schedule; its hypothesis
+    on (gamma, schedule), as a predicate and as text; and the exponents other
+    than gamma of the minimum that gives its rate."""
+
+    pattern: str
+    kind: str
+    holds: Callable[[float, Schedule | None], bool]
+    hypothesis: str
+    terms: Callable[[float, Schedule | None], tuple] = lambda g, s: ()
+
+
+_FIXED_A = _Theorem("x2", "fixed-point", lambda g, s: _eq(g, 0.5), "gamma=1/2")
 _THEOREMS = {
-    "fixed-A": ("x2", "fixed-point"), "seq-A": ("x2", "fixed-point"),
-    "fixed-B": ("x4", "fixed-point"), "fixed-C": ("x6", "fixed-point"),
-    "B1": ("x2+x4", "fixed-beta"), "B2": ("x2", "fixed-beta"), "B3": ("x4", "fixed-beta"),
-    "C1": ("x2+x4+x6", "moving-beta"), "C2": ("x2", "moving-beta"),
-    "C3": ("x2", "moving-beta"), "C4": ("x6", "moving-beta"), "C5": ("x4", "moving-beta"),
-    "C6": ("x4+x6", "moving-beta"), "C7": ("x2+x6", "moving-beta"),
-    "C8": ("x2+x4", "moving-beta"),
+    "fixed-A": _FIXED_A, "seq-A": _FIXED_A,
+    "fixed-B": _Theorem("x4", "fixed-point", lambda g, s: _eq(g, 0.25), "gamma=1/4"),
+    "fixed-C": _Theorem("x6", "fixed-point", lambda g, s: _eq(g, 1.0 / 6.0), "gamma=1/6"),
+    "B1": _Theorem(
+        "x2+x4", "fixed-beta", lambda g, s: _eq(g, 0.25) and _eq(s.delta2, 0.5),
+        "gamma=1/4, delta2=1/2"),
+    "B2": _Theorem(
+        "x2", "fixed-beta", lambda g, s: 0.25 < g < 0.5 and _eq(2 * g, 1 - s.delta2),
+        "2 gamma = 1 - delta2, gamma in (1/4, 1/2)", lambda g, s: (4 * g - 1.0,)),
+    "B3": _Theorem(
+        "x4", "fixed-beta", lambda g, s: _eq(g, 0.25) and s.delta2 > 0.5,
+        "gamma=1/4, delta2 > 1/2", lambda g, s: (s.delta2 - 0.5,)),
+    "C1": _Theorem(
+        "x2+x4+x6", "moving-beta",
+        lambda g, s: _eq(g, 1.0 / 6.0) and _eq(s.delta1, 1.0 / 3.0) and _eq(s.delta2, 2.0 / 3.0),
+        "gamma=1/6, delta1=1/3, delta2=2/3"),
+    "C2": _Theorem(
+        "x2", "moving-beta", lambda g, s: 0.25 < g < 0.5 and _eq(2 * g, 1 - s.delta2),
+        "2 gamma = 1 - delta2, gamma in (1/4, 1/2)", lambda g, s: (4 * g + s.delta1 - 1.0,)),
+    "C3": _Theorem(
+        "x2", "moving-beta",
+        lambda g, s: (1.0 / 6.0 < g <= 0.25 and _eq(2 * g, 1 - s.delta2)
+                      and s.delta1 > 2 * s.delta2 - 1.0),
+        "2 gamma = 1 - delta2, gamma in (1/6, 1/4], delta1 > 2 delta2 - 1",
+        lambda g, s: (6 * g - 1.0, 4 * g + s.delta1 - 1.0)),
+    "C4": _Theorem(
+        "x6", "moving-beta",
+        lambda g, s: _eq(g, 1.0 / 6.0) and s.delta1 > 1.0 / 3.0 and s.delta2 > 2.0 / 3.0,
+        "gamma=1/6, delta1 > 1/3, delta2 > 2/3",
+        lambda g, s: (s.delta1 - 1.0 / 3.0, s.delta2 - 2.0 / 3.0)),
+    "C5": _Theorem(
+        "x4", "moving-beta",
+        lambda g, s: (1.0 / 6.0 < g < 0.25 and _eq(4 * g, 1 - s.delta1)
+                      and 2 * s.delta2 > s.delta1 + 1.0 and s.b > 0),
+        "4 gamma = 1 - delta1, gamma in (1/6, 1/4), 2 delta2 > delta1 + 1, b > 0",
+        lambda g, s: (2 * g + s.delta2 - 1.0, 6 * g - 1.0)),
+    "C6": _Theorem(
+        "x4+x6", "moving-beta",
+        lambda g, s: _eq(g, 1.0 / 6.0) and _eq(s.delta1, 1.0 / 3.0) and s.delta2 > 2.0 / 3.0,
+        "gamma=1/6, delta1=1/3, delta2 > 2/3", lambda g, s: (s.delta2 - 2.0 / 3.0,)),
+    "C7": _Theorem(
+        "x2+x6", "moving-beta",
+        lambda g, s: _eq(g, 1.0 / 6.0) and s.delta1 > 1.0 / 3.0 and _eq(s.delta2, 2.0 / 3.0),
+        "gamma=1/6, delta1 > 1/3, delta2=2/3", lambda g, s: (s.delta1 - 1.0 / 3.0,)),
+    "C8": _Theorem(
+        "x2+x4", "moving-beta",
+        lambda g, s: (1.0 / 6.0 < g < 0.25 and _eq(4 * g, 1 - s.delta1)
+                      and _eq(2 * s.delta2, s.delta1 + 1.0) and s.b > 0),
+        "4 gamma = 1 - delta1, 2 delta2 = delta1 + 1, gamma in (1/6, 1/4), b > 0",
+        lambda g, s: (6 * g - 1.0,)),
 }
 
 # default fixed-parameter points
@@ -68,29 +131,33 @@ _POINT_C = ModelParams(BETA_C, critical_K(BETA_C))
 class CaseSpec:
     """One convergence-rate case.
 
-    ``validity`` describes the branch predicate the defaults were chosen to
-    satisfy.  ``ladder_max_exp`` is the top power of two of the default
-    ladder.  ``density_pattern`` ("x2", "x2+x4", ...) is read from the
-    theorem's row of ``_THEOREMS`` and ``predicted_exponent``, the r in
-    d_K <= const * n^-r, is computed by ``predicted_rate``, both on
-    construction, so a case that does not fit its theorem cannot be built.
+    ``ladder_max_exp`` is the top power of two of the default ladder.  The
+    theorem's row of ``_THEOREMS`` gives, on construction, the
+    ``density_pattern`` ("x2", "x2+x4", ...), the ``parameter_kind`` and the
+    ``validity`` text of its hypothesis; ``predicted_exponent``, the r in
+    d_K <= const * n^-r, is computed by ``predicted_rate``, so a case that
+    does not fit its theorem cannot be built.
     """
 
     case_id: str
     theorem: str
     subcase: str
     gamma: float
-    validity: str
     schedule: Schedule | None = None
     fixed_params: ModelParams | None = None
     ladder_max_exp: int = 12
     density_pattern: str = field(init=False)
+    parameter_kind: str = field(init=False)
+    validity: str = field(init=False)
     predicted_exponent: float = field(init=False)
 
     def __post_init__(self) -> None:
         if self.theorem not in _THEOREMS:
             raise InvalidCaseParametersError(f"unknown theorem tag {self.theorem!r}")
-        object.__setattr__(self, "density_pattern", _THEOREMS[self.theorem][0])
+        row = _THEOREMS[self.theorem]
+        object.__setattr__(self, "density_pattern", row.pattern)
+        object.__setattr__(self, "parameter_kind", row.kind)
+        object.__setattr__(self, "validity", row.hypothesis)
         object.__setattr__(self, "predicted_exponent", predicted_rate(self))
 
 
@@ -144,117 +211,25 @@ def comparison_density(case: CaseSpec, n: int, moments: Mapping[int, float]) -> 
 # predicted rates
 
 
-def _require(cond: bool, case: CaseSpec, msg: str) -> None:
-    if not cond:
-        raise InvalidCaseParametersError(f"{case.case_id}: {msg}")
-
-
-_EPS = 1e-12
-
-
 def predicted_rate(case: CaseSpec) -> float:
     """Rate exponent r such that d_K <= const * n^-r for this case.
 
-    First checks that the case carries exactly one of ``fixed_params`` and
-    ``schedule``, of the kind its theorem's row of ``_THEOREMS`` names, then
-    its branch predicate (gamma, delta1, delta2 ranges); raises
-    InvalidCaseParametersError when either fails.  Each B and C predicate
-    implies the paper's standing hypothesis v = 0 (family B) or w = 0
-    (family C).
+    Reads the theorem's row of ``_THEOREMS``.  First checks that the case
+    carries exactly one of ``fixed_params`` and ``schedule``, of the row's
+    kind, then the row's hypothesis on gamma, delta1 and delta2; raises
+    InvalidCaseParametersError when either fails.  r is the minimum of gamma
+    and the row's rate terms.  Each B and C hypothesis implies the paper's
+    standing hypothesis v = 0 (family B) or w = 0 (family C).
     """
-    g, th, s = case.gamma, case.theorem, case.schedule
-    kind = _THEOREMS[th][1]
+    g, s, row = case.gamma, case.schedule, _THEOREMS[case.theorem]
     carried = ("fixed-point" if s is None
                else "moving-beta" if s.beta_fixed is None else "fixed-beta")
-    _require((s is None) != (case.fixed_params is None) and carried == kind, case,
-             f"{th} needs a {kind} parameter set")
-
-    if th in ("fixed-A", "seq-A"):
-        _require(abs(g - 0.5) < _EPS, case, "gamma must be 1/2")
-        return 0.5
-    if th == "fixed-B":
-        _require(abs(g - 0.25) < _EPS, case, "gamma must be 1/4")
-        return 0.25
-    if th == "fixed-C":
-        _require(abs(g - 1.0 / 6.0) < _EPS, case, "gamma must be 1/6")
-        return 1.0 / 6.0
-
-    if th == "B1":
-        _require(abs(g - 0.25) < _EPS and abs(s.delta2 - 0.5) < _EPS, case,
-                 "needs gamma=1/4, delta2=1/2")
-        return 0.25
-    if th == "B2":
-        _require(0.25 < g < 0.5 and abs(2 * g - (1 - s.delta2)) < _EPS, case,
-                 "needs 2 gamma = 1 - delta2 with gamma in (1/4, 1/2)")
-        return min(g, 4 * g - 1.0)
-    if th == "B3":
-        _require(abs(g - 0.25) < _EPS and s.delta2 > 0.5, case,
-                 "needs gamma=1/4, delta2 > 1/2")
-        return min(0.25, s.delta2 - 0.5)
-    if th == "C1":
-        _require(
-            abs(g - 1.0 / 6.0) < _EPS
-            and abs(s.delta1 - 1.0 / 3.0) < _EPS
-            and abs(s.delta2 - 2.0 / 3.0) < _EPS,
-            case,
-            "needs gamma=1/6, delta1=1/3, delta2=2/3",
-        )
-        return 1.0 / 6.0
-    if th == "C2":
-        _require(0.25 < g < 0.5 and abs(2 * g - (1 - s.delta2)) < _EPS and s.delta1 > 0,
-                 case, "needs 2 gamma = 1 - delta2, gamma in (1/4, 1/2)")
-        return min(g, 4 * g + s.delta1 - 1.0)
-    if th == "C3":
-        _require(
-            1.0 / 6.0 < g <= 0.25
-            and abs(2 * g - (1 - s.delta2)) < _EPS
-            and s.delta1 > 2 * s.delta2 - 1.0,
-            case,
-            "needs 2 gamma = 1 - delta2, gamma in (1/6, 1/4], delta1 > 2 delta2 - 1",
-        )
-        return min(g, 6 * g - 1.0, 4 * g + s.delta1 - 1.0)
-    if th == "C4":
-        _require(
-            abs(g - 1.0 / 6.0) < _EPS and s.delta1 > 1.0 / 3.0 and s.delta2 > 2.0 / 3.0,
-            case, "needs gamma=1/6, delta1 > 1/3, delta2 > 2/3",
-        )
-        return min(1.0 / 6.0, s.delta1 - 1.0 / 3.0, s.delta2 - 2.0 / 3.0)
-    if th == "C5":
-        _require(
-            1.0 / 6.0 < g < 0.25
-            and abs(4 * g - (1 - s.delta1)) < _EPS
-            and 2 * s.delta2 > s.delta1 + 1.0
-            and s.b > 0,
-            case,
-            "needs 4 gamma = 1 - delta1, gamma in (1/6, 1/4), 2 delta2 > delta1 + 1, b > 0",
-        )
-        return min(g, 2 * g + s.delta2 - 1.0, 6 * g - 1.0)
-    if th == "C6":
-        _require(
-            abs(g - 1.0 / 6.0) < _EPS
-            and abs(s.delta1 - 1.0 / 3.0) < _EPS
-            and s.delta2 > 2.0 / 3.0,
-            case, "needs gamma=1/6, delta1=1/3, delta2 > 2/3",
-        )
-        return min(1.0 / 6.0, s.delta2 - 2.0 / 3.0)
-    if th == "C7":
-        _require(
-            abs(g - 1.0 / 6.0) < _EPS
-            and s.delta1 > 1.0 / 3.0
-            and abs(s.delta2 - 2.0 / 3.0) < _EPS,
-            case, "needs gamma=1/6, delta1 > 1/3, delta2=2/3",
-        )
-        return min(1.0 / 6.0, s.delta1 - 1.0 / 3.0)
-    # C8, the last tag of _THEOREMS
-    _require(
-        1.0 / 6.0 < g < 0.25
-        and abs(4 * g - (1 - s.delta1)) < _EPS
-        and abs(2 * s.delta2 - (s.delta1 + 1.0)) < _EPS
-        and s.b > 0,
-        case,
-        "needs 4 gamma = 1 - delta1, 2 delta2 = delta1 + 1, gamma in (1/6, 1/4), b > 0",
-    )
-    return min(g, 6 * g - 1.0)
+    if (s is None) == (case.fixed_params is None) or carried != row.kind:
+        raise InvalidCaseParametersError(
+            f"{case.case_id}: {case.theorem} needs a {row.kind} parameter set")
+    if not row.holds(g, s):
+        raise InvalidCaseParametersError(f"{case.case_id}: needs {row.hypothesis}")
+    return min((g, *row.terms(g, s)))
 
 
 # ---------------------------------------------------------------------------
@@ -271,42 +246,34 @@ def _build_catalog() -> list[CaseSpec]:
 
     cases.append(CaseSpec(
         case_id="fixed-A", theorem="fixed-A", subcase="(beta, K) in region A",
-        gamma=0.5, validity="K < K_c(beta), beta <= log 4", fixed_params=_POINT_A))
+        gamma=0.5, fixed_params=_POINT_A))
     cases.append(CaseSpec(
         case_id="fixed-B", theorem="fixed-B", subcase="(beta, K_c(beta)), beta < log 4",
-        gamma=0.25, validity="on the critical curve below the tricritical point",
-        fixed_params=_POINT_B))
+        gamma=0.25, fixed_params=_POINT_B))
     cases.append(CaseSpec(
         case_id="fixed-C", theorem="fixed-C", subcase="tricritical point",
-        gamma=1.0 / 6.0, validity="(log 4, 3/(2 log 4))", fixed_params=_POINT_C,
-        ladder_max_exp=13))
+        gamma=1.0 / 6.0, fixed_params=_POINT_C, ladder_max_exp=13))
     cases.append(CaseSpec(
         case_id="seq-A", theorem="seq-A", subcase="bounded sequence into region A",
-        gamma=0.5, validity="any positive bounded sequence converging into A",
-        fixed_params=_POINT_A))
+        gamma=0.5, fixed_params=_POINT_A))
 
     # family B: K_n onto the critical curve at fixed beta = 1.0
     for sign, tag in ((1.0, "k+"), (-1.0, "k-")):
         cases.append(CaseSpec(
             case_id=f"B1.{tag}", theorem="B1", subcase=f"critical speed, {tag}",
-            gamma=0.25, validity="gamma=1/4, delta2=1/2",
-            schedule=Schedule(beta_fixed=1.0, k=sign, delta2=0.5)))
+            gamma=0.25, schedule=Schedule(beta_fixed=1.0, k=sign, delta2=0.5)))
     cases.append(CaseSpec(
         case_id="B2.1", theorem="B2", subcase="gamma in (1/4, 1/3]",
-        gamma=0.3, validity="2 gamma = 1 - delta2, slow K_n",
-        schedule=Schedule(beta_fixed=1.0, k=1.0, delta2=0.4)))
+        gamma=0.3, schedule=Schedule(beta_fixed=1.0, k=1.0, delta2=0.4)))
     cases.append(CaseSpec(
         case_id="B2.2", theorem="B2", subcase="gamma in [1/3, 1/2)",
-        gamma=0.4, validity="2 gamma = 1 - delta2, slow K_n",
-        schedule=Schedule(beta_fixed=1.0, k=1.0, delta2=0.2)))
+        gamma=0.4, schedule=Schedule(beta_fixed=1.0, k=1.0, delta2=0.2)))
     cases.append(CaseSpec(
         case_id="B3.1", theorem="B3", subcase="delta2 in (1/2, 3/4)",
-        gamma=0.25, validity="gamma=1/4, fast K_n",
-        schedule=Schedule(beta_fixed=1.0, k=1.0, delta2=0.6)))
+        gamma=0.25, schedule=Schedule(beta_fixed=1.0, k=1.0, delta2=0.6)))
     cases.append(CaseSpec(
         case_id="B3.2", theorem="B3", subcase="delta2 >= 3/4",
-        gamma=0.25, validity="gamma=1/4, fastest K_n",
-        schedule=Schedule(beta_fixed=1.0, k=1.0, delta2=1.0)))
+        gamma=0.25, schedule=Schedule(beta_fixed=1.0, k=1.0, delta2=1.0)))
 
     # family C: (beta_n, K_n) into the tricritical point
     third, two_thirds = 1.0 / 3.0, 2.0 / 3.0
@@ -315,7 +282,7 @@ def _build_catalog() -> list[CaseSpec]:
             tag = f"k{'+' if k > 0 else '-'}b{'+' if b > 0 else '-'}"
             cases.append(CaseSpec(
                 case_id=f"C1.{tag}", theorem="C1", subcase=f"critical speeds, {tag}",
-                gamma=1.0 / 6.0, validity="gamma=1/6, delta1=1/3, delta2=2/3",
+                gamma=1.0 / 6.0,
                 schedule=Schedule(k=k, b=b, delta1=third, delta2=two_thirds),
                 ladder_max_exp=13))
 
@@ -327,7 +294,6 @@ def _build_catalog() -> list[CaseSpec]:
     for cid, g, d1, desc in c2:
         cases.append(CaseSpec(
             case_id=cid, theorem="C2", subcase=desc, gamma=g,
-            validity="2 gamma = 1 - delta2, delta1 > 0",
             schedule=Schedule(k=1.0, b=1.0, delta1=d1, delta2=1.0 - 2.0 * g),
             ladder_max_exp=13))
 
@@ -340,7 +306,6 @@ def _build_catalog() -> list[CaseSpec]:
     for cid, g, d1, desc in c3:
         cases.append(CaseSpec(
             case_id=cid, theorem="C3", subcase=desc, gamma=g,
-            validity="2 gamma = 1 - delta2, delta1 > 2 delta2 - 1",
             schedule=Schedule(k=1.0, b=1.0, delta1=d1, delta2=1.0 - 2.0 * g),
             ladder_max_exp=13))
 
@@ -354,7 +319,6 @@ def _build_catalog() -> list[CaseSpec]:
     for cid, d1, d2, desc in c4:
         cases.append(CaseSpec(
             case_id=cid, theorem="C4", subcase=desc, gamma=1.0 / 6.0,
-            validity="gamma=1/6, delta1 > 1/3, delta2 > 2/3",
             schedule=Schedule(k=1.0, b=1.0, delta1=d1, delta2=d2),
             ladder_max_exp=13))
 
@@ -367,7 +331,6 @@ def _build_catalog() -> list[CaseSpec]:
     for cid, g, d2, desc in c5:
         cases.append(CaseSpec(
             case_id=cid, theorem="C5", subcase=desc, gamma=g,
-            validity="4 gamma = 1 - delta1, 2 delta2 > delta1 + 1, b > 0",
             schedule=Schedule(k=1.0, b=1.0, delta1=1.0 - 4.0 * g, delta2=d2),
             ladder_max_exp=13))
 
@@ -377,7 +340,7 @@ def _build_catalog() -> list[CaseSpec]:
             cases.append(CaseSpec(
                 case_id=f"C6.{br}.{tag}", theorem="C6",
                 subcase=f"delta2 {'in (2/3, 5/6)' if br == '1' else '>= 5/6'}, {tag}",
-                gamma=1.0 / 6.0, validity="gamma=1/6, delta1=1/3, delta2 > 2/3",
+                gamma=1.0 / 6.0,
                 schedule=Schedule(k=1.0, b=b, delta1=third, delta2=d2),
                 ladder_max_exp=13))
 
@@ -387,7 +350,7 @@ def _build_catalog() -> list[CaseSpec]:
             cases.append(CaseSpec(
                 case_id=f"C7.{br}.{tag}", theorem="C7",
                 subcase=f"delta1 {'in (1/3, 1/2)' if br == '1' else '>= 1/2'}, {tag}",
-                gamma=1.0 / 6.0, validity="gamma=1/6, delta1 > 1/3, delta2=2/3",
+                gamma=1.0 / 6.0,
                 schedule=Schedule(k=k, b=1.0, delta1=d1, delta2=two_thirds),
                 ladder_max_exp=13))
 
@@ -401,7 +364,7 @@ def _build_catalog() -> list[CaseSpec]:
             cases.append(CaseSpec(
                 case_id=f"C8.{br}.{tag}", theorem="C8",
                 subcase=f"gamma {'in (1/6, 1/5]' if br == '1' else 'in [1/5, 1/4)'}, {tag}",
-                gamma=g, validity="4 gamma = 1 - delta1, 2 delta2 = delta1 + 1, b > 0",
+                gamma=g,
                 schedule=Schedule(k=k, b=1.0, delta1=d1, delta2=(d1 + 1.0) / 2.0),
                 ladder_max_exp=13))
 

@@ -237,18 +237,17 @@ def _cmd_case_catalog(args, out: _Output) -> None:
             "case_id": case.case_id, "theorem": case.theorem, "subcase": case.subcase,
             "gamma": case.gamma, "density_pattern": case.density_pattern,
             "predicted_exponent": case.predicted_exponent, "validity": case.validity,
-            "mode": "", "beta_fixed": "", "b": "", "k": "", "delta1": "", "delta2": "",
-            "ladder_max_exp": case.ladder_max_exp,
+            "mode": case.parameter_kind, "beta_fixed": "", "b": "", "k": "", "delta1": "",
+            "delta2": "", "ladder_max_exp": case.ladder_max_exp,
         }
         s = case.schedule
         if s is not None:
             row.update({
-                "mode": "moving-beta" if s.beta_fixed is None else "fixed-beta",
                 "beta_fixed": "" if s.beta_fixed is None else s.beta_fixed,
-                "b": s.b, "k": s.k, "delta1": s.delta1, "delta2": s.delta2,
+                "b": s.b, "k": s.k, "delta1": "" if s.delta1 is None else s.delta1,
+                "delta2": s.delta2,
             })
-        elif case.fixed_params is not None:
-            row["mode"] = "fixed-point"
+        else:
             row["beta_fixed"] = case.fixed_params.beta
             row["k"] = case.fixed_params.K
         out.rows.append(row)

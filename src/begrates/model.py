@@ -226,16 +226,16 @@ class Schedule:
     """Parameter sequences beta_n, K_n.
 
     A schedule is fixed-beta exactly when ``beta_fixed`` is set: then
-    beta_n = beta_fixed and it takes no b.  Otherwise beta moves to BETA_C as
-    beta_n = log(e^{BETA_C} - b / n^delta1), with b != 0.  Either way
-    K_n = K_c(beta_n) - k / n^delta2.
+    beta_n = beta_fixed and it takes no b and no delta1.  Otherwise beta moves
+    to BETA_C as beta_n = log(e^{BETA_C} - b / n^delta1), with b != 0 and
+    delta1 > 0.  Either way K_n = K_c(beta_n) - k / n^delta2.
     """
 
     k: float
     delta2: float
     beta_fixed: float | None = None
     b: float = 0.0
-    delta1: float = 1.0
+    delta1: float | None = None
 
     def __post_init__(self) -> None:
         if self.k == 0.0:
@@ -245,11 +245,14 @@ class Schedule:
         if self.beta_fixed is None:
             if self.b == 0.0:
                 raise ValidationError("moving-beta schedule requires b != 0")
+            if self.delta1 is None:
+                raise ValidationError("moving-beta schedule requires a delta1")
             _check_finite("b", self.b)
             _check_positive("delta1", self.delta1)
         else:
-            if self.b != 0.0:
-                raise ValidationError(f"fixed-beta schedule takes no b, got b={self.b!r}")
+            if self.b != 0.0 or self.delta1 is not None:
+                raise ValidationError("fixed-beta schedule takes no b and no delta1, got "
+                                      f"b={self.b!r}, delta1={self.delta1!r}")
             _check_positive("beta_fixed", self.beta_fixed)
 
 

@@ -15,7 +15,7 @@ from begrates.cases import (
     predicted_rate,
     regression_at,
 )
-from begrates.errors import InvalidCaseParametersError
+from begrates.errors import InvalidCaseParametersError, ValidationError
 from begrates.exact import build_joint_law, moment
 from begrates.model import BETA_C, Schedule, critical_K, g_derivs_at_zero
 from oracles import branch_regression_at, stein_solution, with_schedule
@@ -36,6 +36,16 @@ PAPER_RATES = {
     "C7.1.k+": 7.0 / 60.0, "C7.1.k-": 7.0 / 60.0, "C7.2.k+": SIXTH, "C7.2.k-": SIXTH,
     "C8.1.k+": 0.14, "C8.1.k-": 0.14, "C8.2.k+": 0.22, "C8.2.k-": 0.22,
 }
+
+
+def _phase_speed(case):
+    """v (family B) or w (family C) of the case; 0 for the fixed points."""
+    g, s = case.gamma, case.schedule
+    if case.theorem.startswith("B"):
+        return min(2 * g + s.delta2 - 1.0, 4 * g - 1.0)
+    if case.theorem.startswith("C"):
+        return min(2 * g + s.delta2 - 1.0, 4 * g + s.delta1 - 1.0, 6 * g - 1.0)
+    return 0.0
 
 
 class TestCatalogShape:
@@ -67,17 +77,11 @@ class TestCatalogShape:
             case_by_id("nope")
 
     def test_phase_speed_vanishes(self):
-        # the paper's standing hypothesis: v (family B) or w (family C) is 0,
-        # which every branch predicate of predicted_rate implies
+        # the paper's standing hypothesis, v = 0 (family B) or w = 0 (family
+        # C), holds at every catalog default; TestTheoremTable checks that each
+        # row's hypothesis in cases._THEOREMS implies it at random draws too
         for c in case_catalog():
-            g, s = c.gamma, c.schedule
-            if c.theorem.startswith("B"):
-                speed = min(2 * g + s.delta2 - 1.0, 4 * g - 1.0)
-            elif c.theorem.startswith("C"):
-                speed = min(2 * g + s.delta2 - 1.0, 4 * g + s.delta1 - 1.0, 6 * g - 1.0)
-            else:
-                speed = 0.0
-            assert abs(speed) < 1e-12, c.case_id
+            assert abs(_phase_speed(c)) < 1e-12, c.case_id
 
     def test_rates_match_the_paper_table(self):
         got = {c.case_id: c.predicted_exponent for c in case_catalog()}
@@ -140,20 +144,30 @@ def _open(lo, hi):
     return st.floats(lo, hi, exclude_min=True, exclude_max=True)
 
 
-# (gamma, delta1, delta2) inside each theorem's branch predicate
+# (gamma, delta1, delta2) inside each schedule theorem's hypothesis; family B
+# reads no delta1
 _BRANCH_PARAMS = {
+    "B1": st.just((0.25, 1.0, 0.5)),
     "B2": _open(0.25, 0.5).map(lambda g: (g, 1.0, 1.0 - 2 * g)),
     "B3": _open(0.5, 2.0).map(lambda d2: (0.25, 1.0, d2)),
+    "C1": st.just((SIXTH, 1.0 / 3.0, 2.0 / 3.0)),
     "C2": st.tuples(_open(0.25, 0.5), _open(0.0, 2.0)).map(
         lambda t: (t[0], t[1], 1.0 - 2 * t[0])),
     "C3": st.tuples(st.floats(1.0 / 6.0, 0.25, exclude_min=True), _open(0.0, 2.0)).map(
         lambda t: (t[0], 1.0 - 4 * t[0] + t[1], 1.0 - 2 * t[0])),
+    "C4": st.tuples(_open(1.0 / 3.0, 2.0), _open(2.0 / 3.0, 2.0)).map(
+        lambda t: (SIXTH, t[0], t[1])),
+    "C5": st.tuples(_open(SIXTH, 0.25), _open(0.0, 1.0)).map(
+        lambda t: (t[0], 1.0 - 4 * t[0], 1.0 - 2 * t[0] + t[1])),
+    "C6": _open(2.0 / 3.0, 2.0).map(lambda d2: (SIXTH, 1.0 / 3.0, d2)),
+    "C7": _open(1.0 / 3.0, 2.0).map(lambda d1: (SIXTH, d1, 2.0 / 3.0)),
+    "C8": _open(SIXTH, 0.25).map(lambda g: (g, 1.0 - 4 * g, 1.0 - 2 * g)),
 }
 _BRANCH_CASES = {"B2": "B2.1", "B3": "B3.1", "C2": "C2.1", "C3": "C3.1"}
 
 
 class TestRatesAsMinima:
-    @pytest.mark.parametrize("theorem", sorted(_BRANCH_PARAMS))
+    @pytest.mark.parametrize("theorem", sorted(_BRANCH_CASES))
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_minimum_is_the_branch_ladder(self, theorem, data):
@@ -172,7 +186,43 @@ class TestRatesAsMinima:
 
     def test_unknown_theorem_tag_is_rejected(self):
         with pytest.raises(InvalidCaseParametersError, match="unknown theorem tag 'D1'"):
-            CaseSpec(case_id="D1.1", theorem="D1", subcase="", gamma=0.5, validity="")
+            CaseSpec(case_id="D1.1", theorem="D1", subcase="", gamma=0.5)
+
+
+class TestTheoremTable:
+    # a draw inside a theorem's hypothesis, or one coordinate of it moved off
+    # by a random amount: the case builds exactly when the row's hypothesis
+    # holds, with v = 0 or w = 0 and r > 0, and is refused with that
+    # hypothesis otherwise.  The rows hold equalities to 1e-12 and the speed
+    # and the rate terms scale gamma by up to 6, hence the 1e-11: C3 admits
+    # gamma = 1/4 - 4e-13, delta1 = 1e-13, delta2 = 1/2, with r = -1.5e-12.
+    @pytest.mark.parametrize("theorem", sorted(_BRANCH_PARAMS))
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_hypothesis_gives_zero_phase_speed_and_positive_rate(self, theorem, data):
+        point = list(data.draw(_BRANCH_PARAMS[theorem]))
+        axis = data.draw(st.integers(0, 3))  # 3 keeps the draw as it is
+        if axis < 3:
+            point[axis] += data.draw(st.floats(-0.5, 0.5))
+        g, d1, d2 = point
+        base = next(c for c in case_catalog() if c.theorem == theorem)
+        updates = {"delta2": d2} if theorem.startswith("B") else {"delta1": d1, "delta2": d2}
+        try:
+            schedule = replace(base.schedule, **updates)
+        except ValidationError:
+            assume(False)  # delta1 or delta2 is not positive
+        try:
+            case = replace(base, gamma=g, schedule=schedule)
+        except InvalidCaseParametersError as exc:
+            assert str(exc) == f"{base.case_id}: needs {base.validity}"
+            return
+        assert abs(_phase_speed(case)) < 1e-11
+        assert case.predicted_exponent > -1e-11
+
+    def test_fixed_point_message_is_the_hypothesis(self):
+        with pytest.raises(InvalidCaseParametersError, match=r"^fixed-A: needs gamma=1/2$"):
+            replace(case_by_id("fixed-A"), gamma=0.4)
+        assert case_by_id("fixed-A").validity == "gamma=1/2"
 
 
 class TestTheoremKinds:
@@ -190,12 +240,11 @@ class TestTheoremKinds:
 
     def test_schedule_theorem_without_a_schedule_is_rejected(self):
         with pytest.raises(InvalidCaseParametersError, match="B1 needs a fixed-beta"):
-            CaseSpec(case_id="B1.x", theorem="B1", subcase="", gamma=0.25, validity="")
+            CaseSpec(case_id="B1.x", theorem="B1", subcase="", gamma=0.25)
 
     def test_fixed_point_theorem_without_a_point_is_rejected(self):
         with pytest.raises(InvalidCaseParametersError, match="fixed-A needs a fixed-point"):
-            CaseSpec(case_id="fixed-A.x", theorem="fixed-A", subcase="", gamma=0.5,
-                     validity="")
+            CaseSpec(case_id="fixed-A.x", theorem="fixed-A", subcase="", gamma=0.5)
 
     def test_density_pattern_is_not_an_argument(self):
         with pytest.raises(ValueError, match="density_pattern"):

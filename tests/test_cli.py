@@ -37,6 +37,8 @@ class TestCatalogCommand:
 
 
     def test_csv_is_pinned(self, capsys):
+        # regenerate with: begrates case-catalog --format csv > tests/data/case-catalog.csv
+        # (stdout, since --output is echoed into the "# config" lines)
         code, out, err = run_cli(capsys, "case-catalog", "--format", "csv")
         assert code == 0 and err == ""
         assert out.encode() == (DATA / "case-catalog.csv").read_bytes()
