@@ -218,8 +218,9 @@ def predicted_rate(case: CaseSpec) -> float:
     carries exactly one of ``fixed_params`` and ``schedule``, of the row's
     kind, then the row's hypothesis on gamma, delta1 and delta2; raises
     InvalidCaseParametersError when either fails.  r is the minimum of gamma
-    and the row's rate terms.  Each B and C hypothesis implies the paper's
-    standing hypothesis v = 0 (family B) or w = 0 (family C).
+    and the row's rate terms; a case whose r is not positive is refused the
+    same way.  Each B and C hypothesis implies the paper's standing
+    hypothesis v = 0 (family B) or w = 0 (family C).
     """
     g, s, row = case.gamma, case.schedule, _THEOREMS[case.theorem]
     carried = ("fixed-point" if s is None
@@ -229,7 +230,11 @@ def predicted_rate(case: CaseSpec) -> float:
             f"{case.case_id}: {case.theorem} needs a {row.kind} parameter set")
     if not row.holds(g, s):
         raise InvalidCaseParametersError(f"{case.case_id}: needs {row.hypothesis}")
-    return min((g, *row.terms(g, s)))
+    rate = min((g, *row.terms(g, s)))
+    if not rate > 0.0:  # the hypothesis holds equalities to 1e-12, and the terms round
+        raise InvalidCaseParametersError(
+            f"{case.case_id}: needs {row.hypothesis}; its rate {rate!r} is not positive")
+    return rate
 
 
 # ---------------------------------------------------------------------------

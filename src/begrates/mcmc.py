@@ -127,18 +127,31 @@ def _sweep(n_plus: int, n_minus: int, sites: list, draws: list,
            cum_minus: list, cum_zero: list) -> tuple[int, int]:
     """One heat-bath update at each of ``sites``; returns the new (n+, n-).
 
-    The site's spin is read off its index, and the new spin from the draw
-    against the cumulative conditional law at u = s - spin (offset by n).
+    The site's spin is read off its index (i < p = n+ holds a +1, i < q =
+    n+ + n- a -1), and the new spin from the draw against the cumulative
+    conditional law at u = s - spin, index j - spin with j = s + n.  Only the
+    counts that move are updated.
     """
-    n = len(sites)
+    p, q = n_plus, n_plus + n_minus
+    j = 2 * p - q + len(sites)
     for i, x in zip(sites, draws):
-        old = 1 if i < n_plus else (-1 if i < n_plus + n_minus else 0)
-        j = n_plus - n_minus - old + n
-        new = -1 if x < cum_minus[j] else (0 if x < cum_zero[j] else 1)
-        if new != old:
-            n_plus += (new == 1) - (old == 1)
-            n_minus += (new == -1) - (old == -1)
-    return n_plus, n_minus
+        if i < p:  # a +1 to -1 or 0
+            if x < cum_minus[j - 1]:
+                p, j = p - 1, j - 2
+            elif x < cum_zero[j - 1]:
+                p, q, j = p - 1, q - 1, j - 1
+        elif i < q:  # a -1 to 0 or +1
+            if x < cum_minus[j + 1]:
+                continue
+            if x < cum_zero[j + 1]:
+                q, j = q - 1, j + 1
+            else:
+                p, j = p + 1, j + 2
+        elif x < cum_minus[j]:  # a 0 to -1
+            q, j = q + 1, j - 1
+        elif x >= cum_zero[j]:  # a 0 to +1
+            p, q, j = p + 1, q + 1, j + 1
+    return p, q - p
 
 
 def _batch_means(series: np.ndarray) -> tuple[float, float]:

@@ -398,6 +398,21 @@ def dense_smoothed_cdf(w: np.ndarray, probs: np.ndarray, sigma: float,
     return cdf
 
 
+def branchy_sweep(n_plus: int, n_minus: int, sites: list, draws: list,
+                  cum_minus: list, cum_zero: list) -> tuple[int, int]:
+    """The heat-bath sweep on the counts as first written: the site's old
+    spin, then the new one, then both counts, on every update."""
+    n = len(sites)
+    for i, x in zip(sites, draws):
+        old = 1 if i < n_plus else (-1 if i < n_plus + n_minus else 0)
+        j = n_plus - n_minus - old + n
+        new = -1 if x < cum_minus[j] else (0 if x < cum_zero[j] else 1)
+        if new != old:
+            n_plus += (new == 1) - (old == 1)
+            n_minus += (new == -1) - (old == -1)
+    return n_plus, n_minus
+
+
 def trapezoid_moment(b1: float, b2: float, b3: float, k: int, T: float,
                      points: int = 10_000_001) -> float:
     """E[X^k] for exp(-(b1 x^2 + b2 x^4 + b3 x^6)) by plain trapezoid rule."""

@@ -192,10 +192,9 @@ class TestRatesAsMinima:
 class TestTheoremTable:
     # a draw inside a theorem's hypothesis, or one coordinate of it moved off
     # by a random amount: the case builds exactly when the row's hypothesis
-    # holds, with v = 0 or w = 0 and r > 0, and is refused with that
+    # holds with r > 0, then with v = 0 or w = 0, and is refused with that
     # hypothesis otherwise.  The rows hold equalities to 1e-12 and the speed
-    # and the rate terms scale gamma by up to 6, hence the 1e-11: C3 admits
-    # gamma = 1/4 - 4e-13, delta1 = 1e-13, delta2 = 1/2, with r = -1.5e-12.
+    # scales gamma by up to 6, hence the 1e-11.
     @pytest.mark.parametrize("theorem", sorted(_BRANCH_PARAMS))
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -214,10 +213,20 @@ class TestTheoremTable:
         try:
             case = replace(base, gamma=g, schedule=schedule)
         except InvalidCaseParametersError as exc:
-            assert str(exc) == f"{base.case_id}: needs {base.validity}"
+            assert str(exc).startswith(f"{base.case_id}: needs {base.validity}")
             return
         assert abs(_phase_speed(case)) < 1e-11
-        assert case.predicted_exponent > -1e-11
+        assert case.predicted_exponent > 0.0
+
+    @pytest.mark.parametrize("gamma, delta1", [(0.25 - 4e-13, 1e-13), (0.25, 5e-324)])
+    def test_hypothesis_within_rounding_but_no_positive_rate(self, gamma, delta1):
+        # C3 holds 2 gamma = 1 - delta2 to 1e-12, and its term
+        # 4 gamma + delta1 - 1 reads -1.5e-12 and 0.0 at these draws
+        base = case_by_id("C3.1")
+        schedule = replace(base.schedule, delta1=delta1, delta2=0.5)
+        with pytest.raises(InvalidCaseParametersError) as info:
+            replace(base, gamma=gamma, schedule=schedule)
+        assert str(info.value).startswith(f"C3.1: needs {base.validity}; its rate ")
 
     def test_fixed_point_message_is_the_hypothesis(self):
         with pytest.raises(InvalidCaseParametersError, match=r"^fixed-A: needs gamma=1/2$"):

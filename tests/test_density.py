@@ -357,6 +357,15 @@ class TestNodeMajorKernel:
         assert np.isnan(density_module._exp_nonzero(np.array([np.nan, -np.nan]))).all()
 
 
+    def test_sorted_unique_is_np_unique(self):
+        # every value twice, a signed zero pair and the sizes the two callers pass
+        rng = np.random.default_rng(3)
+        for size in (0, 1, 33, 6098):
+            x = np.round(rng.normal(size=size), 2)
+            x = np.concatenate((x, x[::-1], [0.0, -0.0][: size % 3]))
+            got = density_module._sorted_unique(x)
+            assert got.view(np.int64).tolist() == np.unique(x).view(np.int64).tolist()
+
 class TestRegressionDensity:
     def test_pure_cases_reduce_to_moment_inverses(self):
         moments = {2: 0.9, 4: 2.4, 6: 11.0}

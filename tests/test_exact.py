@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -155,6 +156,29 @@ class TestGeneratingFunctionLaw:
             Ms = np.arange(abs(s), n + 1, 2)
             assert abs(ps.sum() - law.s_probs[n + s]) <= 1e-15 * law.s_probs[n + s]
             assert abs(ps @ Ms / ps.sum() - law.m_mean[n + s]) <= 1e-13 * n
+
+    def test_slices_against_mpmath(self):
+        # a slice weight is e^(-beta M) over three factorials, read as a sum
+        # of three log-factorials of at most log 300! ~ 1415; each of them,
+        # their sum and the shifts before exp is off by an ulp of 1415 or two,
+        # so the atoms are within eight such ulps of the 40-digit slice,
+        # relatively (both scaled by the law's own P(s))
+        import mpmath as mp
+
+        n = 300
+        law = build_joint_law(POINT_A, n)
+        worst = 0.0
+        with mp.workdps(40):
+            a = mp.exp(-mp.mpf(POINT_A.beta))
+            for s in range(n + 1):
+                w = [mp.mpf(math.factorial(n) // (math.factorial((M + s) // 2)
+                                                  * math.factorial((M - s) // 2)
+                                                  * math.factorial(n - M))) * a**M
+                     for M in range(s, n + 1, 2)]
+                total = mp.fsum(w)
+                want = np.array([float(law.s_probs[n + s] * x / total) for x in w])
+                worst = max(worst, float((np.abs(law.slice_probs(s) - want) / want).max()))
+        assert worst <= 8.0 * math.ulp(math.lgamma(n + 1.0))
 
 
 class TestLazyCountRows:
@@ -357,6 +381,30 @@ class TestHubbardStratonovich:
             up = float(law.s_probs @ ndtr((t - w) / sigma))
             dn = float(law.s_probs @ ndtr((-t - w) / sigma))
             assert abs(up + dn - 1.0) < 1e-10
+
+
+class TestNormalCdf:
+    """The package's Cephes kernel against scipy.special.ndtr."""
+
+    def test_absolute_error_on_the_line(self):
+        z = np.linspace(-40.0, 40.0, 800001)
+        assert np.abs(exact.ndtr(z) - ndtr(z)).max() <= 2.3e-16
+
+    def test_relative_error_in_the_lower_tail(self):
+        z = np.linspace(-20.0, 0.0, 200001)
+        want = ndtr(z)
+        normal = want >= np.finfo(float).tiny
+        assert (np.abs(exact.ndtr(z) - want)[normal] / want[normal]).max() <= 1e-15
+
+    def test_infinities_nan_and_scalars(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = exact.ndtr(np.array([np.inf, -np.inf, np.nan, 0.0]))
+            scalar = exact.ndtr(-1.5)
+        np.testing.assert_array_equal(got, [1.0, 0.0, np.nan, 0.5])
+        assert np.ndim(scalar) == 0 and not isinstance(scalar, np.ndarray)
+        assert scalar == pytest.approx(ndtr(-1.5), rel=1e-15)
+        assert exact.ndtr(np.zeros((2, 3))).shape == (2, 3)
 
 
 class TestPairCovariance:

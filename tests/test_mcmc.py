@@ -1,9 +1,11 @@
+import numpy as np
 import pytest
 
 from begrates.errors import ValidationError
 from begrates.exact import build_joint_law, moment
-from begrates.mcmc import chain_seeds, run_chain
-from begrates.model import ModelParams
+from begrates.mcmc import _sweep, chain_seeds, run_chain
+from begrates.model import ModelParams, resampling_law
+from oracles import branchy_sweep
 
 POINT_A = ModelParams(1.0, 0.6)
 
@@ -25,6 +27,28 @@ class TestDeterminism:
         s2 = chain_seeds(99, 8)
         assert s1 == s2
         assert len(set(s1)) == 8
+
+
+class TestSweep:
+    @pytest.mark.parametrize("n", [1, 2, 20, 100])
+    @pytest.mark.parametrize("params", [POINT_A, ModelParams(1.0, 1.5), ModelParams(8.0, 0.5)],
+                             ids=str)
+    def test_matches_the_branchy_sweep(self, params, n):
+        # same draws, same comparisons: the counts agree after every block,
+        # from the three corners of the simplex and from interior states
+        cum_minus, cum_zero = np.cumsum(resampling_law(params, n, np.arange(-n, n + 1))[:2],
+                                        axis=0).tolist()
+        rng = np.random.default_rng(n)
+        starts = [(0, 0), (n, 0), (0, n)] + [
+            (int(a), int(b)) for a, b in rng.multinomial(n, [1 / 3] * 3, size=4)[:, :2]]
+        for start in starts:
+            got = want = start
+            for _ in range(20):
+                sites = rng.integers(0, n, size=n).tolist()
+                draws = rng.random(n).tolist()
+                got = _sweep(*got, sites, draws, cum_minus, cum_zero)
+                want = branchy_sweep(*want, sites, draws, cum_minus, cum_zero)
+                assert got == want
 
 
 class TestAgainstExactLaw:
