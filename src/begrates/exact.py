@@ -22,7 +22,9 @@ P(s) needs only the order-n row; the rows of orders n-1 and n-2, and with
 them E[M | s] and E[M^2 | s], are built on the first read of either, so
 d_K, the moments of W and ``hs_check`` never build them.  Single (s, M)
 slices are rebuilt on demand, in O(n) each, for atom listings and small-n
-oracle checks.
+oracle checks.  ``hs_check`` places its points on the atom lattice or a
+refinement of it, so every normal CDF it needs comes from one table; its sup
+sits at the rounding floor, at most 4.4e-15, through n = 4096.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from itertools import product
 from typing import Callable, Mapping
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .density import _exp_nonzero, _segment_integrals, _sorted_unique
 from .errors import CapExceededError, ComputationError, ValidationError
@@ -57,57 +60,8 @@ _BETA_MAX = 600.0
 # ln 2 in two parts; k * _LN2_HI is exact for |k| < 2^21, so for every x >= -2^20
 _LN2_HI = 6.93147180369123816490e-01
 _LN2_LO = 1.90821492927058770002e-10
-# hs_check: normal CDFs are evaluated within this many noise widths of each
-# grid point, at most this many at a time
+# hs_check: normal CDFs are read within this many noise widths of each point
 _HS_CUTOFF = 8.5
-_HS_CHUNK = 2**15
-# Cephes' rational approximations to erf and erfc, as scipy.special.ndtr
-# evaluates them: highest degree first, denominators monic
-_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
-          7.00332514112805075473e3, 5.55923013010394962768e4)
-_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
-          2.26290000613890934246e4, 4.92673942608635921086e4)
-_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
-           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
-           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
-_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
-           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
-           1.65666309194161350182e3, 5.57535340817727675546e2)
-_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
-           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
-_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
-           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
-
-
-def _poly(coefs: tuple, x: np.ndarray) -> np.ndarray:
-    """The polynomial with ``coefs`` (highest degree first) at x, by Horner's rule."""
-    y = np.full_like(x, coefs[0])
-    for c in coefs[1:]:
-        y *= x
-        y += c
-    return y
-
-
-def ndtr(z):
-    """Standard normal CDF Phi(z), elementwise; a scalar gives a scalar.
-
-    Cephes' evaluation, as in scipy.special.ndtr: with x = |z| / sqrt 2,
-    Phi(-|z|) = erfc(x) / 2 and Phi(z) = 1 - Phi(-z), where erfc(x) is
-    1 - x T(x^2) / U(x^2) for x < 1, e^(-x^2) P(x) / Q(x) for x < 8 and
-    e^(-x^2) R(x) / S(x) beyond.  x is clipped at 40, where erfc is 0, so
-    +-inf give 1 and 0.  Within 1.1e-16 of scipy's value on [-40, 40], and
-    5.7e-16 relatively where Phi(z) is a normal double.
-    """
-    z = np.asarray(z, dtype=float)
-    x = np.minimum(np.abs(z.ravel()) * math.sqrt(0.5), 40.0)
-    y = np.exp(-x * x) * _poly(_ERFC_P, x) / _poly(_ERFC_Q, x)
-    tail, near = x >= 8.0, x < 1.0
-    xt, xn = x[tail], x[near]
-    y[tail] = np.exp(-xt * xt) * _poly(_ERFC_R, xt) / _poly(_ERFC_S, xt)
-    y[near] = 1.0 - xn * _poly(_ERF_T, xn * xn) / _poly(_ERF_U, xn * xn)
-    y *= 0.5
-    np.subtract(1.0, y, out=y, where=z.ravel() > 0.0)
-    return y.reshape(z.shape)[()]
 
 
 @dataclass
@@ -356,33 +310,28 @@ def _eval_cdf(cdf: Callable, xs: np.ndarray) -> np.ndarray:
 # Gaussian smoothing identity
 
 
-def _smoothed_atom_cdf(w: np.ndarray, probs: np.ndarray, sigma: float,
-                       ts: np.ndarray) -> np.ndarray:
-    """sum_i probs_i Phi((t - w_i) / sigma) at every point t of ``ts``, for
-    atoms w in increasing order.
+def _smoothed_lattice_cdf(probs: np.ndarray, c: float, m: int, R: int, J: int) -> np.ndarray:
+    """sum_s probs_s Phi((j m - s R) / c) at j = -J..J, for probs over s = -n..n.
 
-    Only atoms in the band |t - w_i| <= c sigma, c = 8.5, go through ``ndtr``.
-    Atoms left of the band count with weight 1, read from one prefix sum of
-    ``probs``, and atoms right of it are dropped; each side is off by at most
-    Phi(-c) times its mass, so the sum is within 2 Phi(-c) ~ 1.9e-17 of the
-    full one.  Each row evaluates the same number of atoms, the widest band,
-    starting at its band's left end or earlier near the top of the lattice;
-    rows are taken in chunks of at most 2^15 elements, so the arrays that the
-    passes of ``ndtr`` run over stay in cache.  On a uniform lattice of
-    spacing dw the band holds about 2 c sigma / dw atoms, so the cost is
-    O(w.size + ts.size * c sigma / dw) rather than O(w.size * ts.size).
+    This is the smoothed CDF at t_j = j m / (R D) of atoms w_s = s / D under
+    noise of width c / (R D).  Only the band |j m - s R| <= Q = floor(8.5 c)
+    reads Phi, from one table of 2Q + 1 values by ``math.erfc``; atoms left
+    of the band count with weight 1, from one prefix sum, and atoms right of
+    it are dropped, so the sum is within 2 Phi(-8.5) ~ 1.9e-17 of the full
+    one.  probs is spread to every R-th slot of a fine lattice, zero-padded
+    so that end bands read zeros, and each point's band is a window of it,
+    read at stride m as a view.  The cost is O(n R + J Q).
     """
-    lo = np.searchsorted(w, ts - _HS_CUTOFF * sigma, side="left")
-    width = int((np.searchsorted(w, ts + _HS_CUTOFF * sigma, side="right") - lo).max())
-    lo = np.minimum(lo, w.size - width)
-    cdf = np.concatenate(([0.0], np.cumsum(probs)))[lo]
-    band = np.arange(width)
-    rows = max(1, _HS_CHUNK // max(1, width))
-    for j in range(0, ts.size, rows):
-        idx = lo[j : j + rows, None] + band
-        z = ndtr((ts[j : j + rows, None] - w[idx]) / sigma)
-        cdf[j : j + rows] += np.einsum("ij,ij->i", probs[idx], z)
-    return cdf
+    n = probs.size // 2
+    Q = int(_HS_CUTOFF * c)
+    half = max(n * R, J * m + Q)
+    fine = np.zeros(2 * half + 1)
+    fine[half - n * R : half + n * R + 1 : R] = probs
+    starts = slice(half - J * m - Q, half + J * m - Q + 1, m)
+    left = np.concatenate(([0.0], np.cumsum(fine)))[starts]
+    phi = np.fromiter((0.5 * math.erfc((k - Q) / c * math.sqrt(0.5)) for k in range(2 * Q + 1)),
+                      float, 2 * Q + 1)
+    return left + sliding_window_view(fine, 2 * Q + 1)[starts] @ phi
 
 
 def _G_second(params: ModelParams, x: float) -> float:
@@ -407,42 +356,50 @@ def hs_check(params: ModelParams, n: int, gamma: float) -> float:
     Convolving the exact law of W with an independent centred Gaussian of
     variance sigma^2 = 1/(2 beta K n^(1-2 gamma)) yields, exactly, the
     distribution with Lebesgue density proportional to exp(-n G(y / n^gamma)).
-    Both CDFs are computed independently on 2001 points within 8 standard
-    widths of zero: the atom sum of normal CDFs over the band of atoms within
-    8.5 sigma of each point (``_smoothed_atom_cdf``, truncation at most
+    Both CDFs are computed independently on at most 2001 points within 8
+    standard widths W of zero.  The points lie on the atom lattice w_s = s / D,
+    D = n^(1-gamma), or a refinement of it: t_j = j m / (R D), |j| <= J, with
+    h = 16 W D / 2000 lattice steps per point, m = ceil(h), R = 1 when h >= 1
+    and m = 1, R = floor(1 / h) otherwise.  So the atom side reads one table
+    of normal CDFs (``_smoothed_lattice_cdf``, truncation at most
     2 Phi(-8.5) ~ 1.9e-17), against 6-point Gauss-Legendre quadrature of the
     G-density over ~4097 cells.  Through n = 4096 the returned sup sits at
-    the rounding floor of the two sums, at most 3.7e-15 in regions A, B and C;
-    at larger n the quadrature side's error grows.
+    the rounding floor of the two sums, at most 4.4e-15 in regions A, B and C
+    (2.4e-15, 1.4e-15 and 1.0e-15 at n = 1024); at larger n the quadrature
+    side's error grows.
 
     Each global minimizer x* of G is a well of the G-density of width
-    n^gamma / sqrt(n G''(x*)).  A well narrower than one cell falls between
-    the rule's nodes, so its mass is caught at a node or two or missed, and
-    the quadrature CDF is wrong by up to the whole mass of the well (the sup
-    read 0.5 at beta = 1, K = 1e8, n = 64).  Such a G-density, like one whose
-    total on the grid is 0, is refused with ComputationError.
+    n^gamma / sqrt(n G''(x*)), and the least n G(x*) is the reference the
+    density is taken relative to.  A well narrower than one cell falls
+    between the rule's nodes, so its mass is caught at a node or two or
+    missed, and the quadrature CDF is wrong by up to the whole mass of the
+    well (the sup read 0.5 at beta = 1, K = 1e8, n = 64).  Such a G-density,
+    like one whose total on the grid is 0, is refused with ComputationError.
     """
     _check_gamma(gamma)
     law = build_joint_law(params, n)
-    w = law.w_values(gamma)
+    D = float(n) ** (1.0 - gamma)
     noise_var = 1.0 / (params.two_beta_K * float(n) ** (1.0 - 2.0 * gamma))
     width = math.sqrt(moment(law, gamma, 2) + noise_var)
-    ts = np.linspace(-8.0 * width, 8.0 * width, 2001)
-    cdf1 = _smoothed_atom_cdf(w, law.s_probs, math.sqrt(noise_var), ts)
+    h = 16.0 * width * D / 2000.0
+    m, R = (math.ceil(h), 1) if h >= 1.0 else (1, math.floor(1.0 / h))
+    J = math.floor(8.0 * width * R * D / m)
+    ts = np.arange(-J * m, J * m + 1, m) / (R * D)
+    cdf1 = _smoothed_lattice_cdf(law.s_probs, R * D * math.sqrt(noise_var), m, R, J)
 
-    # density proportional to exp(-n G(y / n^gamma))
+    # density proportional to exp(-n G(y / n^gamma)), relative to its maximum
     scale = float(n) ** gamma
+    minimizers = minimize_G(params)
+    ref = min(n * G_eval(params, x) for x in minimizers)
 
     def neg_log_kernel(y):
         return n * G_eval(params, y / scale)
 
-    lo, hi = float(ts[0]), float(ts[-1])
-    # widen until the kernel is negligible relative to its minimum
-    ref = float(neg_log_kernel(np.linspace(lo, hi, 513)).min())
-    while neg_log_kernel(lo) - ref < 760.0:
-        lo -= width
+    # widen until the kernel is negligible; it is even and the points symmetric
+    hi = float(ts[-1])
     while neg_log_kernel(hi) - ref < 760.0:
         hi += width
+    lo = -hi
     xs = _sorted_unique(np.concatenate((np.linspace(lo, hi, 4097), ts)))
     seg = _segment_integrals(xs[:-1], xs[1:], lambda y: _exp_nonzero(-(neg_log_kernel(y) - ref)))
     cum = np.concatenate(([0.0], np.cumsum(seg)))
@@ -452,7 +409,7 @@ def hs_check(params: ModelParams, n: int, gamma: float) -> float:
             f"beta={params.beta}, K={params.K}, n={n}: its wells are narrower than a cell")
     # a nonzero total can still come from wells narrower than a cell
     cell = (hi - lo) / 4096.0
-    for x in minimize_G(params):
+    for x in minimizers:
         g2 = _G_second(params, x)  # <= 0 only where the well is flat (B, C)
         if g2 > 0.0 and scale < cell * math.sqrt(n * g2):
             raise ComputationError(
@@ -492,9 +449,9 @@ def pair_covariance(params: ModelParams, n: int, *, law: JointLaw | None = None)
 
 
 def brute_force_law(params: ModelParams, n: int) -> dict[tuple[int, int], float]:
-    """Full 3^n enumeration, aggregated to (s, M).  Only sensible for n <= 12."""
-    if n > 12:
-        raise ValidationError(f"brute force limited to n <= 12, got {n}")
+    """Full 3^n enumeration, aggregated to (s, M), for n <= 8."""
+    if n > 8:
+        raise ValidationError(f"brute force limited to n <= 8, got {n}")
     beta, K = params.beta, params.K
     logs: dict[tuple[int, int], list[float]] = {}
     for cfg in product((-1, 0, 1), repeat=n):

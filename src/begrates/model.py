@@ -234,7 +234,7 @@ class Schedule:
     k: float
     delta2: float
     beta_fixed: float | None = None
-    b: float = 0.0
+    b: float | None = None
     delta1: float | None = None
 
     def __post_init__(self) -> None:
@@ -243,14 +243,14 @@ class Schedule:
         _check_finite("k", self.k)
         _check_positive("delta2", self.delta2)
         if self.beta_fixed is None:
-            if self.b == 0.0:
+            if self.b is None or self.b == 0.0:
                 raise ValidationError("moving-beta schedule requires b != 0")
             if self.delta1 is None:
                 raise ValidationError("moving-beta schedule requires a delta1")
             _check_finite("b", self.b)
             _check_positive("delta1", self.delta1)
         else:
-            if self.b != 0.0 or self.delta1 is not None:
+            if self.b is not None or self.delta1 is not None:
                 raise ValidationError("fixed-beta schedule takes no b and no delta1, got "
                                       f"b={self.b!r}, delta1={self.delta1!r}")
             _check_positive("beta_fixed", self.beta_fixed)

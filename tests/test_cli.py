@@ -75,7 +75,7 @@ class TestExactLawCommand:
             "--check-bruteforce",
         )
         assert code == 2
-        assert "kind=validation" in err
+        assert "kind=validation" in err and "n <= 8, got 20" in err
 
     def test_cap_exceeded_exit_code(self, capsys):
         code, _, err = run_cli(

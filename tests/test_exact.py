@@ -1,9 +1,7 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
 from scipy.stats import norm
 
 from begrates import exact
@@ -50,8 +48,15 @@ HS_REGIONS = {
 }
 
 
-def _noise_sigma(params, n, gamma):
-    return 1.0 / math.sqrt(params.two_beta_K * float(n) ** (1.0 - 2.0 * gamma))
+def _hs_lattice(params, n, gamma):
+    """hs_check's point rule: the law, c = R D sigma, m, R and J."""
+    law = build_joint_law(params, n)
+    D = float(n) ** (1.0 - gamma)
+    noise_var = 1.0 / (params.two_beta_K * float(n) ** (1.0 - 2.0 * gamma))
+    width = math.sqrt(moment(law, gamma, 2) + noise_var)
+    h = 16.0 * width * D / 2000.0
+    m, R = (math.ceil(h), 1) if h >= 1.0 else (1, math.floor(1.0 / h))
+    return law, R * D * math.sqrt(noise_var), m, R, math.floor(8.0 * width * R * D / m)
 
 
 class TestBuildJointLaw:
@@ -70,6 +75,10 @@ class TestBuildJointLaw:
     def test_matches_brute_force(self, params, n):
         law = build_joint_law(params, n)
         assert tv_distance(law.atoms(), brute_force_law(params, n)) < 1e-12
+
+    def test_brute_force_refuses_n_above_8(self):
+        with pytest.raises(ValidationError, match="n <= 8, got 9"):
+            brute_force_law(POINT_A, 9)
 
     def test_normalised_and_symmetric(self):
         law = build_joint_law(POINT_A, 40)
@@ -304,51 +313,50 @@ class TestHubbardStratonovich:
         params, gamma = HS_REGIONS[region]
         assert hs_check(params, n, gamma) < 1e-13
 
-    @pytest.mark.parametrize("n", [64, 256, 1024, 4096])
+    @pytest.mark.parametrize("n", [8, 16, 64, 256, 1024, 4096])
     @pytest.mark.parametrize("region", sorted(HS_REGIONS))
     def test_banded_sum_matches_dense_oracle(self, region, n):
         params, gamma = HS_REGIONS[region]
-        law = build_joint_law(params, n)
-        w = law.w_values(gamma)
-        sigma = _noise_sigma(params, n, gamma)
-        reach = exact._HS_CUTOFF * sigma
-        width = math.sqrt(moment(law, gamma, 2) + sigma**2)
-        # hs_check's grid, then one across the lattice whose end bands run
-        # past either end of it
-        ts = np.concatenate((np.linspace(-8.0 * width, 8.0 * width, 2001),
-                             np.linspace(w[0] - 2.0 * reach, w[-1] + 2.0 * reach, 2001)))
-        assert ts.min() - reach < w[0] and ts.max() + reach > w[-1]
-        banded = exact._smoothed_atom_cdf(w, law.s_probs, sigma, ts)
-        dense = dense_smoothed_cdf(w, law.s_probs, sigma, ts)
-        assert np.abs(banded - dense).max() < 1e-14
+        law, c, m, R, J = _hs_lattice(params, n, gamma)
+        D = float(n) ** (1.0 - gamma)
+        w, sigma = law.w_values(gamma), c / (R * D)
+        # hs_check's points (at n = 8 and 16 they run past both ends of the
+        # lattice), then points whose bands run past either end of it
+        wide = math.ceil((w[-1] + 2.0 * exact._HS_CUTOFF * sigma) * R * D / m)
+        for top in (J, wide):
+            ts = np.arange(-top * m, top * m + 1, m) / (R * D)
+            banded = exact._smoothed_lattice_cdf(law.s_probs, c, m, R, top)
+            dense = dense_smoothed_cdf(w, law.s_probs, sigma, ts)
+            assert np.abs(banded - dense).max() < 1e-14
 
     @pytest.mark.parametrize("region", sorted(HS_REGIONS))
     def test_normal_cdfs_only_inside_the_band(self, region, monkeypatch):
         params, gamma = HS_REGIONS[region]
-        seen = []
+        calls = []
+        erfc = math.erfc
 
-        def counting_ndtr(z):
-            seen.append(np.size(z))
-            return ndtr(z)
+        def counting_erfc(x):
+            calls.append(x)
+            return erfc(x)
 
-        monkeypatch.setattr(exact, "ndtr", counting_ndtr)
-        counts = {}
+        monkeypatch.setattr(math, "erfc", counting_erfc)
         for n in (1024, 4096):
-            seen.clear()
+            law, c, m, R, J = _hs_lattice(params, n, gamma)
+            band = 2 * int(exact._HS_CUTOFF * c) + 1
+            calls.clear()
             hs_check(params, n, gamma)
-            band = 2.0 * exact._HS_CUTOFF * _noise_sigma(params, n, gamma) * n ** (1.0 - gamma)
-            counts[n] = sum(seen)
-            assert 0 < counts[n] <= 2001 * (band + 2.0)
-        assert counts[4096] / counts[1024] <= 2.2  # the dense sum's ratio is 4
+            assert len(calls) == band
+            for points in (1, 100):  # one table, whatever the number of points
+                calls.clear()
+                exact._smoothed_lattice_cdf(law.s_probs, c, m, R, points)
+                assert len(calls) == band
 
     @pytest.mark.parametrize("region", sorted(HS_REGIONS))
-    def test_kernel_and_chunks_bit_identical(self, region, monkeypatch):
-        # against the row-major quadrature with a plain exp, and 4M-element chunks
+    def test_rowmajor_quadrature_and_plain_exp_bit_identical(self, region, monkeypatch):
         params, gamma = HS_REGIONS[region]
         got = hs_check(params, 1024, gamma)
         monkeypatch.setattr(exact, "_segment_integrals", rowmajor_segment_integrals)
         monkeypatch.setattr(exact, "_exp_nonzero", np.exp)
-        monkeypatch.setattr(exact, "_HS_CHUNK", 4_000_000)
         assert got == hs_check(params, 1024, gamma)
 
     @pytest.mark.parametrize("K, n, gamma", [(1e8, 1024, 0.25), (1e10, 64, 0.5),
@@ -381,30 +389,6 @@ class TestHubbardStratonovich:
             up = float(law.s_probs @ ndtr((t - w) / sigma))
             dn = float(law.s_probs @ ndtr((-t - w) / sigma))
             assert abs(up + dn - 1.0) < 1e-10
-
-
-class TestNormalCdf:
-    """The package's Cephes kernel against scipy.special.ndtr."""
-
-    def test_absolute_error_on_the_line(self):
-        z = np.linspace(-40.0, 40.0, 800001)
-        assert np.abs(exact.ndtr(z) - ndtr(z)).max() <= 2.3e-16
-
-    def test_relative_error_in_the_lower_tail(self):
-        z = np.linspace(-20.0, 0.0, 200001)
-        want = ndtr(z)
-        normal = want >= np.finfo(float).tiny
-        assert (np.abs(exact.ndtr(z) - want)[normal] / want[normal]).max() <= 1e-15
-
-    def test_infinities_nan_and_scalars(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = exact.ndtr(np.array([np.inf, -np.inf, np.nan, 0.0]))
-            scalar = exact.ndtr(-1.5)
-        np.testing.assert_array_equal(got, [1.0, 0.0, np.nan, 0.5])
-        assert np.ndim(scalar) == 0 and not isinstance(scalar, np.ndarray)
-        assert scalar == pytest.approx(ndtr(-1.5), rel=1e-15)
-        assert exact.ndtr(np.zeros((2, 3))).shape == (2, 3)
 
 
 class TestPairCovariance:

@@ -291,8 +291,12 @@ class TestSchedule:
             Schedule(beta_fixed=1.0, k=0.0, delta2=0.5)
         with pytest.raises(ValidationError):
             Schedule(k=1.0, b=0.0, delta1=0.3, delta2=0.5)
+        with pytest.raises(ValidationError, match="requires b != 0"):
+            Schedule(k=1.0, delta1=0.3, delta2=0.5)
         with pytest.raises(ValidationError, match="takes no b"):
             Schedule(beta_fixed=1.0, k=1.0, b=1.0, delta2=0.5)
+        with pytest.raises(ValidationError, match="takes no b"):
+            Schedule(beta_fixed=1.0, k=1.0, b=0.0, delta2=0.5)
         with pytest.raises(ValidationError, match="no delta1"):
             Schedule(beta_fixed=1.0, k=1.0, delta2=0.5, delta1=float("nan"))
         with pytest.raises(ValidationError, match="no delta1"):
