@@ -57,6 +57,7 @@ _QUADRATURE_TOL = 1e-12
 _NORM_EPSREL = 1e-13
 _NORM_LIMIT = 500  # most intervals the check may use
 _LOG_FLOOR = 600.0  # the envelope grid stops where poly - poly_min passes this
+_SUPPORT_LOG = 760.0  # a density's grid ends where its log has fallen this far below its top
 # exp(x) rounds to exactly 0.0 for every double x below log(2^-1075) ~ -745.13
 _EXP_ZERO = -746.0
 
@@ -276,7 +277,7 @@ def normalize_density(b1: float, b2: float, b3: float) -> PolyDensity:
     pmin, crit = _poly_minimum(b1, b2, b3)
 
     T = max(1.0, 2.0 * max(abs(c) for c in crit) + 1.0)
-    while _poly_of_square(T * T, b1, b2, b3) - pmin < 760.0:
+    while _poly_of_square(T * T, b1, b2, b3) - pmin < _SUPPORT_LOG:
         T *= 1.5
 
     # an overflowing quadrature yields a non-finite total, rejected below

@@ -22,9 +22,8 @@ P(s) needs only the order-n row; the rows of orders n-1 and n-2, and with
 them E[M | s] and E[M^2 | s], are built on the first read of either, so
 d_K, the moments of W and ``hs_check`` never build them.  Single (s, M)
 slices are rebuilt on demand, in O(n) each, for atom listings and small-n
-oracle checks.  ``hs_check`` places its points on the atom lattice or a
-refinement of it, so every normal CDF it needs comes from one table; its sup
-sits at the rounding floor, at most 4.4e-15, through n = 4096.
+oracle checks.  ``hs_check`` puts its points and its quadrature cells on the
+atom lattice or refinements of it, and reads its sup at the rounding floor.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from typing import Callable, Mapping
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .density import _exp_nonzero, _segment_integrals, _sorted_unique
+from .density import _SUPPORT_LOG, _exp_nonzero, _segment_integrals
 from .errors import CapExceededError, ComputationError, ValidationError
 from .model import G_eval, ModelParams, minimize_G
 
@@ -334,22 +333,6 @@ def _smoothed_lattice_cdf(probs: np.ndarray, c: float, m: int, R: int, J: int) -
     return left + sliding_window_view(fine, 2 * Q + 1)[starts] @ phi
 
 
-def _G_second(params: ModelParams, x: float) -> float:
-    """G''(x) = 2 beta K (1 - 2 beta K c''(2 beta K x)).
-
-    The spin variance c''(t) = (2a cosh t + 4a^2) / (1 + 2a cosh t)^2, with
-    a = e^-beta, is evaluated as (r + sech^2 t) / (1 + r) / (1 + r) with
-    r = e^beta / (2 cosh t); r and sech^2 t are formed from e^(beta - |t|)
-    and e^(-2|t|), so nothing overflows for the beta <= 600 the law admits.
-    """
-    b2k = params.two_beta_K
-    t = abs(b2k * x)
-    e2 = math.exp(-2.0 * t)
-    r = math.exp(params.beta - t) / (1.0 + e2)
-    sech2 = 4.0 * e2 / (1.0 + e2) ** 2
-    return b2k * (1.0 - b2k * (r + sech2) / (1.0 + r) / (1.0 + r))
-
-
 def hs_check(params: ModelParams, n: int, gamma: float) -> float:
     """Sup CDF gap of the Gaussian-smoothing identity for W.
 
@@ -357,24 +340,25 @@ def hs_check(params: ModelParams, n: int, gamma: float) -> float:
     variance sigma^2 = 1/(2 beta K n^(1-2 gamma)) yields, exactly, the
     distribution with Lebesgue density proportional to exp(-n G(y / n^gamma)).
     Both CDFs are computed independently on at most 2001 points within 8
-    standard widths W of zero.  The points lie on the atom lattice w_s = s / D,
-    D = n^(1-gamma), or a refinement of it: t_j = j m / (R D), |j| <= J, with
-    h = 16 W D / 2000 lattice steps per point, m = ceil(h), R = 1 when h >= 1
-    and m = 1, R = floor(1 / h) otherwise.  So the atom side reads one table
-    of normal CDFs (``_smoothed_lattice_cdf``, truncation at most
-    2 Phi(-8.5) ~ 1.9e-17), against 6-point Gauss-Legendre quadrature of the
-    G-density over ~4097 cells.  Through n = 4096 the returned sup sits at
-    the rounding floor of the two sums, at most 4.4e-15 in regions A, B and C
-    (2.4e-15, 1.4e-15 and 1.0e-15 at n = 1024); at larger n the quadrature
-    side's error grows.
+    standard widths W of zero, on the atom lattice w_s = s / D with
+    D = n^(1-gamma) or a refinement of it: t_j = j step, |j| <= J, with
+    step = m / (R D), h = 16 W D / 2000 lattice steps per point, m = ceil(h),
+    R = 1 when h >= 1 and m = 1, R = floor(1 / h) otherwise.  The atom side
+    reads one table of normal CDFs (``_smoothed_lattice_cdf``, truncation
+    at most 2 Phi(-8.5) ~ 1.9e-17).  6-point Gauss-Legendre integrates the
+    G-density on cells step / r out to the hi where n G has risen by 760, r
+    the least integer that keeps cells within 2 hi / 4096, so each point's
+    CDF is every r-th entry of one cumulative sum.  Through n = 4096 the sup
+    sits at the rounding floor, at most 5.4e-15 in regions A, B and C.  Past
+    that, rounding in n G, not the grid, sets it: at 2^20 n G is off by
+    1.6e-10 against a 50-digit G, and 2 or 4 times the cells move A's sup
+    from 4.5e-13 to 2.0e-13 and back.
 
-    Each global minimizer x* of G is a well of the G-density of width
-    n^gamma / sqrt(n G''(x*)), and the least n G(x*) is the reference the
-    density is taken relative to.  A well narrower than one cell falls
-    between the rule's nodes, so its mass is caught at a node or two or
-    missed, and the quadrature CDF is wrong by up to the whole mass of the
-    well (the sup read 0.5 at beta = 1, K = 1e8, n = 64).  Such a G-density,
-    like one whose total on the grid is 0, is refused with ComputationError.
+    A well of the G-density at a global minimizer x* of G that is narrower
+    than a cell falls between the rule's nodes (the sup read 0.5 at beta = 1,
+    K = 1e8, n = 64).  So where n G rises by more than 1/2 within a cell of
+    some x*, on either side ((cell / width)^2 / 2 for a parabolic well), or
+    the total on the grid is 0, the G-density raises ComputationError.
     """
     _check_gamma(gamma)
     law = build_joint_law(params, n)
@@ -384,7 +368,6 @@ def hs_check(params: ModelParams, n: int, gamma: float) -> float:
     h = 16.0 * width * D / 2000.0
     m, R = (math.ceil(h), 1) if h >= 1.0 else (1, math.floor(1.0 / h))
     J = math.floor(8.0 * width * R * D / m)
-    ts = np.arange(-J * m, J * m + 1, m) / (R * D)
     cdf1 = _smoothed_lattice_cdf(law.s_probs, R * D * math.sqrt(noise_var), m, R, J)
 
     # density proportional to exp(-n G(y / n^gamma)), relative to its maximum
@@ -396,11 +379,14 @@ def hs_check(params: ModelParams, n: int, gamma: float) -> float:
         return n * G_eval(params, y / scale)
 
     # widen until the kernel is negligible; it is even and the points symmetric
-    hi = float(ts[-1])
-    while neg_log_kernel(hi) - ref < 760.0:
+    step = m / (R * D)
+    hi = J * step
+    while neg_log_kernel(hi) - ref < _SUPPORT_LOG:
         hi += width
-    lo = -hi
-    xs = _sorted_unique(np.concatenate((np.linspace(lo, hi, 4097), ts)))
+    r = math.ceil(2048.0 * step / hi)
+    top = math.ceil(hi * r / step)
+    cell = step / r
+    xs = np.arange(-top, top + 1) * cell
     seg = _segment_integrals(xs[:-1], xs[1:], lambda y: _exp_nonzero(-(neg_log_kernel(y) - ref)))
     cum = np.concatenate(([0.0], np.cumsum(seg)))
     if not (0.0 < cum[-1] < math.inf):
@@ -408,16 +394,14 @@ def hs_check(params: ModelParams, n: int, gamma: float) -> float:
             f"the G-density of hs_check has total {cum[-1]:g} on its grid at "
             f"beta={params.beta}, K={params.K}, n={n}: its wells are narrower than a cell")
     # a nonzero total can still come from wells narrower than a cell
-    cell = (hi - lo) / 4096.0
     for x in minimizers:
-        g2 = _G_second(params, x)  # <= 0 only where the well is flat (B, C)
-        if g2 > 0.0 and scale < cell * math.sqrt(n * g2):
+        rise = neg_log_kernel(x * scale + np.array([-cell, cell])).max() - ref
+        if rise > 0.5:
             raise ComputationError(
-                f"the G-density of hs_check has a well at x={x:.6g} of width "
-                f"{scale / math.sqrt(n * g2):.3g}, narrower than its cell width {cell:.3g}, "
+                f"the G-density of hs_check has a well at x={x:.6g} narrower than its cell "
+                f"width {cell:.3g}: n G rises by {rise:.3g} within one cell, "
                 f"at beta={params.beta}, K={params.K}, n={n}")
-    cum /= cum[-1]
-    cdf2 = cum[np.searchsorted(xs, ts)]
+    cdf2 = cum[top - J * r : top + J * r + 1 : r] / cum[-1]
 
     return float(np.abs(cdf1 - cdf2).max())
 

@@ -13,7 +13,6 @@ summarises its decay.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,6 +206,7 @@ def run_all(*, threads: int = 1, min_exp: int = DEFAULT_MIN_EXP,
     ladders = [default_ladder(c, min_exp, max_exp) for c in cases]
     if threads <= 1:
         return [run_case(c, ladder) for c, ladder in zip(cases, ladders)]
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only here
     with ProcessPoolExecutor(max_workers=min(threads, len(cases))) as pool:
         return list(pool.map(run_case, cases, ladders))
 

@@ -16,7 +16,7 @@ from begrates.exact import (
     pair_covariance,
     tv_distance,
 )
-from begrates.model import BETA_C, G_prime, ModelParams, critical_K, g_derivs_at_zero
+from begrates.model import BETA_C, ModelParams, critical_K
 from begrates.rates import run_rung
 from oracles import (
     brute_moment,
@@ -366,16 +366,20 @@ class TestHubbardStratonovich:
         with pytest.raises(ComputationError, match="G-density"):
             hs_check(ModelParams(1.0, K), n, gamma)
 
-    @pytest.mark.parametrize("params", [POINT_A, ModelParams(2.0, 1.2), ModelParams(600.0, 1.0),
-                                        ModelParams(1.0, 1e12)], ids=str)
-    def test_well_curvature_is_g_second(self, params):
-        # against G''(0) in closed form and a central difference of G'
-        assert exact._G_second(params, 0.0) == pytest.approx(g_derivs_at_zero(params).g2,
-                                                             rel=1e-14)
-        for x in (0.3, 1.0):
-            h = 1e-6 * x
-            fdiff = (G_prime(params, x + h) - G_prime(params, x - h)) / (2.0 * h)
-            assert exact._G_second(params, x) == pytest.approx(fdiff, rel=1e-6)
+    @pytest.mark.parametrize("K, n, match", [
+        (1e10, 64, "has total 0 on its grid"),  # the zero-total branch
+        (1e8, 64, "n G rises by"),  # the well test, with a positive total
+    ])
+    def test_each_refusal_names_its_branch(self, K, n, match):
+        with pytest.raises(ComputationError, match=match):
+            hs_check(ModelParams(1.0, K), n, 0.5)
+
+    def test_well_wider_than_a_lattice_cell_is_resolved(self):
+        # the wells at x = +-1 have width n^gamma / sqrt(n G'') ~ 0.22, below
+        # the 0.25 of 4096 uniform cells on [-hi, hi]; the points' lattice,
+        # refined by the least integer that keeps cells within that, has
+        # cells of 0.17 and resolves them
+        assert hs_check(ModelParams(1.0, 10.0), 4096, 0.5) < 1e-12
 
     def test_both_cdfs_symmetric(self):
         # symmetry of the smoothed law: P(W+Y <= -t) + P(W+Y <= t) = 1

@@ -1,3 +1,4 @@
+import concurrent.futures
 import gc
 import math
 import weakref
@@ -6,13 +7,14 @@ import numpy as np
 import pytest
 
 from begrates import rates, stein
-from begrates.cases import case_by_id
+from begrates.cases import case_by_id, case_catalog, params_at
 from begrates.errors import (
     CapExceededError,
     ComputationError,
     DegenerateFitError,
     ValidationError,
 )
+from begrates.exact import build_joint_law
 from begrates.rates import (
     Rung,
     default_ladder,
@@ -104,6 +106,18 @@ class TestRunRung:
         assert len(laws) == 1 and laws[0]() is None
         assert rung.d_k > 0.0
 
+    @pytest.mark.parametrize("case_id", [c.case_id for c in case_catalog()])
+    def test_distance_is_at_least_the_lattice_half_jump(self, case_id):
+        # W jumps by P(s = 0) at 0, so max(|F_W(0) - F(0)|, |F(0) - F_W(0-)|)
+        # >= P(0)/2 for any F (equality for the symmetric W and densities
+        # here).  In floats, F_W(0) = fl(F_W(0-) + P(0)) <= 1 differs from the
+        # sum by at most u = 2^-53, and fl(|F_W - F|) loses at most a factor
+        # 1 - u, so the computed d_K >= (1 - u)(P(0) - u)/2 >= P(0)/2 - u
+        case = case_by_id(case_id)
+        for n in (2**6, 2**7, 2**8, 2**9, 2**10):
+            p0 = build_joint_law(params_at(case, n), n).s_probs[n]
+            assert run_rung(case, n).d_k >= p0 / 2.0 - 2.0**-53, n
+
     def test_halfwidth_needs_the_bound(self):
         with pytest.raises(ValidationError):
             run_rung(case_by_id("fixed-A"), 64, halfwidth=0.3)
@@ -194,7 +208,8 @@ class TestRunAll:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(rates, "ProcessPoolExecutor", SerialPool)
+        # run_all imports the pool from concurrent.futures when it needs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         pooled = run_all(threads=10**6, max_exp=9)
         assert sizes == [42]
         assert pooled == run_all(threads=1, max_exp=9)
