@@ -43,7 +43,6 @@ from .model import (
     classify_region,
     critical_K,
     cumulant_gf,
-    f_single,
     g_derivs_at_zero,
     G_eval,
     G_prime,

@@ -24,8 +24,9 @@ from .model import ModelParams, resampling_law
 __all__ = ["ChainResult", "run_chain", "chain_seeds"]
 
 _BATCHES = 32
-# site indices and uniforms are drawn for whole sweeps at a time, at most
-# this many per array (one sweep's n if that is more)
+# site indices and uniforms are drawn as numpy arrays for whole sweeps at a
+# time, at most this many per array (one sweep's n if that is more); only the
+# sweep being run is turned into Python lists
 _BLOCK_DRAWS = 16384
 
 
@@ -99,11 +100,12 @@ def run_chain(
 
     for first in range(0, sweeps, block):
         count = min(block, sweeps - first)
-        sites = rng.integers(0, n, size=count * n).tolist()
-        draws = rng.random(count * n).tolist()
+        sites = rng.integers(0, n, size=count * n)
+        draws = rng.random(count * n)
         for k in range(count):
-            n_plus, n_minus = _sweep(n_plus, n_minus, sites[k * n:(k + 1) * n],
-                                     draws[k * n:(k + 1) * n], cum_minus, cum_zero)
+            sweep = slice(k * n, (k + 1) * n)
+            n_plus, n_minus = _sweep(n_plus, n_minus, sites[sweep].tolist(),
+                                     draws[sweep].tolist(), cum_minus, cum_zero)
             if not (n_plus >= 0 and n_minus >= 0 and n_plus + n_minus <= n):
                 raise ComputationError(
                     f"sampler counts left the simplex: n+={n_plus}, n-={n_minus}, n={n}"

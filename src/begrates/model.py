@@ -9,10 +9,9 @@ free-energy function
 
     G(x) = beta*K*x**2 - c_beta(2*beta*K*x)
 
-with its Taylor data at the origin, the single-spin conditional-mean kernel
-and the finite-n resampling law of one spin, region classification in the
-(beta, K) plane, the (beta_n, K_n) parameter schedules and the global
-minimizers of G.
+with its Taylor data at the origin, the finite-n resampling law of one spin,
+region classification in the (beta, K) plane, the (beta_n, K_n) parameter
+schedules and the global minimizers of G.
 
 All functions are pure; there is no shared mutable state.
 """
@@ -40,7 +39,6 @@ __all__ = [
     "G_eval",
     "G_prime",
     "g_derivs_at_zero",
-    "f_single",
     "resampling_law",
     "schedule_eval",
     "classify_region",
@@ -108,8 +106,8 @@ def cumulant_gf(beta: float, t):
 
     Equals log((1 + e^{-beta}(e^t + e^{-t})) / (1 + 2 e^{-beta})).  Evaluated
     through log-add-exp so that |t| up to ~700 never overflows.  Like
-    ``cumulant_gf_prime``, ``G_eval``, ``G_prime`` and ``f_single`` it works
-    elementwise on a numpy array; a scalar gives a float.
+    ``cumulant_gf_prime``, ``G_eval`` and ``G_prime`` it works elementwise
+    on a numpy array; a scalar gives a float.
     """
     beta = _check_positive("beta", beta)
     t = _check_finite("t", t)
@@ -151,15 +149,6 @@ def critical_K(beta: float) -> float:
     except OverflowError:
         raise ValidationError(
             f"K_c(beta) is past the double range at beta={beta!r} (beta > 709.78)") from None
-
-
-def f_single(params: ModelParams, x):
-    """Conditional-mean kernel of one spin given the rest.
-
-    f(x) = 2 e^{-beta} sinh(2 beta K x) / (1 + 2 e^{-beta} cosh(2 beta K x));
-    odd, bounded by 1 in absolute value, and equal to x - G'(x)/(2 beta K).
-    """
-    return cumulant_gf_prime(params.beta, params.two_beta_K * _check_finite("x", x))
 
 
 def G_eval(params: ModelParams, x):
@@ -206,7 +195,8 @@ def resampling_law(params: ModelParams, n: int, u) -> np.ndarray:
     spins sum to u: three rows over the entries of ``u``.
 
     The weight of l in {-1, 0, +1} is exp(-beta l^2 + beta K (l^2 + 2 l u) / n),
-    the finite-n law whose mean pi_+ - pi_- tends to f_single(u / n).  The
+    the finite-n law whose mean pi_+ - pi_- tends to c'_beta(2 beta K u / n),
+    the mean-field kernel x - G'(x) / (2 beta K) at x = u / n.  The
     log-weights are shifted by their maximum, so no weight overflows however
     large 2 beta K |u| / n is.
     """

@@ -6,14 +6,16 @@ differentiation, dense-grid scans and plain trapezoid quadrature.  Oracles
 deliberately avoid the package's own code paths except for elementary inputs.
 
 The last sections hold quantities that only the tests read, built on the
-package's own kernels: a case with a modified schedule, the pair kernels
-(f1, f2), the conditional-mean sandwich gap, the Stein solution f_z and the
-Gaussian bound.
+package's own kernels: a case with a modified schedule, the one-spin
+conditional-mean kernel f_single and the pair kernels (f1, f2), the
+conditional-mean sandwich gap, the Stein solution f_z and the Gaussian
+bound.
 """
 
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import dataclass, replace
 from itertools import product
 
@@ -30,7 +32,7 @@ from begrates.model import (
     _check_finite,
     _scaled_denominator,
     critical_K,
-    f_single,
+    cumulant_gf_prime,
     g_derivs_at_zero,
     resampling_law,
 )
@@ -413,6 +415,28 @@ def branchy_sweep(n_plus: int, n_minus: int, sites: list, draws: list,
     return n_plus, n_minus
 
 
+def blocklist_chain(params: ModelParams, n: int, sweeps: int, seed: int) -> list[tuple[int, int]]:
+    """(s, M) after every sweep of the heat-bath chain from the all-zero
+    state, with the draws taken as the sampler first took them: a block of
+    max(1, 16384 // n) sweeps at a time, all its site indices and then all
+    its uniforms, each turned into one Python list for the whole block."""
+    rng = np.random.default_rng(seed)
+    cum_minus, cum_zero = np.cumsum(resampling_law(params, n, np.arange(-n, n + 1))[:2],
+                                    axis=0).tolist()
+    n_plus = n_minus = 0
+    series = []
+    block = max(1, 16384 // n)
+    for first in range(0, sweeps, block):
+        count = min(block, sweeps - first)
+        sites = rng.integers(0, n, size=count * n).tolist()
+        draws = rng.random(count * n).tolist()
+        for k in range(count):
+            n_plus, n_minus = branchy_sweep(n_plus, n_minus, sites[k * n:(k + 1) * n],
+                                            draws[k * n:(k + 1) * n], cum_minus, cum_zero)
+            series.append((n_plus - n_minus, n_plus + n_minus))
+    return series
+
+
 def trapezoid_moment(b1: float, b2: float, b3: float, k: int, T: float,
                      points: int = 10_000_001) -> float:
     """E[X^k] for exp(-(b1 x^2 + b2 x^4 + b3 x^6)) by plain trapezoid rule."""
@@ -474,6 +498,25 @@ def rowmajor_segment_integrals(a, b, integrand, rule=None) -> np.ndarray:
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     X = mid[:, None] + half[:, None] * nodes[None, :]
     return (integrand(X) * weights[None, :]).sum(axis=1) * half
+
+
+def whole_segment_integrals(a, b, integrand, rule) -> np.ndarray:
+    """The node-major Gauss-Legendre sum in one pass over every segment, as
+    it stood before the kernel ran in blocks: one (node, segment) array."""
+    nodes, weights = rule
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    return (integrand(nodes[:, None] * half + mid) * weights[:, None]).sum(axis=0) * half
+
+
+def traced_peak(call) -> int:
+    """Peak bytes that tracemalloc sees allocated during ``call()``, numpy's
+    array buffers included."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def plain_exp_poly_integrand(coeffs, shift: float, k: int = 0, unit: float = 1.0):
@@ -571,6 +614,16 @@ def scan_stein_constants(d, half_range: float, step: float) -> dict:
 def with_schedule(case: CaseSpec, **schedule_updates) -> CaseSpec:
     """Copy of a case with modified schedule fields (rate recomputed)."""
     return replace(case, schedule=replace(case.schedule, **schedule_updates))
+
+
+def f_single(params: ModelParams, x):
+    """Conditional-mean kernel of one spin given the rest.
+
+    f(x) = 2 e^{-beta} sinh(2 beta K x) / (1 + 2 e^{-beta} cosh(2 beta K x));
+    odd, bounded by 1 in absolute value, and equal to x - G'(x)/(2 beta K).
+    Like ``G_prime`` it works elementwise on a numpy array.
+    """
+    return cumulant_gf_prime(params.beta, params.two_beta_K * _check_finite("x", x))
 
 
 def pair_conditional_funcs(params: ModelParams, x):

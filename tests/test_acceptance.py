@@ -26,7 +26,6 @@ from begrates.model import (
     BETA_C,
     ModelParams,
     critical_K,
-    f_single,
     G_prime,
     g_derivs_at_zero,
 )
@@ -36,6 +35,7 @@ from oracles import (
     brute_step_moments,
     brute_variance_term,
     conditional_mean_sandwich_gap,
+    f_single,
     pair_conditional_funcs,
     pair_f1_expanded,
     series_g6_oracle,

@@ -25,7 +25,9 @@ from oracles import (
     rowmajor_segment_integrals,
     scan_stein_constants,
     stein_solution,
+    traced_peak,
     trapezoid_moment,
+    whole_segment_integrals,
 )
 
 # one case per comparison-density shape: Gaussian, quartic, sextic and the
@@ -365,6 +367,56 @@ class TestNodeMajorKernel:
             x = np.concatenate((x, x[::-1], [0.0, -0.0][: size % 3]))
             got = density_module._sorted_unique(x)
             assert got.view(np.int64).tolist() == np.unique(x).view(np.int64).tolist()
+
+
+_BLOCK = density_module._BLOCK
+
+
+class TestBlockedKernel:
+    """The kernel runs over blocks of at most _BLOCK segments: its results
+    are those of one pass over all segments bit for bit, and its working set
+    does not grow with the segment count."""
+
+    @pytest.mark.parametrize("rule", ["_GL6", "_GL10", "_GL21"])
+    @pytest.mark.parametrize("count", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+    def test_blocks_change_no_bit(self, rule, count):
+        # a double well on uneven cells, nonzero on every one
+        edges = np.sort(np.random.default_rng(count).uniform(-4.0, 4.0, count + 1))
+        a, b = edges[:-1], edges[1:]
+        poly = density_module._poly_integrand((-3.0, 0.5, 0.02), -2.4)
+        nodes_weights = getattr(density_module, rule)
+        widths = []
+
+        def integrand(Y):
+            widths.append(Y.shape[1])
+            return poly(Y)
+
+        got = density_module._segment_integrals(a, b, integrand, nodes_weights)
+        # no block of one segment beside others: numpy sums a (node, 1)
+        # array in another order
+        assert sum(widths) == count and max(widths) <= _BLOCK
+        assert min(widths) >= min(count, _BLOCK // 2)
+        assert np.array_equal(got, whole_segment_integrals(a, b, poly, nodes_weights))
+        if rule == "_GL6":
+            assert np.array_equal(got, rowmajor_segment_integrals(a, b, poly))
+
+    @pytest.mark.parametrize("points", [6, 10, 21])
+    def test_rules_are_numpys_leggauss(self, points):
+        got = getattr(density_module, f"_GL{points}")
+        for have, want in zip(got, np.polynomial.legendre.leggauss(points)):
+            assert have.dtype == want.dtype
+            assert have.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    def test_cdf_working_set(self):
+        # one query on N sorted points holds at most seven N-sized arrays
+        # (points, indices, anchors, partial masses and their sums) beside
+        # eight (6, _BLOCK) node arrays; one pass over all N points held
+        # about 25 N-sized ones (26 MB)
+        d = normalize_density(0.5, 0.0, 0.0)
+        xs = np.linspace(-6.0, 6.0, 2**17 + 1)
+        d.cdf(xs[:8])
+        assert traced_peak(lambda: d.cdf(xs)) <= 8 * (7 * xs.size + 8 * 6 * _BLOCK)
+
 
 class TestRegressionDensity:
     def test_pure_cases_reduce_to_moment_inverses(self):

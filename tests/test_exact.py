@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from begrates import exact
+from begrates import density, exact
 from begrates.cases import case_by_id, case_catalog, params_at
 from begrates.errors import CapExceededError, ComputationError, ValidationError
 from begrates.exact import (
@@ -26,6 +26,7 @@ from oracles import (
     grid_scan_kolmogorov,
     mpmath_joint_law,
     rowmajor_segment_integrals,
+    traced_peak,
 )
 
 POINT_A = ModelParams(1.0, 0.6)
@@ -358,6 +359,16 @@ class TestHubbardStratonovich:
         monkeypatch.setattr(exact, "_segment_integrals", rowmajor_segment_integrals)
         monkeypatch.setattr(exact, "_exp_nonzero", np.exp)
         assert got == hs_check(params, 1024, gamma)
+
+    def test_g_density_working_set(self):
+        # the G-density's kernel holds at most twelve (6, _BLOCK) node
+        # arrays at once (G_eval's chain) beside four arrays over the grid's
+        # cells, fewer than 8192 at n = 1024; one pass over all cells held
+        # 2.3 MB
+        hs_check(POINT_A, 64, 0.5)
+        cells = 8192
+        assert traced_peak(lambda: hs_check(POINT_A, 1024, 0.5)) <= 8 * (
+            4 * cells + 12 * 6 * density._BLOCK)
 
     @pytest.mark.parametrize("K, n, gamma", [(1e8, 1024, 0.25), (1e10, 64, 0.5),
                                              (1e14, 64, 0.5), (1e17, 64, 0.5)])

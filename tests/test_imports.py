@@ -4,8 +4,9 @@ refactor can leave neither a dead import nor a stale export behind.
 Standard library only: the module's source is parsed with ``ast`` and its
 ``__all__`` read from the imported module (the package's own is built at
 import time).  The package runs on numpy alone: a fresh interpreter that
-walks every path of it in one process loads neither scipy nor numpy.ma, nor
-the process pool (concurrent.futures, multiprocessing)."""
+walks every path of it in one process loads neither scipy, numpy.ma nor
+numpy.polynomial, nor the process pool (concurrent.futures,
+multiprocessing)."""
 
 import ast
 import importlib
@@ -88,7 +89,7 @@ with contextlib.redirect_stdout(io.StringIO()):
         assert begrates.cli.main([command, "--n", "64", "--beta", "1", "--K", "0.6"]) == 0
 
 def loaded():
-    return sorted(m for m in sys.modules if m == "numpy.ma"
+    return sorted(m for m in sys.modules if m in ("numpy.ma", "numpy.polynomial")
                   or m.partition(".")[0] in ("scipy", "multiprocessing", "concurrent"))
 
 before = loaded()
@@ -99,8 +100,8 @@ print(json.dumps([before, "scipy.special" in loaded()]))
 
 def test_import_and_a_bound_rung_load_no_heavy_scipy():
     # neither these nor any other one-process path of the package loads
-    # scipy, numpy.ma or the process pool; the last import checks that the
-    # probe sees a load
+    # scipy, numpy.ma, numpy.polynomial or the process pool; the last import
+    # checks that the probe sees a load
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p))
     run = subprocess.run([sys.executable, "-c", _IMPORT_PATH_PROBE], env=env,

@@ -3,9 +3,9 @@ import pytest
 
 from begrates.errors import ValidationError
 from begrates.exact import build_joint_law, moment
-from begrates.mcmc import _sweep, chain_seeds, run_chain
+from begrates.mcmc import _batch_means, _sweep, chain_seeds, run_chain
 from begrates.model import ModelParams, resampling_law
-from oracles import branchy_sweep
+from oracles import blocklist_chain, branchy_sweep
 
 POINT_A = ModelParams(1.0, 0.6)
 
@@ -49,6 +49,23 @@ class TestSweep:
                 got = _sweep(*got, sites, draws, cum_minus, cum_zero)
                 want = branchy_sweep(*want, sites, draws, cum_minus, cum_zero)
                 assert got == want
+
+
+class TestDrawsPerSweep:
+    """A block's draws stay numpy arrays and only the sweep being run turns
+    its slice into lists: the chain is the one drawn as whole-block lists."""
+
+    # several blocks at n = 1, 20 and 100, a short last block at 777, and
+    # one sweep per block at 20000
+    @pytest.mark.parametrize("n, sweeps, burn_in", [(1, 20000, 2000), (20, 2000, 200),
+                                                    (100, 400, 40), (777, 64, 8), (20000, 33, 1)])
+    def test_matches_whole_block_lists(self, n, sweeps, burn_in):
+        res = run_chain(POINT_A, n, sweeps, burn_in, seed=n, keep_trace=True)
+        series = blocklist_chain(POINT_A, n, sweeps, seed=n)[burn_in:]
+        assert res.trace == [(burn_in + k, s, m) for k, (s, m) in enumerate(series)]
+        w = np.array([s for s, _ in series]) / float(n) ** 0.5
+        assert res.moments == {k: _batch_means(w**k) for k in (1, 2, 4)}
+        assert res.m_fraction == _batch_means(np.array([m for _, m in series]) / n)
 
 
 class TestAgainstExactLaw:

@@ -15,7 +15,6 @@ from begrates.model import (
     critical_K,
     cumulant_gf,
     cumulant_gf_prime,
-    f_single,
     g_derivs_at_zero,
     G_eval,
     G_prime,
@@ -24,6 +23,7 @@ from begrates.model import (
 )
 from oracles import (
     central_second_derivative,
+    f_single,
     pair_conditional_funcs,
     pair_f1_expanded,
     richardson_fourth_derivative,

@@ -7,7 +7,7 @@ from begrates.cases import case_by_id, comparison_density, params_at, regression
 from begrates.density import SteinConstants, estimate_stein_constants, normalize_density
 from begrates.errors import ValidationError
 from begrates.exact import build_joint_law, moment
-from begrates.model import BETA_C, ModelParams, critical_K, f_single, resampling_law
+from begrates.model import BETA_C, ModelParams, critical_K, resampling_law
 from begrates import stein
 from begrates.stein import evaluate_bound, regression_decompose, step_table, variance_term
 from oracles import (
@@ -17,6 +17,7 @@ from oracles import (
     conditional_mean_sandwich_gap,
     conditional_step_moments,
     enumerated_joint_law,
+    f_single,
     max_increment,
     mpmath_step_rows,
     normal_bound,
