@@ -27,13 +27,11 @@ from .density import estimate_stein_constants, normalize_density
 from .errors import ComputationError, ValidationError
 from .exact import (
     DEFAULT_N_CAP,
-    brute_force_law,
     build_joint_law,
     hs_check,
     kolmogorov_distance,
     moment,
     pair_covariance,
-    tv_distance,
 )
 from .mcmc import run_chain
 from .model import BETA_C, ModelParams, classify_region, critical_K, minimize_G
@@ -134,12 +132,6 @@ def _cmd_exact_law(args, out: _Output) -> None:
         out.meta[f"moment_w{k}"] = moment(law, args.gamma, k)
     if args.n >= 2:
         out.meta["pair_covariance"] = pair_covariance(params, args.n, law=law)
-    if args.check_bruteforce:
-        brute = brute_force_law(params, args.n)  # refuses n > 8 before any atom is listed
-        tv = tv_distance(law.atoms(), brute)
-        out.meta["bruteforce_tv"] = tv
-        if tv >= 1e-12:
-            raise ComputationError(f"brute-force TV {tv} >= 1e-12")
     out.columns = ["s", "M", "probability"]
     if args.n <= args.max_atoms_listed:
         for (s, M), p in law.atoms().items():
@@ -272,7 +264,7 @@ def _apply_config_file(argv: list[str]) -> list[str]:
 
     Keys are flag names without the dashes; ``_`` may stand for ``-``, so
     ``burn_in`` and ``burn-in`` both set ``--burn-in``.  A line without
-    ``=`` sets a switch: ``check-bruteforce`` gives ``--check-bruteforce``.
+    ``=`` sets a switch: ``trace`` gives ``--trace``.
     """
     if "--config" not in argv:
         return argv
@@ -334,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("exact-law", _cmd_exact_law, "exact (s, M) law and its statistics",
                 ("n", "beta", "K", "gamma", "cap"))
-    p.add_argument("--check-bruteforce", action="store_true")
     p.add_argument("--max-atoms-listed", type=int, default=512,
                    help="omit the atom table when n exceeds this")
 

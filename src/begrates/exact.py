@@ -31,8 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -49,8 +48,6 @@ __all__ = [
     "kolmogorov_distance",
     "hs_check",
     "pair_covariance",
-    "brute_force_law",
-    "tv_distance",
 ]
 
 DEFAULT_N_CAP = 20000
@@ -427,29 +424,3 @@ def pair_covariance(params: ModelParams, n: int, *, law: JointLaw | None = None)
     em, em2 = law.expect(law.m_mean), law.expect(law.m_second)
     return (em2 - em) / (n * (n - 1.0)) - (em / n) ** 2
 
-
-# ---------------------------------------------------------------------------
-# brute-force oracle (exponential in n; used for cross-checks)
-
-
-def brute_force_law(params: ModelParams, n: int) -> dict[tuple[int, int], float]:
-    """Full 3^n enumeration, aggregated to (s, M), for n <= 8."""
-    if n > 8:
-        raise ValidationError(f"brute force limited to n <= 8, got {n}")
-    beta, K = params.beta, params.K
-    logs: dict[tuple[int, int], list[float]] = {}
-    for cfg in product((-1, 0, 1), repeat=n):
-        s = sum(cfg)
-        M = sum(1 for v in cfg if v != 0)
-        logs.setdefault((s, M), []).append(-beta * M + beta * K * s * s / n)
-    best = max(v for vs in logs.values() for v in vs)
-    raw = {k: math.fsum(math.exp(v - best) for v in vs) for k, vs in logs.items()}
-    total = math.fsum(raw.values())
-    return {k: v / total for k, v in raw.items()}
-
-
-def tv_distance(
-    a: Mapping[tuple[int, int], float], b: Mapping[tuple[int, int], float]
-) -> float:
-    keys = set(a) | set(b)
-    return 0.5 * math.fsum(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys)

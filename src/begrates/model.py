@@ -284,32 +284,33 @@ class RegionTag(str, Enum):
     OTHER = "Other"
 
 
-def classify_region(params: ModelParams, tol: float = 1e-9) -> RegionTag:
+_REGION_TOL = 1e-9
+
+
+def classify_region(params: ModelParams) -> RegionTag:
     """Classify (beta, K) against the phase diagram.
 
     A: single-phase region (0 < beta <= BETA_C, K below the critical curve);
     B: on the critical curve with beta < BETA_C; C: the point
     (BETA_C, K_c(BETA_C)).  Above the curve: TwoPhase, or FirstOrderCurve when
-    on the curve with beta > BETA_C.  ``tol`` is relative and buffers all
-    boundary comparisons so the classification is stable under perturbations
-    smaller than tol/2.
+    on the curve with beta > BETA_C.  Every boundary comparison is buffered
+    by the relative ``_REGION_TOL``, so changing K alone by less than half of
+    it never moves a point between A and TwoPhase.
     """
-    if not (0.0 < tol <= 1e-3):
-        raise ValidationError(f"tol must lie in (0, 1e-3], got {tol!r}")
     beta, K = params.beta, params.K
     kc = critical_K(beta)
     k_scale = max(1.0, kc)
     b_scale = max(1.0, BETA_C)
-    on_curve = abs(K - kc) <= tol * k_scale
-    at_beta_c = abs(beta - BETA_C) <= tol * b_scale
+    on_curve = abs(K - kc) <= _REGION_TOL * k_scale
+    at_beta_c = abs(beta - BETA_C) <= _REGION_TOL * b_scale
 
-    if at_beta_c and abs(K - critical_K(BETA_C)) <= tol * max(1.0, critical_K(BETA_C)):
+    if at_beta_c and abs(K - critical_K(BETA_C)) <= _REGION_TOL * max(1.0, critical_K(BETA_C)):
         return RegionTag.C
     if on_curve:
         return RegionTag.B if beta < BETA_C else RegionTag.FIRST_ORDER_CURVE
-    if K > kc + tol * k_scale:
+    if K > kc + _REGION_TOL * k_scale:
         return RegionTag.TWO_PHASE
-    if beta <= BETA_C + tol * b_scale:
+    if beta <= BETA_C + _REGION_TOL * b_scale:
         return RegionTag.A
     return RegionTag.OTHER
 

@@ -40,7 +40,8 @@ from begrates.stein import BoundReport, regression_decompose, step_table, varian
 
 
 def brute_configs(params: ModelParams, n: int):
-    """All 3^n configurations with their normalised probabilities."""
+    """All 3^n configurations with their normalised probabilities, and log Z
+    relative to the uniform product measure on {-1,0,1}^n."""
     beta, K = params.beta, params.K
     cfgs = list(product((-1, 0, 1), repeat=n))
     logw = []
@@ -51,7 +52,21 @@ def brute_configs(params: ModelParams, n: int):
     best = max(logw)
     weights = [math.exp(v - best) for v in logw]
     total = math.fsum(weights)
-    return cfgs, [w / total for w in weights]
+    return cfgs, [w / total for w in weights], best + math.log(total) - n * math.log(3.0)
+
+
+def brute_force_law(params: ModelParams, n: int) -> dict[tuple[int, int], float]:
+    """The 3^n enumeration aggregated to (s, M), each class summed with fsum."""
+    cfgs, probs, _ = brute_configs(params, n)
+    by_class: dict[tuple[int, int], list[float]] = {}
+    for cfg, p in zip(cfgs, probs):
+        by_class.setdefault((sum(cfg), sum(1 for v in cfg if v != 0)), []).append(p)
+    return {k: math.fsum(ps) for k, ps in by_class.items()}
+
+
+def tv_distance(a: dict, b: dict) -> float:
+    """Total variation distance between two laws keyed by atom."""
+    return 0.5 * math.fsum(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in set(a) | set(b))
 
 
 @dataclass
@@ -178,7 +193,7 @@ def branch_regression_at(case, n: int) -> tuple[float, tuple[float, float, float
 
 
 def brute_moment(params: ModelParams, n: int, gamma: float, k: int) -> float:
-    cfgs, probs = brute_configs(params, n)
+    cfgs, probs, _ = brute_configs(params, n)
     scale = n ** (1.0 - gamma)
     return math.fsum(p * (sum(cfg) / scale) ** k for cfg, p in zip(cfgs, probs))
 
@@ -201,7 +216,7 @@ def brute_step_moments(params: ModelParams, n: int, gamma: float):
 
     Verifies along the way that both are constant on each (s, M) class.
     """
-    cfgs, probs = brute_configs(params, n)
+    cfgs, probs, _ = brute_configs(params, n)
     scale = n ** (1.0 - gamma)
     by_class: dict[tuple[int, int], tuple[float, float]] = {}
     weights: dict[tuple[int, int], float] = {}
@@ -326,7 +341,7 @@ def variance_term_classwise(steps) -> float:
 
 def brute_pair_covariance(params: ModelParams, n: int) -> float:
     """Cov(w_1^2, w_2^2) directly from the 3^n enumeration."""
-    cfgs, probs = brute_configs(params, n)
+    cfgs, probs, _ = brute_configs(params, n)
     e1 = math.fsum(p * cfg[0] ** 2 for cfg, p in zip(cfgs, probs))
     e12 = math.fsum(p * cfg[0] ** 2 * cfg[1] ** 2 for cfg, p in zip(cfgs, probs))
     return e12 - e1 * e1

@@ -13,14 +13,7 @@ from dataclasses import dataclass
 import pytest
 
 from begrates.cases import case_by_id, case_catalog
-from begrates.exact import (
-    brute_force_law,
-    build_joint_law,
-    hs_check,
-    moment,
-    pair_covariance,
-    tv_distance,
-)
+from begrates.exact import build_joint_law, hs_check, moment, pair_covariance
 from begrates.mcmc import run_chain
 from begrates.model import (
     BETA_C,
@@ -32,6 +25,7 @@ from begrates.model import (
 from begrates.rates import fit_loglog, run_case, run_rung
 from begrates.stein import step_table, variance_term
 from oracles import (
+    brute_force_law,
     brute_step_moments,
     brute_variance_term,
     conditional_mean_sandwich_gap,
@@ -39,6 +33,7 @@ from oracles import (
     pair_conditional_funcs,
     pair_f1_expanded,
     series_g6_oracle,
+    tv_distance,
     with_schedule,
 )
 

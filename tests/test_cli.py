@@ -60,22 +60,20 @@ class TestPhaseDiagramCommand:
 
 
 class TestExactLawCommand:
-    def test_bruteforce_flag(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "exact-law", "--n", "8", "--beta", "1.0", "--K", "0.6",
-            "--check-bruteforce", "--format", "json",
-        )
-        assert code == 0
-        doc = json.loads(out)
-        assert float(doc["meta"]["bruteforce_tv"]) < 1e-12
+    def test_bruteforce_flag_is_gone(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n=8\nbeta=1.0\nK=0.6\ncheck-bruteforce\n")
+        for argv in (["--n", "8", "--beta", "1.0", "--K", "0.6", "--check-bruteforce"],
+                     ["--config", str(cfg)]):
+            with pytest.raises(SystemExit) as exc:
+                main(["exact-law", *argv])
+            assert exc.value.code == 2
+            assert "--check-bruteforce" in capsys.readouterr().err
 
     def test_validation_error_exit_code(self, capsys):
-        code, _, err = run_cli(
-            capsys, "exact-law", "--n", "20", "--beta", "1.0", "--K", "0.6",
-            "--check-bruteforce",
-        )
+        code, _, err = run_cli(capsys, "exact-law", "--n", "0", "--beta", "1.0", "--K", "0.6")
         assert code == 2
-        assert "kind=validation" in err and "n <= 8, got 20" in err
+        assert "kind=validation" in err and "n must be >= 1" in err
 
     def test_cap_exceeded_exit_code(self, capsys):
         code, _, err = run_cli(
@@ -162,10 +160,10 @@ class TestConfigFile:
 
     def test_bare_key_sets_a_switch(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("n=6\nbeta=1.0\nK=0.6\ncheck-bruteforce\nformat=json\n")
-        code, out, err = run_cli(capsys, "exact-law", "--config", str(cfg))
+        cfg.write_text("b1=0.5\nstein-constants\nformat=json\n")
+        code, out, err = run_cli(capsys, "limit-density", "--config", str(cfg))
         assert code == 0, err
-        assert float(json.loads(out)["meta"]["bruteforce_tv"]) < 1e-12
+        assert "stein_d1" in json.loads(out)["meta"]
 
     def test_bare_trace_line_gives_trace_rows(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -453,8 +451,7 @@ _COMMON_CONFIG = {"output": None, "format": "csv"}
 _LAW = {"n": 8, "beta": 1.0, "K": 0.6}
 _CONFIGS = {
     "phase-diagram": ({}, {"beta_min": 0.2, "beta_max": 2.5, "samples": 64}),
-    "exact-law": (_LAW, {"gamma": 0.5, "cap": 20000, "check_bruteforce": False,
-                         "max_atoms_listed": 512}),
+    "exact-law": (_LAW, {"gamma": 0.5, "cap": 20000, "max_atoms_listed": 512}),
     "limit-density": ({}, {"b1": 0.0, "b2": 0.0, "b3": 0.0, "max_moment": 8,
                            "stein_constants": False}),
     "kolmogorov": (_LAW, {"gamma": 0.5, "b1": 0.5, "b2": 0.0, "b3": 0.0,

@@ -8,17 +8,17 @@ from begrates import density, exact
 from begrates.cases import case_by_id, case_catalog, params_at
 from begrates.errors import CapExceededError, ComputationError, ValidationError
 from begrates.exact import (
-    brute_force_law,
     build_joint_law,
     hs_check,
     kolmogorov_distance,
     moment,
     pair_covariance,
-    tv_distance,
 )
 from begrates.model import BETA_C, ModelParams, critical_K
 from begrates.rates import run_rung
 from oracles import (
+    brute_configs,
+    brute_force_law,
     brute_moment,
     brute_pair_covariance,
     dense_smoothed_cdf,
@@ -27,6 +27,7 @@ from oracles import (
     mpmath_joint_law,
     rowmajor_segment_integrals,
     traced_peak,
+    tv_distance,
 )
 
 POINT_A = ModelParams(1.0, 0.6)
@@ -77,10 +78,6 @@ class TestBuildJointLaw:
         law = build_joint_law(params, n)
         assert tv_distance(law.atoms(), brute_force_law(params, n)) < 1e-12
 
-    def test_brute_force_refuses_n_above_8(self):
-        with pytest.raises(ValidationError, match="n <= 8, got 9"):
-            brute_force_law(POINT_A, 9)
-
     def test_normalised_and_symmetric(self):
         law = build_joint_law(POINT_A, 40)
         total = math.fsum(law.atoms().values())
@@ -111,16 +108,8 @@ class TestBuildJointLaw:
 
     def test_log_partition_against_brute_force(self):
         # Z = 3^-n sum exp(-beta H); n = 4 is enough to pin the constant
-        params, n = POINT_A, 4
-        beta, K = params.beta, params.K
-        law = build_joint_law(params, n)
-        from itertools import product
-
-        z = math.fsum(
-            math.exp(-beta * sum(v * v for v in cfg) + beta * K * sum(cfg) ** 2 / n)
-            for cfg in product((-1, 0, 1), repeat=n)
-        ) / 3.0**n
-        assert abs(law.log_partition - math.log(z)) < 1e-12
+        _, _, log_z = brute_configs(POINT_A, 4)
+        assert abs(build_joint_law(POINT_A, 4).log_partition - log_z) < 1e-12
 
 
 class TestGeneratingFunctionLaw:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from begrates.errors import ScheduleUnderflowError, ValidationError
 from begrates.model import (
+    _REGION_TOL,
     BETA_C,
     ModelParams,
     RegionTag,
@@ -319,10 +320,6 @@ class TestRegions:
         assert classify_region(ModelParams(2.0, critical_K(2.0))) is RegionTag.FIRST_ORDER_CURVE
         assert classify_region(ModelParams(2.0, 0.5)) is RegionTag.OTHER
 
-    def test_tol_validation(self):
-        with pytest.raises(ValidationError):
-            classify_region(ModelParams(1.0, 0.5), tol=0.1)
-
     @settings(max_examples=200, deadline=None)
     @given(
         beta=st.floats(0.2, 2.5),
@@ -331,13 +328,12 @@ class TestRegions:
         eps_k=st.floats(-1.0, 1.0),
     )
     def test_stability_under_small_perturbations(self, beta, frac, eps_b, eps_k):
-        # perturbing by less than tol/2 never flips A <-> TwoPhase
-        tol = 1e-6
+        # perturbing by less than half the boundary buffer never flips A <-> TwoPhase
+        half = _REGION_TOL / 2
         params = ModelParams(beta, frac * critical_K(beta))
-        tag = classify_region(params, tol)
-        params2 = ModelParams(beta + eps_b * tol / 2, params.K + eps_k * tol / 2)
-        tag2 = classify_region(params2, tol)
-        assert {tag, tag2} != {RegionTag.A, RegionTag.TWO_PHASE}
+        params2 = ModelParams(beta + eps_b * half, params.K + eps_k * half)
+        tags = {classify_region(params), classify_region(params2)}
+        assert tags != {RegionTag.A, RegionTag.TWO_PHASE}
 
 
 class TestMinimizeG:
