@@ -320,6 +320,19 @@ class TestRegions:
         assert classify_region(ModelParams(2.0, critical_K(2.0))) is RegionTag.FIRST_ORDER_CURVE
         assert classify_region(ModelParams(2.0, 0.5)) is RegionTag.OTHER
 
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+    def test_boundary_buffer_is_region_tol(self, beta):
+        # within half the buffer of K_c the point is on the curve; twice the
+        # buffer away it is off it, on the side the sign says
+        kc = critical_K(beta)
+        step = _REGION_TOL * max(1.0, kc)
+        on_curve = RegionTag.B if beta < BETA_C else RegionTag.FIRST_ORDER_CURVE
+        below = RegionTag.A if beta < BETA_C else RegionTag.OTHER
+        assert classify_region(ModelParams(beta, kc + 0.5 * step)) is on_curve
+        assert classify_region(ModelParams(beta, kc - 0.5 * step)) is on_curve
+        assert classify_region(ModelParams(beta, kc + 2.0 * step)) is RegionTag.TWO_PHASE
+        assert classify_region(ModelParams(beta, kc - 2.0 * step)) is below
+
     @settings(max_examples=200, deadline=None)
     @given(
         beta=st.floats(0.2, 2.5),
