@@ -108,15 +108,6 @@ def _exp_nonzero(x: np.ndarray) -> np.ndarray:
     return np.exp(x, out=np.zeros_like(x), where=~(x <= _EXP_ZERO))
 
 
-def _sorted_unique(x: np.ndarray) -> np.ndarray:
-    """np.unique of a 1-d float array without nans, bit for bit: sorted, with
-    equal neighbours dropped.  np.unique imports numpy.ma (numpy 2.4)."""
-    x = np.sort(x)
-    keep = np.ones(x.size, dtype=bool)
-    keep[1:] = x[1:] != x[:-1]
-    return x[keep]
-
-
 def _segment_integrals(a, b, integrand, rule=None) -> np.ndarray:
     """Integral of ``integrand`` over each [a_i, b_i] by ``rule`` (nodes,
     weights), the 6-point rule by default.  ``integrand`` maps the (node,
@@ -272,7 +263,7 @@ def _adaptive_total(integrand, T: float, breaks) -> float:
     total is returned for the caller to reject.
     """
     inner = [c for c in breaks if -T < c < T]
-    edges = _sorted_unique(np.concatenate((np.linspace(-T, T, _NORM_START_CELLS + 1), inner)))
+    edges = np.array(sorted({*np.linspace(-T, T, _NORM_START_CELLS + 1).tolist(), *inner}))
     a = b = fine = err = np.empty(0)
     new_a, new_b = edges[:-1], edges[1:]
     while True:

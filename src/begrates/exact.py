@@ -74,7 +74,6 @@ class JointLaw:
     n: int
     params: ModelParams
     log_partition: float
-    s_values: np.ndarray = field(repr=False)
     s_probs: np.ndarray = field(repr=False)
 
     @cached_property
@@ -124,7 +123,10 @@ class JointLaw:
         return out
 
     def w_values(self, gamma: float) -> np.ndarray:
-        return self.s_values / float(self.n) ** (1.0 - gamma)
+        """W = s / n^(1-gamma) over s = -n..n."""
+        w = np.arange(-self.n, self.n + 1, dtype=float)
+        w /= float(self.n) ** (1.0 - gamma)
+        return w
 
     def expect(self, values: np.ndarray) -> float:
         """E[values(s)] for an array of per-s values over s = -n..n."""
@@ -222,7 +224,6 @@ def build_joint_law(params: ModelParams, n: int, *, cap: int = DEFAULT_N_CAP) ->
         n=n,
         params=params,
         log_partition=log_partition,
-        s_values=np.arange(-n, n + 1),
         s_probs=_mirrored(w / total),
     )
 

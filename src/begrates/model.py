@@ -294,17 +294,20 @@ def classify_region(params: ModelParams) -> RegionTag:
     B: on the critical curve with beta < BETA_C; C: the point
     (BETA_C, K_c(BETA_C)).  Above the curve: TwoPhase, or FirstOrderCurve when
     on the curve with beta > BETA_C.  Every boundary comparison is buffered
-    by the relative ``_REGION_TOL``, so changing K alone by less than half of
-    it never moves a point between A and TwoPhase.
+    by the relative ``_REGION_TOL``.  The on-curve band is
+    _REGION_TOL (max(1, K_c) + beta |K_c'(beta)|) wide on each side, with
+    K_c' = K_c (1 - 1/beta) - 1/(2 beta), so moving K by less than half the
+    buffer times max(1, K_c) and beta by less than half of it times beta
+    never moves a point between A and TwoPhase.
     """
     beta, K = params.beta, params.K
     kc = critical_K(beta)
-    k_scale = max(1.0, kc)
+    k_scale = max(1.0, kc) + abs(kc * (beta - 1.0) - 0.5)  # beta |K_c'| = |K_c (beta - 1) - 1/2|
     b_scale = max(1.0, BETA_C)
     on_curve = abs(K - kc) <= _REGION_TOL * k_scale
     at_beta_c = abs(beta - BETA_C) <= _REGION_TOL * b_scale
 
-    if at_beta_c and abs(K - critical_K(BETA_C)) <= _REGION_TOL * max(1.0, critical_K(BETA_C)):
+    if at_beta_c and on_curve:
         return RegionTag.C
     if on_curve:
         return RegionTag.B if beta < BETA_C else RegionTag.FIRST_ORDER_CURVE

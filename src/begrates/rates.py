@@ -149,7 +149,7 @@ def fit_loglog(points: list[tuple[int, float]]) -> tuple[float, float, float]:
     if float(np.ptp(ld)) == 0.0:
         raise DegenerateFitError("all distances equal; no slope information")
     design = np.vstack([ln, np.ones_like(ln)]).T
-    (slope, intercept), residuals, *_ = np.linalg.lstsq(design, ld, rcond=None)
+    (slope, intercept), *_ = np.linalg.lstsq(design, ld, rcond=None)
     fitted = design @ np.array([slope, intercept])
     ss_res = float(np.sum((ld - fitted) ** 2))
     ss_tot = float(np.sum((ld - ld.mean()) ** 2))

@@ -56,7 +56,7 @@ class StepTable:
             sum((t - l) ** p * pi_l for l, pi_l in zip((-1, 0, 1), pi) if abs(t - l) in sizes)
             for t, pi in zip((1, -1, 0), self.resample))
         # summed over the n+- = (M +- s)/2 and n0 = n - M sites of the class
-        s = self.law.s_values.astype(float)
+        s = np.arange(-n, n + 1, dtype=float)
         c0, c1 = 0.5 * s * (plus - minus) + n * zero, 0.5 * (plus + minus) - zero
         norm = n * (float(n) ** (1.0 - self.gamma)) ** p
         return c0 / norm, c1 / norm

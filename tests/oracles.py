@@ -2,7 +2,7 @@
 
 Everything here recomputes package quantities by a different route:
 exhaustive 3^n enumeration, finite differences, high-precision series
-differentiation, dense-grid scans and plain trapezoid quadrature.  Oracles
+differentiation, dense-grid scans and scipy's adaptive quadrature.  Oracles
 deliberately avoid the package's own code paths except for elementary inputs.
 
 The last sections hold quantities that only the tests read, built on the
@@ -452,15 +452,6 @@ def blocklist_chain(params: ModelParams, n: int, sweeps: int, seed: int) -> list
     return series
 
 
-def trapezoid_moment(b1: float, b2: float, b3: float, k: int, T: float,
-                     points: int = 10_000_001) -> float:
-    """E[X^k] for exp(-(b1 x^2 + b2 x^4 + b3 x^6)) by plain trapezoid rule."""
-    xs = np.linspace(-T, T, points)
-    pdf = np.exp(-(b1 * xs**2 + b2 * xs**4 + b3 * xs**6))
-    z = np.trapezoid(pdf, xs)
-    return float(np.trapezoid(xs**k * pdf, xs) / z)
-
-
 def quad_cdf(b1: float, b2: float, b3: float, T: float, xs) -> np.ndarray:
     """CDF of exp(-(b1 x^2 + b2 x^4 + b3 x^6)) on [-T, T] at each of ``xs``,
     by adaptive quadrature of the power form at (near) full double precision.
@@ -586,13 +577,12 @@ def scan_stein_constants(d, half_range: float, step: float) -> dict:
     from its own ``d.cdf(-xs)`` pass, so agreement also checks that the package's
     S = F reversed holds on that grid.
     """
-    floor = 600.0
     reach = half_range
-    if d.poly(reach) - d.poly_min > floor:
+    if d.poly(reach) - d.poly_min > _LOG_FLOOR:
         lo, hi = 0.0, reach
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            if d.poly(mid) - d.poly_min > floor:
+            if d.poly(mid) - d.poly_min > _LOG_FLOOR:
                 hi = mid
             else:
                 lo = mid

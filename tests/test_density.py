@@ -26,7 +26,6 @@ from oracles import (
     scan_stein_constants,
     stein_solution,
     traced_peak,
-    trapezoid_moment,
     whole_segment_integrals,
 )
 
@@ -75,8 +74,6 @@ class TestNormalization:
         c = 9.0 / 40.0
         d = normalize_density(0.0, c, 0.0)
         assert abs(d.moment(4) - 1.0 / (4.0 * c)) < 1e-10
-        oracle = trapezoid_moment(0.0, c, 0.0, 4, d.truncation)
-        assert abs(d.moment(4) - oracle) < 1e-8
 
     def test_pure_sextic_sixth_moment(self):
         c = 9.0 / 40.0
@@ -357,16 +354,6 @@ class TestNodeMajorKernel:
         assert np.array_equal(got.view(np.int64), np.exp(x).view(np.int64))
         assert np.count_nonzero((got > 0.0) & (got < tiny)) > 1000
         assert np.isnan(density_module._exp_nonzero(np.array([np.nan, -np.nan]))).all()
-
-
-    def test_sorted_unique_is_np_unique(self):
-        # every value twice, a signed zero pair and the sizes the two callers pass
-        rng = np.random.default_rng(3)
-        for size in (0, 1, 33, 6098):
-            x = np.round(rng.normal(size=size), 2)
-            x = np.concatenate((x, x[::-1], [0.0, -0.0][: size % 3]))
-            got = density_module._sorted_unique(x)
-            assert got.view(np.int64).tolist() == np.unique(x).view(np.int64).tolist()
 
 
 _BLOCK = density_module._BLOCK

@@ -1,6 +1,8 @@
 """Every name a package module imports is used in that module or listed in
-its ``__all__``, and every name in its ``__all__`` is defined there, so a
-refactor can leave neither a dead import nor a stale export behind.
+its ``__all__``, every name in its ``__all__`` is defined there, and every
+private name a module defines at module level is read somewhere in the
+package, so a refactor can leave neither a dead import, a stale export nor a
+helper that only tests call behind.
 Standard library only: the module's source is parsed with ``ast`` and its
 ``__all__`` read from the imported module (the package's own is built at
 import time).  The package runs on numpy alone: a fresh interpreter that
@@ -52,6 +54,44 @@ def test_an_unused_import_is_caught():
     tree = ast.parse("import os.path\nfrom math import pi, tau as t\nprint(t)\n")
     assert _unused(tree) == [("os", 1), ("pi", 2)]
     assert _unused(tree, {"pi"}) == [("os", 1)]
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, line) of every private name bound by a module-level def, class
+    or assignment; dunder names are not private."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for target in targets for n in ast.walk(target)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node.lineno
+
+
+def _unread_private(trees: dict[str, ast.Module]) -> list[tuple[str, str, int]]:
+    """(module, name, line) of every module-level private name that no module reads."""
+    read = {node.id for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [(stem, name, line) for stem, tree in trees.items()
+            for name, line in _private_definitions(tree) if name not in read]
+
+
+def test_every_private_name_is_read_in_the_package():
+    trees = {stem: ast.parse((SRC / f"{stem}.py").read_text()) for stem in MODULES}
+    unread = _unread_private(trees)
+    assert not unread, f"private names the package never reads (module, name, line): {unread}"
+
+
+def test_an_unread_private_name_is_caught():
+    trees = {"a": ast.parse("_kept = 1\n_gone, __dunder__ = 2, 3\ndef _helper():\n"
+                            "    return _kept\nclass _Cls: pass\n_elsewhere: int = 4\n"),
+             "b": ast.parse("from a import _Cls, _elsewhere\nprint(_Cls, _elsewhere)\n")}
+    assert _unread_private(trees) == [("a", "_gone", 2), ("a", "_helper", 3)]
 
 
 def _undefined_exports(module) -> list[str]:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from begrates.errors import ScheduleUnderflowError, ValidationError
@@ -320,14 +320,17 @@ class TestRegions:
         assert classify_region(ModelParams(2.0, critical_K(2.0))) is RegionTag.FIRST_ORDER_CURVE
         assert classify_region(ModelParams(2.0, 0.5)) is RegionTag.OTHER
 
-    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("beta", [0.5, 1.0, BETA_C, 2.0])
     def test_boundary_buffer_is_region_tol(self, beta):
-        # within half the buffer of K_c the point is on the curve; twice the
-        # buffer away it is off it, on the side the sign says
+        # the band is _REGION_TOL (max(1, K_c) + beta |K_c'|) on each side, at
+        # C too: within half of it the point is on the curve; twice it away it
+        # is off it, on the side the sign says
         kc = critical_K(beta)
-        step = _REGION_TOL * max(1.0, kc)
-        on_curve = RegionTag.B if beta < BETA_C else RegionTag.FIRST_ORDER_CURVE
-        below = RegionTag.A if beta < BETA_C else RegionTag.OTHER
+        kc_prime = kc * (1.0 - 1.0 / beta) - 1.0 / (2.0 * beta)
+        step = _REGION_TOL * (max(1.0, kc) + beta * abs(kc_prime))
+        on_curve = (RegionTag.B if beta < BETA_C else RegionTag.C if beta == BETA_C
+                    else RegionTag.FIRST_ORDER_CURVE)
+        below = RegionTag.A if beta <= BETA_C else RegionTag.OTHER
         assert classify_region(ModelParams(beta, kc + 0.5 * step)) is on_curve
         assert classify_region(ModelParams(beta, kc - 0.5 * step)) is on_curve
         assert classify_region(ModelParams(beta, kc + 2.0 * step)) is RegionTag.TWO_PHASE
@@ -336,10 +339,13 @@ class TestRegions:
     @settings(max_examples=200, deadline=None)
     @given(
         beta=st.floats(0.2, 2.5),
-        frac=st.floats(0.2, 1.8),
+        frac=st.floats(0.2, 1.8) | st.floats(1.0 - 3e-8, 1.0 + 3e-8),
         eps_b=st.floats(-1.0, 1.0),
         eps_k=st.floats(-1.0, 1.0),
     )
+    # K_c moves 18.6 times faster than beta at beta = 0.2: a band relative in
+    # K alone read this point as A and the moved one as TwoPhase
+    @example(beta=0.2, frac=1.0 - 1.1e-9, eps_b=0.98, eps_k=0.98)
     def test_stability_under_small_perturbations(self, beta, frac, eps_b, eps_k):
         # perturbing by less than half the boundary buffer never flips A <-> TwoPhase
         half = _REGION_TOL / 2

@@ -284,7 +284,7 @@ class TestStepRowsAgainstMpmath:
         mean, second, r_l2 = mpmath_step_rows(law, gamma, lam, psi)
 
         k = 12.0 * params.beta * (1.0 + 3.0 * params.K) + 17.0
-        s = np.abs(law.s_values)
+        s = np.abs(np.arange(-n, n + 1))
         tol = {}
         for p, got, want in ((1, steps.mean, mean), (2, steps.second, second)):
             norm = n * (float(n) ** (1.0 - gamma)) ** p
