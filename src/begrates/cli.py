@@ -149,8 +149,7 @@ def _cmd_limit_density(args, out: _Output) -> None:
         out.rows.append({"order": k, "moment": d.moment(k)})
     if args.stein_constants:
         consts = estimate_stein_constants(d)
-        out.meta.update({f"stein_{k}": v for k, v in consts.to_json_dict().items()
-                         if k != "grid_spec"})
+        out.meta.update({f"stein_{k}": getattr(consts, k) for k in ("d1", "d2", "d3", "d4")})
         out.meta["stein_grid"] = json.dumps(consts.grid_spec, sort_keys=True)
 
 

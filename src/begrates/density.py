@@ -349,8 +349,13 @@ def _drift_scale(
 ) -> float:
     """c = E[W (-psi(W))] = q1 E[W^2] + q3 E[W^4] + q5 E[W^6], the scale of
     the Stein equation; ``moment_of(k)`` gives E[W^k] and is called only for
-    the active terms."""
-    return sum((q * moment_of(k) for q, k in zip(psi_coeffs, (2, 4, 6)) if q != 0.0), 0.0)
+    the active terms.  c must be positive, or no density matches psi."""
+    c = sum((q * moment_of(k) for q, k in zip(psi_coeffs, (2, 4, 6)) if q != 0.0), 0.0)
+    if not (c > 0.0):
+        raise NonIntegrableDensityError(
+            f"E[W * drift] = {c!r} is not positive for psi coefficients {psi_coeffs}"
+        )
+    return c
 
 
 def density_from_regression(
@@ -367,10 +372,6 @@ def density_from_regression(
     """
     q1, q3, q5 = psi_coeffs
     c = _drift_scale(psi_coeffs, moments.__getitem__)
-    if not (c > 0.0):
-        raise NonIntegrableDensityError(
-            f"E[W * drift] = {c!r} is not positive for psi coefficients {psi_coeffs}"
-        )
     b1 = q1 / (2.0 * c)
     b2 = q3 / (4.0 * c)
     b3 = q5 / (6.0 * c)
@@ -397,10 +398,6 @@ class SteinConstants:
     d3: float
     d4: float
     grid_spec: dict
-
-    def to_json_dict(self) -> dict:
-        return {"d1": self.d1, "d2": self.d2, "d3": self.d3, "d4": self.d4,
-                "grid_spec": self.grid_spec}
 
 
 def _envelope_grid(d: PolyDensity, step: float) -> np.ndarray:

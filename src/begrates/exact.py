@@ -317,11 +317,18 @@ def _smoothed_lattice_cdf(probs: np.ndarray, c: float, m: int, R: int, J: int) -
     it are dropped, so the sum is within 2 Phi(-8.5) ~ 1.9e-17 of the full
     one.  probs is spread to every R-th slot of a fine lattice, zero-padded
     so that end bands read zeros, and each point's band is a window of it,
-    read at stride m as a view.  The cost is O(n R + J Q).
+    read at stride m as a view.  The cost is O(n R + J Q).  A fine lattice
+    of more than max(2^22, 16 (2n + 1) R) entries raises ComputationError
+    before anything is allocated.
     """
     n = probs.size // 2
     Q = int(_HS_CUTOFF * c)
     half = max(n * R, J * m + Q)
+    limit = max(2**22, 16 * (2 * n + 1) * R)
+    if 2 * half + 1 > limit:
+        raise ComputationError(
+            f"the smoothed CDF needs a lattice of {2 * half + 1:.3g} entries, past max(2^22, "
+            f"16 (2n + 1) R) = {limit}: the noise is far wider than the {2 * n + 1} atoms")
     fine = np.zeros(2 * half + 1)
     fine[half - n * R : half + n * R + 1 : R] = probs
     starts = slice(half - J * m - Q, half + J * m - Q + 1, m)
@@ -357,11 +364,23 @@ def hs_check(params: ModelParams, n: int, gamma: float) -> float:
     K = 1e8, n = 64).  So where n G rises by more than 1/2 within a cell of
     some x*, on either side ((cell / width)^2 / 2 for a parabolic well), or
     the total on the grid is 0, the G-density raises ComputationError.
+
+    The atom side's lattice has about 33 R D W entries, growing like
+    sqrt(n / (2 beta K)) once the noise outgrows the atoms: at most
+    5.2 (2n + 1) R in regions A, B and C for n = 16..2^20, near 8 (2n + 1) R
+    in the ordered phase.  Past max(2^22, 16 (2n + 1) R) entries (noise wider
+    than about n^gamma, the atoms' half-span), or for a noise variance that
+    is not finite, it raises ComputationError before allocating.
     """
     _check_gamma(gamma)
     law = build_joint_law(params, n)
     D = float(n) ** (1.0 - gamma)
-    noise_var = 1.0 / (params.two_beta_K * float(n) ** (1.0 - 2.0 * gamma))
+    precision = params.two_beta_K * float(n) ** (1.0 - 2.0 * gamma)
+    noise_var = 1.0 / precision if precision > 0.0 else math.inf
+    if not (noise_var < math.inf):
+        raise ComputationError(
+            f"the smoothing noise of hs_check has variance 1/{precision!r}, not finite, "
+            f"at beta={params.beta}, K={params.K}, n={n}")
     width = math.sqrt(moment(law, gamma, 2) + noise_var)
     h = 16.0 * width * D / 2000.0
     m, R = (math.ceil(h), 1) if h >= 1.0 else (1, math.floor(1.0 / h))

@@ -41,7 +41,7 @@ class StepTable:
     W - W' = (t - l)/n^(1-gamma), with t the removed and l the resampled
     spin.  ``resample`` holds the law (pi_t(-1), pi_t(0), pi_t(+1)) of l for
     the site groups t = +1, -1, 0.  Every class moment is one call of
-    ``class_moment``; ``mean`` and ``second`` are its rows for p = 1 and 2.
+    ``class_moment``: the step mean is p = 1, the step second moment p = 2.
     """
 
     law: JointLaw
@@ -60,9 +60,6 @@ class StepTable:
         c0, c1 = 0.5 * s * (plus - minus) + n * zero, 0.5 * (plus + minus) - zero
         norm = n * (float(n) ** (1.0 - self.gamma)) ** p
         return c0 / norm, c1 / norm
-
-    mean = property(lambda self: self.class_moment(1))
-    second = property(lambda self: self.class_moment(2))
 
     def tail(self, A: float) -> float:
         """E[(W - W')^2 ; |W - W'| >= A], exactly.
@@ -102,7 +99,7 @@ def regression_decompose(
     """
     law = steps.law
     q1, q3, q5 = psi_coeffs
-    m0, m1 = steps.mean
+    m0, m1 = steps.class_moment(1)
     w = law.w_values(steps.gamma)
     r0 = m0 - lam * (q1 * w + q3 * w**3 + q5 * w**5)  # R = r0 + m1 M on each class
     # E[R^2 | s] unexpanded, so the small residual does not cancel away
@@ -121,7 +118,7 @@ def variance_term(steps: StepTable) -> float:
     moments are first collapsed to s-classes through E[M | s].
     """
     law = steps.law
-    v0, v1 = steps.second
+    v0, v1 = steps.class_moment(2)
     h = v0 + v1 * law.m_mean
     return law.expect((h - law.expect(h)) ** 2)
 
@@ -161,7 +158,9 @@ def evaluate_bound(
     c = E[W(-psi(W))], so the density-level envelopes d1..d4 enter divided
     by c.  The default half-width A = n^(gamma-1) matches the exponent
     bookkeeping of the rate proofs; note the increment |W - W'| reaches
-    2 n^(gamma-1), so the tail term only vanishes for A above that.
+    2 n^(gamma-1), so the tail term only vanishes for A above that.  An A
+    whose bound is not finite raises ValidationError; a c that is not
+    positive raises NonIntegrableDensityError, in ``_drift_scale``.
     """
     n = law.n
     if A is None:
@@ -176,8 +175,6 @@ def evaluate_bound(
 
     m2 = moment(law, gamma, 2)
     c = _drift_scale(psi_coeffs, lambda k: m2 if k == 2 else moment(law, gamma, k))
-    if not (c > 0.0):
-        raise ValidationError(f"drift scale E[W(-psi(W))] = {c!r} must be positive")
     d1, d2, d3, d4 = consts.d1 / c, consts.d2 / c, consts.d3 / c, consts.d4 / c
 
     var_cond = variance_term(steps)
@@ -186,14 +183,19 @@ def evaluate_bound(
     e_abs_psi = _fsum_largest_first(law.s_probs * np.abs(q1 * w + q3 * w**3 + q5 * w**5))
     tail = steps.tail(A)
 
-    terms = {
-        "variance_term": d2 / (2.0 * lam) * math.sqrt(var_cond),
-        "remainder_term": (d1 + d2 * math.sqrt(m2) + 1.5 * A) * r_l2 / lam,
-        "cube_term": d4 * A**3 / (4.0 * lam),
-        "psi_term": 1.5 * A * e_abs_psi,
-        "tail_term": d3 / (2.0 * lam) * tail,
-    }
-    total = math.fsum(terms.values())
+    try:  # A**3 overflows past A ~ 5.6e102
+        terms = {
+            "variance_term": d2 / (2.0 * lam) * math.sqrt(var_cond),
+            "remainder_term": (d1 + d2 * math.sqrt(m2) + 1.5 * A) * r_l2 / lam,
+            "cube_term": d4 * A**3 / (4.0 * lam),
+            "psi_term": 1.5 * A * e_abs_psi,
+            "tail_term": d3 / (2.0 * lam) * tail,
+        }
+        total = math.fsum(terms.values())
+    except OverflowError:
+        total = math.inf
+    if not (total < math.inf):
+        raise ValidationError(f"the bound at half-width A = {A!r} is not finite")
     return BoundReport(
         case_id=case.case_id,
         n=n,

@@ -286,7 +286,7 @@ def conditional_step_moments(params: ModelParams, n: int, gamma: float) -> StepM
 
 
 def mpmath_step_rows(law, gamma: float, lam: float, psi_coeffs, dps: int = 40):
-    """``StepTable.mean``, ``StepTable.second`` and ``regression_decompose``'s
+    """``StepTable.class_moment`` for p = 1 and 2 and ``regression_decompose``'s
     ||R||_2 at ``dps`` digits, from the same float law (P(s), E[M|s],
     E[M^2|s]), lambda and psi coefficients, with the resampling law taken
     exactly from the law's parameters.
@@ -336,7 +336,7 @@ def variance_term_classwise(steps) -> float:
     the affine class moment, so at least as large (conditional Jensen)."""
     law = steps.law
     m_var = np.maximum(law.m_second - law.m_mean**2, 0.0)
-    return variance_term(steps) + law.expect(steps.second[1] ** 2 * m_var)
+    return variance_term(steps) + law.expect(steps.class_moment(2)[1] ** 2 * m_var)
 
 
 def brute_pair_covariance(params: ModelParams, n: int) -> float:

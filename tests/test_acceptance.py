@@ -104,7 +104,7 @@ def test_criterion_1_exhaustive_equivalence():
         for n in (4, 6):
             law = build_joint_law(params, n)
             steps = step_table(law, gamma)
-            (m0, m1), (v0, v1) = steps.mean, steps.second
+            (m0, m1), (v0, v1) = steps.class_moment(1), steps.class_moment(2)
             oracle, _ = brute_step_moments(params, n, gamma)
             for (s, M), (want1, want2) in oracle.items():
                 assert abs(m0[s + n] + m1[s + n] * M - want1) < 1e-12

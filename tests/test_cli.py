@@ -209,6 +209,12 @@ class TestExitCodes:
         ("hs-check --n 64 --beta 1 --K 1e8", 3),
         ("hs-check --n 64 --beta 1 --K 1e12", 3),
         ("hs-check --n 1024 --gamma 0.25 --beta 1 --K 1e12", 3),
+        # noise far wider than the atoms: a lattice past hs_check's limit
+        ("hs-check --n 64 --beta 1e-300 --K 0.6", 3),
+        ("hs-check --n 16 --beta 1e-20 --K 1", 3),
+        ("hs-check --n 64 --beta 1e-320 --K 1", 3),  # noise variance inf
+        ("stein-bound --case fixed-C --n 4 --halfwidth 1e102", 2),  # total inf
+        ("stein-bound --case fixed-C --n 4 --halfwidth 1e103", 2),  # A**3 overflows
         ("phase-diagram --beta-min 1 --beta-max 710 --samples 2", 2),
         ("minimizers --beta 710 --K 1", 2),
         ("phase-diagram --samples 0", 2),

@@ -374,6 +374,16 @@ class TestHubbardStratonovich:
         with pytest.raises(ComputationError, match=match):
             hs_check(ModelParams(1.0, K), n, 0.5)
 
+    def test_lattice_past_the_limit_is_refused_before_allocating(self, monkeypatch):
+        # K = 1e-10 at n = 64 needs 1.9e7 entries, past the 2^22 floor; the
+        # guard must come before the lattice and its normal-CDF table
+        def no_erfc(x):
+            raise AssertionError("the normal-CDF table was built")
+
+        monkeypatch.setattr(math, "erfc", no_erfc)
+        with pytest.raises(ComputationError, match="lattice of 1.87e"):
+            hs_check(ModelParams(1.0, 1e-10), 64, 0.5)
+
     def test_well_wider_than_a_lattice_cell_is_resolved(self):
         # the wells at x = +-1 have width n^gamma / sqrt(n G'') ~ 0.22, below
         # the 0.25 of 4096 uniform cells on [-hi, hi]; the points' lattice,

@@ -2,7 +2,8 @@
 its ``__all__``, every name in its ``__all__`` is defined there, and every
 private name a module defines at module level is read somewhere in the
 package, so a refactor can leave neither a dead import, a stale export nor a
-helper that only tests call behind.
+helper that only tests call behind, and every ``raise`` names a class of
+``begrates.errors``.
 Standard library only: the module's source is parsed with ``ast`` and its
 ``__all__`` read from the imported module (the package's own is built at
 import time).  The package runs on numpy alone: a fresh interpreter that
@@ -110,6 +111,36 @@ def test_a_stale_export_is_caught():
     module.__all__ = ["kept", "gone"]
     module.kept = 1
     assert _undefined_exports(module) == ["gone"]
+
+
+def _foreign_raises(tree: ast.Module, allowed: set[str]) -> list[tuple[str, int]]:
+    """(raised expression, line) of every raise that names no class in
+    ``allowed``; a bare re-raise names none and passes."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if not (isinstance(exc, ast.Name) and exc.id in allowed):
+                out.append((ast.unparse(exc), node.lineno))
+    return out
+
+
+ERROR_CLASSES = {node.name for node in ast.parse((SRC / "errors.py").read_text()).body
+                 if isinstance(node, ast.ClassDef)}
+
+
+@pytest.mark.parametrize("stem", MODULES)
+def test_every_raise_is_a_package_error(stem):
+    # the CLI maps the package's errors, and only those, to exit codes 2 and 3
+    foreign = _foreign_raises(ast.parse((SRC / f"{stem}.py").read_text()), ERROR_CLASSES)
+    assert not foreign, f"{stem}.py raises outside begrates.errors (name, line): {foreign}"
+
+
+def test_a_foreign_raise_is_caught():
+    tree = ast.parse("try:\n    f()\nexcept OSError:\n    raise\n"
+                     "raise ValidationError('bad') from None\nraise ValueError('x')\n"
+                     "raise KeyError\n")
+    assert _foreign_raises(tree, {"ValidationError"}) == [("ValueError", 6), ("KeyError", 7)]
 
 
 _IMPORT_PATH_PROBE = """

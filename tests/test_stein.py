@@ -5,7 +5,7 @@ import pytest
 
 from begrates.cases import case_by_id, comparison_density, params_at, regression_at
 from begrates.density import SteinConstants, estimate_stein_constants, normalize_density
-from begrates.errors import ValidationError
+from begrates.errors import NonIntegrableDensityError, ValidationError
 from begrates.exact import build_joint_law, moment
 from begrates.model import BETA_C, ModelParams, critical_K, resampling_law
 from begrates import stein
@@ -46,7 +46,7 @@ class TestConditionalStepMoments:
     def test_matches_exhaustive(self, params, n):
         gamma = 0.5
         steps = step_table(build_joint_law(params, n), gamma)
-        (m0, m1), (v0, v1) = steps.mean, steps.second
+        (m0, m1), (v0, v1) = steps.class_moment(1), steps.class_moment(2)
         oracle, _ = brute_step_moments(params, n, gamma)
         for (s, M), (want1, want2) in oracle.items():
             assert abs(m0[s + n] + m1[s + n] * M - want1) < 1e-12
@@ -54,7 +54,7 @@ class TestConditionalStepMoments:
 
     def test_all_zero_class_has_zero_mean(self):
         n = 8
-        m0, _ = step_table(build_joint_law(POINT_A, n), 0.5).mean
+        m0, _ = step_table(build_joint_law(POINT_A, n), 0.5).class_moment(1)
         assert m0[n] == 0.0  # the class s = M = 0
 
     @pytest.mark.parametrize("n", [16, 64, 256])
@@ -84,7 +84,7 @@ class TestLargeCoupling:
     def test_step_moments_match_exhaustive(self):
         n, gamma = 6, 0.5
         steps = step_table(build_joint_law(self.PARAMS, n), gamma)
-        (m0, m1), (v0, v1) = steps.mean, steps.second
+        (m0, m1), (v0, v1) = steps.class_moment(1), steps.class_moment(2)
         oracle, _ = brute_step_moments(self.PARAMS, n, gamma)
         for (s, M), (want1, want2) in oracle.items():
             assert abs(m0[s + n] + m1[s + n] * M - want1) < 1e-12
@@ -140,7 +140,7 @@ class TestRegressionDecomposition:
         n = 6
         law = build_joint_law(POINT_A, n)
         steps = step_table(law, 0.5)
-        m0, m1 = steps.mean
+        m0, m1 = steps.class_moment(1)
         lam, (q1, q3, q5) = regression_at(case, n)
         for s in range(-n, n + 1):
             w = s / n**0.5
@@ -286,7 +286,7 @@ class TestStepRowsAgainstMpmath:
         k = 12.0 * params.beta * (1.0 + 3.0 * params.K) + 17.0
         s = np.abs(np.arange(-n, n + 1))
         tol = {}
-        for p, got, want in ((1, steps.mean, mean), (2, steps.second, second)):
+        for p, got, want in ((1, steps.class_moment(1), mean), (2, steps.class_moment(2), second)):
             norm = n * (float(n) ** (1.0 - gamma)) ** p
             tol[p] = (k * eps * 2**p * (s + n) / norm, k * eps * 2 ** (p + 1) / norm)
             assert np.all(np.abs(got[0] - want[0]) <= tol[p][0])
@@ -300,7 +300,7 @@ class TestStepRowsAgainstMpmath:
         # over 2n + 1 classes and the square root (log2(2n + 1) + 8) eps.
         q1, q3, q5 = psi
         w = law.w_values(gamma)
-        m0, m1 = steps.mean
+        m0, m1 = steps.class_moment(1)
         drift = lam * (np.abs(q1 * w) + np.abs(q3 * w**3) + np.abs(q5 * w**5))
         r0 = m0 - lam * (q1 * w + q3 * w**3 + q5 * w**5)
         m_var = np.maximum(law.m_second - law.m_mean**2, 0.0)
@@ -387,7 +387,8 @@ class TestEvaluateBound:
         case = with_schedule(case_by_id("C8.1.k-"), k=-1.0)
         law = build_joint_law(params_at(case, 64), 64)
         unit = SteinConstants(d1=1.0, d2=1.0, d3=1.0, d4=1.0, grid_spec={})
-        with pytest.raises(ValidationError, match=r"drift scale .* = -0\.494"):
+        with pytest.raises(NonIntegrableDensityError,
+                           match=r"E\[W \* drift\] = -0\.494.* is not positive"):
             evaluate_bound(law, case.gamma, case, normalize_density(0.5, 0.0, 0.0), unit)
 
     @pytest.mark.parametrize("A", [0.0, -1.0, math.nan, math.inf])
