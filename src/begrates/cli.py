@@ -5,8 +5,9 @@ JSON output.  Runs are deterministic given the flags and the seed: floats are
 printed with 17 significant digits and every output embeds its fully resolved
 configuration.  A CSV table's header is its rows' keys in the order the
 subcommand writes them; only ``exact-law`` names its columns, since its atom
-table is empty past ``--max-atoms-listed``.  Exit codes: 0 success, 2
-validation error, 3 computational error.
+table is empty past ``--max-atoms-listed``.  This module alone turns the
+library's results into rows and metadata.  Exit codes: 0 success, 2
+validation error, 3 computational error or running out of memory.
 
 A config file in ``key=value`` format may supply defaults; explicit flags
 override it.
@@ -23,7 +24,7 @@ from dataclasses import asdict
 
 from . import __version__
 from .cases import case_by_id, case_catalog
-from .density import estimate_stein_constants, normalize_density
+from .density import _QUADRATURE_TOL, estimate_stein_constants, normalize_density
 from .errors import ComputationError, ValidationError
 from .exact import (
     DEFAULT_N_CAP,
@@ -33,9 +34,9 @@ from .exact import (
     moment,
     pair_covariance,
 )
-from .mcmc import run_chain
+from .mcmc import _BATCHES, run_chain
 from .model import BETA_C, ModelParams, classify_region, critical_K, minimize_G
-from .rates import DEFAULT_MIN_EXP, default_ladder, run_all, run_case, run_rung, summary_row
+from .rates import DEFAULT_MIN_EXP, RateReport, default_ladder, run_all, run_case, run_rung
 
 _SCHEMA_VERSION = 1
 
@@ -144,7 +145,8 @@ def _cmd_limit_density(args, out: _Output) -> None:
     if args.max_moment < 0:
         raise ValidationError(f"--max-moment must be >= 0, got {args.max_moment}")
     d = normalize_density(args.b1, args.b2, args.b3)
-    out.meta.update(d.to_json_dict())
+    out.meta.update(b1=d.b1, b2=d.b2, b3=d.b3, log_norm=d.log_norm,
+                    quadrature_tol=_QUADRATURE_TOL)
     for k in range(0, args.max_moment + 1, 2):
         out.rows.append({"order": k, "moment": d.moment(k)})
     if args.stein_constants:
@@ -164,7 +166,7 @@ def _cmd_kolmogorov(args, out: _Output) -> None:
 def _cmd_stein_bound(args, out: _Output) -> None:
     report = run_rung(case_by_id(args.case), args.n, cap=args.cap, bound=True,
                       halfwidth=args.halfwidth).bound
-    out.meta["case_id"] = report.case_id
+    out.meta["case_id"] = args.case
     out.meta["n"] = args.n
     out.meta["A"] = report.a_halfwidth
     out.meta["lambda"] = report.lam
@@ -175,6 +177,18 @@ def _cmd_stein_bound(args, out: _Output) -> None:
         out.meta[k] = v
     for name, value in report.terms.items():
         out.rows.append({"term": name, "value": value})
+
+
+def _fit_fields(rep: RateReport, **own) -> dict:
+    """A ladder's case, fit and verdicts around ``own``: the keys that a
+    ``rate-scan`` summary row and its JSON report share, in the row's order."""
+    return {
+        "case_id": rep.case.case_id, "theorem": rep.case.theorem, "gamma": rep.case.gamma,
+        "predicted_exponent": rep.case.predicted_exponent,
+        "fitted_slope": rep.fitted_slope, "r_squared": rep.r_squared,
+        **own,
+        "slope_ok": rep.slope_ok(), "bounded_ok": rep.bounded_ok(),
+    }
 
 
 def _cmd_rate_scan(args, out: _Output) -> None:
@@ -193,11 +207,20 @@ def _cmd_rate_scan(args, out: _Output) -> None:
                 })
     else:
         for rep in reports:
-            out.rows.append(summary_row(rep))
+            scaled = rep.scaled_distances
+            out.rows.append(_fit_fields(
+                rep, n_min=rep.ladder[0].n, n_max=rep.ladder[-1].n,
+                d_k_at_n_max=rep.ladder[-1].d_k, scaled_max_over_first=max(scaled) / scaled[0],
+            ))
         out.meta["all_slope_ok"] = all(r.slope_ok() for r in reports)
         out.meta["all_bounded_ok"] = all(r.bounded_ok() for r in reports)
         if not args.all and args.format == "json":
-            out.meta["report"] = reports[0].to_json_dict()
+            rep = reports[0]
+            out.meta["report"] = _fit_fields(
+                rep, subcase=rep.case.subcase, fitted_intercept=rep.fitted_intercept,
+                ladder=[{"n": p.n, "d_k": p.d_k, "moments": p.moments} for p in rep.ladder],
+                skipped=rep.skipped,
+            )
 
 
 def _cmd_mcmc(args, out: _Output) -> None:
@@ -208,7 +231,7 @@ def _cmd_mcmc(args, out: _Output) -> None:
     )
     out.meta["m_fraction"] = result.m_fraction[0]
     out.meta["m_fraction_stderr"] = result.m_fraction[1]
-    out.meta["batch_count"] = result.batch_count
+    out.meta["batch_count"] = _BATCHES
     if args.trace:
         scale = float(args.n) ** (1.0 - args.gamma)
         for k, (est, se) in sorted(result.moments.items()):
@@ -385,8 +408,8 @@ def main(argv: list[str] | None = None) -> int:
     except ValidationError as exc:
         sys.stderr.write(f"error kind=validation message={exc}\n")
         return 2
-    except ComputationError as exc:
-        sys.stderr.write(f"error kind=computation message={exc}\n")
+    except (ComputationError, MemoryError) as exc:
+        sys.stderr.write(f"error kind=computation message={str(exc) or 'out of memory'}\n")
         return 3
 
 

@@ -222,15 +222,6 @@ class PolyDensity:
                 f"(b1={self.b1}, b2={self.b2}, b3={self.b3})")
         return value
 
-    def to_json_dict(self) -> dict:
-        return {
-            "b1": self.b1,
-            "b2": self.b2,
-            "b3": self.b3,
-            "log_norm": self.log_norm,
-            "quadrature_tol": _QUADRATURE_TOL,
-        }
-
 
 def _poly_minimum(b1: float, b2: float, b3: float) -> tuple[float, list[float]]:
     """Minimum value of the exponent polynomial and its interior critical points."""

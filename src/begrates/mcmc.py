@@ -41,7 +41,6 @@ class ChainResult:
     sweeps: int
     moments: dict[int, tuple[float, float]]  # order -> (estimate, stderr)
     m_fraction: tuple[float, float]  # (E[M]/n estimate, stderr)
-    batch_count: int
     trace: list[tuple[int, int, int]] | None = None
 
 
@@ -121,8 +120,7 @@ def run_chain(
     if keep_trace:
         trace = list(zip(range(burn_in, sweeps), s_series, m_series))
 
-    return ChainResult(n=n, sweeps=sweeps, moments=moments, m_fraction=m_frac,
-                       batch_count=_BATCHES, trace=trace)
+    return ChainResult(n=n, sweeps=sweeps, moments=moments, m_fraction=m_frac, trace=trace)
 
 
 def _sweep(n_plus: int, n_minus: int, sites: list, draws: list,

@@ -76,7 +76,8 @@ def _check_positive(name: str, value: float) -> float:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Inverse temperature and interaction strength of a single model."""
+    """Inverse temperature and interaction strength of a single model; 2 beta K
+    must stay finite too, since every kernel reads it."""
 
     beta: float
     K: float
@@ -84,6 +85,8 @@ class ModelParams:
     def __post_init__(self) -> None:
         object.__setattr__(self, "beta", _check_positive("beta", self.beta))
         object.__setattr__(self, "K", _check_positive("K", self.K))
+        if not math.isfinite(self.two_beta_K):
+            raise ValidationError(f"2 beta K overflows at beta={self.beta!r}, K={self.K!r}")
 
     @property
     def two_beta_K(self) -> float:

@@ -37,7 +37,6 @@ __all__ = [
     "fit_loglog",
     "run_case",
     "run_all",
-    "summary_row",
 ]
 
 SLOPE_TOLERANCE = 0.15
@@ -102,25 +101,6 @@ class RateReport:
     def bounded_ok(self) -> bool:
         scaled = self.scaled_distances
         return max(scaled) <= BOUNDEDNESS_FACTOR * scaled[0]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "case_id": self.case.case_id,
-            "theorem": self.case.theorem,
-            "subcase": self.case.subcase,
-            "gamma": self.case.gamma,
-            "predicted_exponent": self.case.predicted_exponent,
-            "ladder": [
-                {"n": p.n, "d_k": p.d_k, "moments": {str(k): v for k, v in p.moments.items()}}
-                for p in self.ladder
-            ],
-            "fitted_slope": self.fitted_slope,
-            "fitted_intercept": self.fitted_intercept,
-            "r_squared": self.r_squared,
-            "slope_ok": self.slope_ok(),
-            "bounded_ok": self.bounded_ok(),
-            "skipped": [list(x) for x in self.skipped],
-        }
 
 
 def default_ladder(case: CaseSpec, min_exp: int = DEFAULT_MIN_EXP,
@@ -209,21 +189,3 @@ def run_all(*, threads: int = 1, min_exp: int = DEFAULT_MIN_EXP,
     from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only here
     with ProcessPoolExecutor(max_workers=min(threads, len(cases))) as pool:
         return list(pool.map(run_case, cases, ladders))
-
-
-def summary_row(report: RateReport) -> dict:
-    scaled = report.scaled_distances
-    return {
-        "case_id": report.case.case_id,
-        "theorem": report.case.theorem,
-        "gamma": report.case.gamma,
-        "predicted_exponent": report.case.predicted_exponent,
-        "fitted_slope": report.fitted_slope,
-        "r_squared": report.r_squared,
-        "n_min": report.ladder[0].n,
-        "n_max": report.ladder[-1].n,
-        "d_k_at_n_max": report.ladder[-1].d_k,
-        "scaled_max_over_first": max(scaled) / scaled[0],
-        "slope_ok": report.slope_ok(),
-        "bounded_ok": report.bounded_ok(),
-    }

@@ -131,8 +131,6 @@ def variance_term(steps: StepTable) -> float:
 class BoundReport:
     """Itemised Kolmogorov bound next to the exact distance it dominates."""
 
-    case_id: str
-    n: int
     lam: float
     a_halfwidth: float
     terms: dict[str, float]
@@ -197,8 +195,6 @@ def evaluate_bound(
     if not (total < math.inf):
         raise ValidationError(f"the bound at half-width A = {A!r} is not finite")
     return BoundReport(
-        case_id=case.case_id,
-        n=n,
         lam=lam,
         a_halfwidth=A,
         terms=terms,

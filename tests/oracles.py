@@ -738,8 +738,6 @@ def normal_bound(law, gamma: float, case, A: float | None = None) -> BoundReport
     }
     density = normalize_density(1.0 / (2.0 * ew2), 0.0, 0.0)
     return BoundReport(
-        case_id=case.case_id,
-        n=n,
         lam=lam,
         a_halfwidth=A,
         terms=terms,

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import inspect
 import json
 import re
@@ -14,6 +15,24 @@ from begrates.cli import main
 from begrates.density import estimate_stein_constants, normalize_density
 
 DATA = Path(__file__).parent / "data"
+
+
+@contextlib.contextmanager
+def _address_space_cap(limit=64 << 30):
+    """Cap this process's address space, so an oversized request fails at
+    once even where the kernel would grant it and let the pages fill."""
+    try:
+        import resource
+    except ImportError:  # no rlimits on this platform
+        yield
+        return
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = limit if hard == resource.RLIM_INFINITY else min(limit, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
 def run_cli(capsys, *argv):
@@ -222,9 +241,15 @@ class TestExitCodes:
         ("limit-density --b1 0.5 --max-moment -4", 2),
         ("limit-density --b1 nan", 2),
         ("rate-scan", 2),
+        # 2 beta K past the double range
+        ("mcmc --n 10 --beta 1 --K 1e308 --sweeps 64 --burn-in 0", 2),
+        ("minimizers --beta 1 --K 1e308", 2),
+        # one 14.6 TiB request, refused before anything is allocated
+        ("mcmc --n 1000000000000 --beta 1 --K 0.6 --sweeps 40 --burn-in 0", 3),
     ])
     def test_exit_code(self, capsys, argv, code):
-        got, out, err = run_cli(capsys, *argv.split(), "--format", "json")
+        with _address_space_cap():
+            got, out, err = run_cli(capsys, *argv.split(), "--format", "json")
         assert got == code, err
         assert not re.search(r"\b(nan|inf|infinity)\b|traceback", out + err, re.IGNORECASE)
         if argv.startswith("kolmogorov"):
@@ -286,6 +311,11 @@ class TestOtherCommands:
         doc = json.loads(out)
         moments = {int(r["order"]): float(r["moment"]) for r in doc["rows"]}
         assert abs(moments[2] - 1.0) < 1e-9
+        meta = doc["meta"]
+        assert set(meta) == {"b1", "b2", "b3", "log_norm", "quadrature_tol"}
+        assert (meta["b1"], meta["b2"], meta["b3"]) == (0.5, 0.0, 0.0)
+        assert meta["log_norm"] == normalize_density(0.5, 0.0, 0.0).log_norm
+        assert meta["quadrature_tol"] == 1e-12
 
     @pytest.mark.parametrize("coeff", [("--b1", "1e-300"), ("--b2", "1e-200"), ("--b3", "1e-300")],
                              ids=str)
@@ -354,6 +384,7 @@ class TestOtherCommands:
         data = [l for l in out.splitlines() if l and not l.startswith("#")]
         assert data[0] == "sweep,s,M,w,w2"
         assert len(data) == 1 + 100  # one row per measured sweep
+        assert "# meta batch_count=32\n" in out
 
     @pytest.mark.parametrize("gamma", ["nan", "0.7", "0", "-1"])
     def test_mcmc_gamma_outside_range(self, capsys, gamma):
@@ -416,8 +447,15 @@ class TestOtherCommands:
         assert code == 0
         doc = json.loads(out)
         report = doc["meta"]["report"]
+        assert set(report) == {
+            "case_id", "theorem", "subcase", "gamma", "predicted_exponent", "ladder",
+            "fitted_slope", "fitted_intercept", "r_squared", "slope_ok", "bounded_ok", "skipped",
+        }
         assert report["case_id"] == "fixed-A"
         assert len(report["ladder"]) == 4
+        for rung in report["ladder"]:
+            assert set(rung) == {"n", "d_k", "moments"}
+            assert set(rung["moments"]) == {"2", "4", "6"}
 
     def test_rate_scan_min_exp_starts_every_ladder(self, capsys):
         code, out, err = run_cli(capsys, "rate-scan", "--all", "--min-exp", "9", "--per-n",
@@ -503,6 +541,9 @@ class TestCsvHeaders:
         assert code == 0, err
         data = [l for l in out.splitlines() if not l.startswith("#")]
         assert data[0] == _HEADERS[argv] and len(data) > 1
+        if argv.startswith("rate-scan") and "--per-n" not in argv:
+            # fixed-A's ladder passes both checks
+            assert data[1].startswith("fixed-A,") and data[1].endswith(",True,True")
 
     def test_exact_law_without_atoms_keeps_its_header(self, capsys):
         code, out, err = run_cli(capsys, "exact-law", "--n", "8", "--beta", "1", "--K", "0.6",

@@ -22,7 +22,6 @@ from begrates.rates import (
     run_all,
     run_case,
     run_rung,
-    summary_row,
 )
 from oracles import with_schedule
 
@@ -62,7 +61,6 @@ class TestRunRung:
     def test_bound_mode_reads_the_bounds_distance(self):
         rung = run_rung(case_by_id("fixed-C"), 256, bound=True)
         assert rung.d_k == rung.bound.exact_dk
-        assert rung.bound.n == 256 and rung.bound.case_id == "fixed-C"
 
     @pytest.mark.parametrize("case_id", ["fixed-A", "C4.2"])
     def test_distance_matches_the_ladder_bit_for_bit(self, case_id):
@@ -163,12 +161,6 @@ class TestRunCase:
         for lo, hi in ((-1, None), (-1, 3), (9, 7), (13, None)):
             with pytest.raises(ValidationError):
                 default_ladder(case, lo, hi)
-
-    def test_summary_row_fields(self):
-        rep = run_case(case_by_id("fixed-A"), [64, 128, 256, 512])
-        row = summary_row(rep)
-        assert row["case_id"] == "fixed-A"
-        assert row["slope_ok"] and row["bounded_ok"]
 
 
 class TestPhaseTransitionVisibility:
