@@ -369,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
                 ("n", "cap"))
     p.add_argument("--case", required=True)
     p.add_argument("--halfwidth", type=float, default=None,
-                   help="A in the bound (default n^(gamma-1))")
+                   help="A in the bound (default 2 n^(gamma-1) (1 + 1e-9))")
 
     p = command("rate-scan", _cmd_rate_scan, "ladder experiments and slope fits")
     p.add_argument("--threads", type=int, default=1, help="worker cap for --all")

@@ -65,8 +65,9 @@ def run_rung(
     """Law, moments, comparison density and exact d_K at one (case, n).
 
     With ``bound`` the Stein envelopes and the bound at half-width
-    ``halfwidth`` (default n^(gamma-1)) follow, and d_K is the bound's own
-    ``exact_dk``, so d_K is computed once either way.
+    ``halfwidth`` (default 2 n^(gamma-1) (1 + 1e-9), just above the largest
+    increment) follow, and d_K is the bound's own ``exact_dk``, so d_K is
+    computed once either way.
     """
     if halfwidth is not None and not bound:
         raise ValidationError("a half-width is only read with the bound")

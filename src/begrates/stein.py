@@ -65,9 +65,11 @@ class StepTable:
         """E[(W - W')^2 ; |W - W'| >= A], exactly.
 
         |t - l| takes the sizes 1 and 2, and a size counts when it reaches
-        the threshold A n^(1-gamma).  The 1e-15 slack is there because at the
-        default A = n^(gamma-1) the threshold is the size 1 up to rounding
-        (1 + 2.2e-16 or 1 - 1.1e-16 on some rungs), so every size-1 jump counts.
+        the threshold A n^(1-gamma).  The 1e-15 slack is there because at
+        A = n^(gamma-1) the threshold is the size 1 up to rounding (1 + 2.2e-16
+        or 1 - 1.1e-16 on some rungs), so every size-1 jump counts.  At the
+        default A of ``evaluate_bound`` the threshold is 2 (1 + 1e-9), past
+        both sizes, so the tail is 0.
         """
         thresh = A * float(self.law.n) ** (1.0 - self.gamma)
         v0, v1 = self.class_moment(2, [k for k in (1, 2) if k >= thresh - 1e-15])
@@ -154,15 +156,15 @@ def evaluate_bound(
 
     The Stein equation for the comparison density is scaled by
     c = E[W(-psi(W))], so the density-level envelopes d1..d4 enter divided
-    by c.  The default half-width A = n^(gamma-1) matches the exponent
-    bookkeeping of the rate proofs; note the increment |W - W'| reaches
-    2 n^(gamma-1), so the tail term only vanishes for A above that.  An A
-    whose bound is not finite raises ValidationError; a c that is not
-    positive raises NonIntegrableDensityError, in ``_drift_scale``.
+    by c.  The increment |W - W'| reaches 2 n^(gamma-1), so the tail term
+    vanishes only for A above that; the default A = 2 n^(gamma-1) (1 + 1e-9)
+    is just above it, and its tail term is exactly 0.  An A whose bound is
+    not finite raises ValidationError; a c that is not positive raises
+    NonIntegrableDensityError, in ``_drift_scale``.
     """
     n = law.n
     if A is None:
-        A = float(n) ** (gamma - 1.0)
+        A = 2.0 / float(n) ** (1.0 - gamma) * (1.0 + 1e-9)
     if not (0.0 < A < math.inf):
         raise ValidationError(f"half-width A must be positive and finite, got {A!r}")
     # d_K first, so the step table is not alive during the CDF pass

@@ -3,6 +3,7 @@
 import pytest
 
 _RESULTS: dict[str, bool] = {}
+_SUMMARY: list[str] = []  # the "summary" properties acceptance tests record
 
 
 def pytest_configure(config):
@@ -22,6 +23,7 @@ def pytest_runtest_makereport(item, call):
         return
     name = marker.args[0]
     _RESULTS[name] = _RESULTS.get(name, True) and rep.passed
+    _SUMMARY.extend(value for key, value in item.user_properties if key == "summary")
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -31,3 +33,5 @@ def pytest_terminal_summary(terminalreporter):
     for name in sorted(_RESULTS):
         status = "PASS" if _RESULTS[name] else "FAIL"
         terminalreporter.write_line(f"{status}  criterion {name}")
+    for line in _SUMMARY:
+        terminalreporter.write_line(line)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from begrates.cases import case_by_id, comparison_density, params_at, regression_at
+from begrates.cases import (case_by_id, case_catalog, comparison_density, params_at,
+                            regression_at)
 from begrates.density import SteinConstants, estimate_stein_constants, normalize_density
 from begrates.errors import NonIntegrableDensityError, ValidationError
 from begrates.exact import build_joint_law, moment
@@ -232,11 +233,11 @@ class TestVectorisedPasses:
         # size 1 and 2, of size 2 only, and none count
         halfwidths = [t / scale for t in (0.5, 1.5, 3.0)]
         thresholds = [A * scale for A in halfwidths]
-        # evaluate_bound's default A and twice it sit at the sizes 1 and 2 up
-        # to rounding (1 + 2.2e-16 for fixed-A at 512 and B1.k- at 64), and
-        # the jumps of that size count
-        default_A = float(n) ** (gamma - 1.0)
-        halfwidths += [default_A, 2.0 * default_A]
+        # A = n^(gamma-1) and twice it sit at the sizes 1 and 2 up to
+        # rounding (1 + 2.2e-16 for fixed-A at 512 and B1.k- at 64), and the
+        # jumps of that size count
+        unit_A = float(n) ** (gamma - 1.0)
+        halfwidths += [unit_A, 2.0 * unit_A]
         thresholds += [1, 2]
         r_l2, fd_max, var_w, classwise, tails = _per_class_passes(
             case, params, n, gamma, thresholds
@@ -331,17 +332,19 @@ class TestEvaluateBound:
         assert abs(report.total - math.fsum(report.terms.values())) < 1e-12
         assert all(v >= 0.0 for v in report.terms.values())
 
-    def test_tail_vanishes_above_increment_bound(self):
-        case, law, density, consts = _bound_inputs("fixed-A", 128)
-        A = max_increment(128, 0.5) * (1.0 + 1e-9)
-        report = evaluate_bound(law, case.gamma, case, density, consts, A=A)
+    @pytest.mark.parametrize("case_id", [c.case_id for c in case_catalog()])
+    def test_tail_vanishes_above_increment_bound(self, case_id):
+        # the default A is just above the largest increment |W - W'|
+        case, law, density, consts = _bound_inputs(case_id, 64)
+        report = evaluate_bound(law, case.gamma, case, density, consts)
+        assert report.a_halfwidth == max_increment(64, case.gamma) * (1.0 + 1e-9)
         assert report.terms["tail_term"] == 0.0
 
     def test_tail_positive_at_spec_halfwidth(self):
         # |W - W'| reaches 2 n^(gamma-1), so at A = n^(gamma-1) the tail
         # indicator still fires on every spin-changing resample
         case, law, density, consts = _bound_inputs("fixed-A", 128)
-        report = evaluate_bound(law, case.gamma, case, density, consts)
+        report = evaluate_bound(law, case.gamma, case, density, consts, A=128.0**-0.5)
         assert report.terms["tail_term"] > 0.0
 
     def test_total_scaling_region_a(self):
@@ -355,13 +358,13 @@ class TestEvaluateBound:
         assert max(scaled) <= 100.0 * min(scaled)
         assert max(scaled) <= 100.0 * scaled[0]
 
-    def test_total_scaling_at_default_halfwidth(self):
+    def test_total_scaling_at_spec_halfwidth(self):
         # at A = n^(gamma-1) the truncated tail keeps the total O(1), but the
         # n^(1/2)-scaled totals still stay within a factor 100 over the ladder
         scaled = []
         for n in (64, 1024):
             case, law, density, consts = _bound_inputs("fixed-A", n)
-            rep = evaluate_bound(law, case.gamma, case, density, consts)
+            rep = evaluate_bound(law, case.gamma, case, density, consts, A=float(n) ** -0.5)
             scaled.append(rep.total * math.sqrt(n))
         assert max(scaled) <= 100.0 * scaled[0]
 
