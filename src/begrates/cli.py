@@ -39,6 +39,7 @@ from .model import BETA_C, ModelParams, classify_region, critical_K, minimize_G
 from .rates import DEFAULT_MIN_EXP, RateReport, default_ladder, run_all, run_case, run_rung
 
 _SCHEMA_VERSION = 1
+_MAX_SAMPLES = 10**6  # phase-diagram rows
 
 
 def _fmt(x) -> str:
@@ -111,6 +112,8 @@ def _cmd_phase_diagram(args, out: _Output) -> None:
     out.meta["K_c_at_beta_c"] = critical_K(BETA_C)
     if args.samples < 1:
         raise ValidationError(f"--samples must be >= 1, got {args.samples}")
+    if args.samples > _MAX_SAMPLES:  # every row, ~1.4 kB in JSON, is held until output
+        raise ValidationError(f"--samples must be <= {_MAX_SAMPLES}, got {args.samples}")
     span, steps = args.beta_max - args.beta_min, max(args.samples - 1, 1)
     betas = [args.beta_min + i * span / steps for i in range(args.samples)]
     for beta in betas:
