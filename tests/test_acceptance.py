@@ -1,9 +1,9 @@
 """Acceptance suite: every exit criterion, at its stated tolerance.
 
-Run with ``pytest tests/test_acceptance.py``; a per-criterion PASS/FAIL table,
-and the bound's decay rate per case, is printed in the terminal summary.  The heavy ladder sweep (laws, densities,
-Stein envelopes and bounds for all 42 cases) runs once in a session fixture
-and is shared by criteria 3, 4 and 5.
+Run with ``pytest tests/test_acceptance.py``; a per-criterion PASS/FAIL table
+and the bound's decay rate per case are printed in the terminal summary.  The
+heavy ladder sweep (laws, densities, Stein envelopes and bounds for all 42
+cases) runs once in a session fixture and is shared by criteria 3, 4 and 5.
 """
 
 import math
