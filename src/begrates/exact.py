@@ -183,6 +183,12 @@ def _running_products(factors: np.ndarray, expos: np.ndarray) -> tuple[np.ndarra
     return np.array(mant), np.array(expo)
 
 
+def _check_size(n: int, rows: int) -> None:
+    """Refuse an n whose ``rows`` x (2n + 1) doubles numpy cannot size."""
+    if 8 * rows * (2 * n + 1) > np.iinfo(np.intp).max:
+        raise ComputationError(f"n={n}: {rows * (2 * n + 1)} doubles pass numpy's largest array")
+
+
 def build_joint_law(params: ModelParams, n: int, *, cap: int = DEFAULT_N_CAP) -> JointLaw:
     """The exact law at size n, in O(n) time and memory.
 
@@ -197,6 +203,7 @@ def build_joint_law(params: ModelParams, n: int, *, cap: int = DEFAULT_N_CAP) ->
         raise ValidationError(f"n must be >= 1, got {n}")
     if n > cap:
         raise CapExceededError(f"n={n} exceeds the size cap {cap}")
+    _check_size(n, 1)
     beta, K = params.beta, params.K
     if beta > _BETA_MAX:
         raise ValidationError(f"the exact law needs beta <= {_BETA_MAX}, got {beta}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComputationError, ValidationError
-from .exact import _check_gamma
+from .exact import _check_gamma, _check_size
 from .model import ModelParams, resampling_law
 
 __all__ = ["ChainResult", "run_chain", "chain_seeds"]
@@ -81,6 +81,7 @@ def run_chain(
         raise ValidationError("n must be >= 1")
     _check_gamma(gamma)
     _check_seed(seed)
+    _check_size(n, 2)  # the two cumulative rows
     measured = sweeps - burn_in
     if measured < _BATCHES:
         raise ValidationError(f"need at least {_BATCHES} post burn-in sweeps")

@@ -13,6 +13,7 @@ summarises its decay.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,6 +117,9 @@ def default_ladder(case: CaseSpec, min_exp: int = DEFAULT_MIN_EXP,
     if top < min_exp:
         named = f"--max-exp {top}" if max_exp is not None else f"{case.case_id}'s top {top}"
         raise ValidationError(f"{named} is below --min-exp {min_exp}")
+    if top >= sys.float_info.max_exp:
+        raise ValidationError(f"--max-exp {top} is past {sys.float_info.max_exp - 1}: "
+                              f"2^{top} is not a finite double")
     return [2**e for e in range(min_exp, top + 1)]
 
 

