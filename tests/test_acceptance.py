@@ -94,24 +94,24 @@ def full_sweep():
 
 
 @pytest.mark.acceptance("1: exhaustive-oracle equivalence (n <= 8, six parameter points)")
-def test_criterion_1_exhaustive_equivalence():
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("params", SIX_POINTS, ids=str)
+def test_criterion_1_exhaustive_equivalence(params, n):
+    # each of the 48 ids is held to 60 s / 48, so the criterion stays under 60 s
     start = time.monotonic()
     gamma = 0.5
-    for params in SIX_POINTS:
-        for n in range(1, 9):
-            law = build_joint_law(params, n)
-            assert tv_distance(law.atoms(), brute_force_law(params, n)) < 1e-12
+    law = build_joint_law(params, n)
+    assert tv_distance(law.atoms(), brute_force_law(params, n)) < 1e-12
+    if n in (4, 6):
         # conditional step moments and the variance term at a midsize n
-        for n in (4, 6):
-            law = build_joint_law(params, n)
-            steps = step_table(law, gamma)
-            (m0, m1), (v0, v1) = steps.class_moment(1), steps.class_moment(2)
-            oracle, _ = brute_step_moments(params, n, gamma)
-            for (s, M), (want1, want2) in oracle.items():
-                assert abs(m0[s + n] + m1[s + n] * M - want1) < 1e-12
-                assert abs(v0[s + n] + v1[s + n] * M - want2) < 1e-12
-            assert abs(variance_term(steps) - brute_variance_term(params, n, gamma)) < 1e-12
-    assert time.monotonic() - start < 60.0
+        steps = step_table(law, gamma)
+        (m0, m1), (v0, v1) = steps.class_moment(1), steps.class_moment(2)
+        oracle, _ = brute_step_moments(params, n, gamma)
+        for (s, M), (want1, want2) in oracle.items():
+            assert abs(m0[s + n] + m1[s + n] * M - want1) < 1e-12
+            assert abs(v0[s + n] + v1[s + n] * M - want2) < 1e-12
+        assert abs(variance_term(steps) - brute_variance_term(params, n, gamma)) < 1e-12
+    assert time.monotonic() - start < 60.0 / 48
 
 
 # ---------------------------------------------------------------------------
@@ -130,16 +130,22 @@ def test_criterion_2_closed_forms():
     assert abs(g6 - 162.0) < 1e-6 * 162.0
     # the limiting sixth-moment normaliser is the reciprocal: g6/6! = 9/40
     assert abs(g6 / math.factorial(6) - 9.0 / 40.0) < 1e-12
+
+
+@pytest.mark.acceptance("2: closed-form identities (g2, g4, g6 = 162, kernels)")
+@pytest.mark.parametrize("params", [
+    ModelParams(1.0, 0.6), ModelParams(0.5, 0.3), ModelParams(0.5, 1.4),
+    ModelParams(2.0, 1.2), ModelParams(BETA_C, critical_K(BETA_C)),
+], ids=str)
+def test_criterion_2_kernels(params):
     # i/20 and two linspace grids, whose points differ from i/20 in the last bits
     grid = ([i / 20.0 for i in range(-20, 21)] + np.linspace(-1.0, 1.0, 41).tolist()
             + np.linspace(-1.0, 1.0, 21).tolist())
-    for params in (ModelParams(1.0, 0.6), ModelParams(0.5, 0.3), ModelParams(0.5, 1.4),
-                   ModelParams(2.0, 1.2), tri):
-        for x in grid:
-            assert abs(f_single(params, x) - (x - G_prime(params, x) / params.two_beta_K)) < 1e-12
-            f1, f2 = pair_conditional_funcs(params, x)
-            assert abs(f1 - pair_f1_expanded(params, x)) < 1e-12
-            assert 0.0 <= f1 <= 1.0 and 0.0 <= f2 <= 1.0
+    for x in grid:
+        assert abs(f_single(params, x) - (x - G_prime(params, x) / params.two_beta_K)) < 1e-12
+        f1, f2 = pair_conditional_funcs(params, x)
+        assert abs(f1 - pair_f1_expanded(params, x)) < 1e-12
+        assert 0.0 <= f1 <= 1.0 and 0.0 <= f2 <= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -217,60 +223,70 @@ def test_criterion_5_bound_dominance(full_sweep, record_property):
 
 
 @pytest.mark.acceptance("6: lemma-level numerics (sandwich, covariance, moments, smoothing)")
-def test_criterion_6_sandwich():
-    for params in SIX_POINTS:
-        for e in range(4, 9):
-            law = build_joint_law(params, 2**e)
-            assert conditional_mean_sandwich_gap(law) <= 1e-15
+@pytest.mark.parametrize("params", SIX_POINTS, ids=str)
+def test_criterion_6_sandwich(params):
+    for e in range(4, 9):
+        law = build_joint_law(params, 2**e)
+        assert conditional_mean_sandwich_gap(law) <= 1e-15
 
 
 @pytest.mark.acceptance("6: lemma-level numerics (sandwich, covariance, moments, smoothing)")
-def test_criterion_6_pair_covariance_scaling():
+@pytest.mark.parametrize("region", sorted(REGION_REPS))
+def test_criterion_6_pair_covariance_scaling(region):
+    params, gamma = REGION_REPS[region]
     ladder = [2**e for e in range(6, 13)]
-    for region, (params, gamma) in REGION_REPS.items():
-        rate = min(4.0 * gamma, 1.0)
-        scaled = [abs(pair_covariance(params, n)) * n**rate for n in ladder]
-        assert max(scaled) <= 10.0 * scaled[0], region
+    rate = min(4.0 * gamma, 1.0)
+    scaled = [abs(pair_covariance(params, n)) * n**rate for n in ladder]
+    assert max(scaled) <= 10.0 * scaled[0]
 
 
 @pytest.mark.acceptance("6: lemma-level numerics (sandwich, covariance, moments, smoothing)")
-def test_criterion_6_moment_boundedness():
+@pytest.mark.parametrize("region", sorted(REGION_REPS))
+def test_criterion_6_moment_boundedness(region):
+    params, gamma = REGION_REPS[region]
     ladder = [2**e for e in range(6, 14)]
-    for region, (params, gamma) in REGION_REPS.items():
-        series = {l: [] for l in range(1, 9)}
-        for n in ladder:
-            law = build_joint_law(params, n)
-            for l in series:
-                series[l].append(abs(moment(law, gamma, l)))
-        for l, vals in series.items():
-            assert max(vals) <= 10.0 * max(vals[0], 1e-6), (region, l)
+    series = {l: [] for l in range(1, 9)}
+    for n in ladder:
+        law = build_joint_law(params, n)
+        for l in series:
+            series[l].append(abs(moment(law, gamma, l)))
+    for l, vals in series.items():
+        assert max(vals) <= 10.0 * max(vals[0], 1e-6), l
 
 
 @pytest.mark.acceptance("6: lemma-level numerics (sandwich, covariance, moments, smoothing)")
-def test_criterion_6_gaussian_smoothing_identity():
-    for region, (params, gamma) in REGION_REPS.items():
-        assert hs_check(params, 1024, gamma) < 1e-3, region
+@pytest.mark.parametrize("region", sorted(REGION_REPS))
+def test_criterion_6_gaussian_smoothing_identity(region):
+    params, gamma = REGION_REPS[region]
+    assert hs_check(params, 1024, gamma) < 1e-3
 
 
 # ---------------------------------------------------------------------------
 # criterion 7: sampler validation
 
+# each chain (n, seed) once, with the orders k of E[W^k] it is checked on and
+# whether its E[M]/n is; a strict |est - exact| < 4 se needs se > 0
+CHAINS = {(20, 11): ((2, 4), True), (50, 22): ((2, 4), True), (100, 33): ((2, 4), False),
+          (20, 777): ((2,), False), (50, 777): ((2,), False), (25, 2024): ((4,), False)}
+
 
 @pytest.mark.acceptance("7: heat-bath sampler matches exact law; seeded determinism")
-def test_criterion_7_mcmc():
-    # each chain once, with the orders k of E[W^k] it is checked on and
-    # whether its E[M]/n is; a strict |est - exact| < 4 se needs se > 0
+@pytest.mark.parametrize("n, seed", sorted(CHAINS))
+def test_criterion_7_mcmc(n, seed):
     params = ModelParams(1.0, 0.6)
-    chains = {(20, 11): ((2, 4), True), (50, 22): ((2, 4), True), (100, 33): ((2, 4), False),
-              (20, 777): ((2,), False), (50, 777): ((2,), False), (25, 2024): ((4,), False)}
-    runs = {}
-    for (n, seed), (orders, m_fraction) in chains.items():
-        law = build_joint_law(params, n)
-        runs[n, seed] = res = run_chain(params, n, 12000, 1200, seed=seed)
-        for k in orders:
-            est, se = res.moments[k]
-            assert abs(est - moment(law, 0.5, k)) < 4.0 * se, (n, seed, k)
-        if m_fraction:
-            est, se = res.m_fraction
-            assert abs(est - law.expect(law.m_mean) / n) < 4.0 * se, (n, seed)
-    assert run_chain(params, 20, 12000, 1200, seed=11).moments == runs[20, 11].moments
+    orders, m_fraction = CHAINS[n, seed]
+    law = build_joint_law(params, n)
+    res = run_chain(params, n, 12000, 1200, seed=seed)
+    for k in orders:
+        est, se = res.moments[k]
+        assert abs(est - moment(law, 0.5, k)) < 4.0 * se, k
+    if m_fraction:
+        est, se = res.m_fraction
+        assert abs(est - law.expect(law.m_mean) / n) < 4.0 * se
+
+
+@pytest.mark.acceptance("7: heat-bath sampler matches exact law; seeded determinism")
+def test_criterion_7_seeded_determinism():
+    params = ModelParams(1.0, 0.6)
+    first = run_chain(params, 20, 12000, 1200, seed=11)
+    assert run_chain(params, 20, 12000, 1200, seed=11).moments == first.moments
