@@ -40,6 +40,7 @@ from .rates import DEFAULT_MIN_EXP, RateReport, default_ladder, run_all, run_cas
 
 _SCHEMA_VERSION = 1
 _MAX_SAMPLES = 10**6  # phase-diagram rows
+_MAX_MOMENT = 1000  # limit-density orders: 501 even ones, each 1-4 ms of quadrature
 
 
 def _fmt(x) -> str:
@@ -147,6 +148,8 @@ def _cmd_exact_law(args, out: _Output) -> None:
 def _cmd_limit_density(args, out: _Output) -> None:
     if args.max_moment < 0:
         raise ValidationError(f"--max-moment must be >= 0, got {args.max_moment}")
+    if args.max_moment > _MAX_MOMENT:
+        raise ValidationError(f"--max-moment must be <= {_MAX_MOMENT}, got {args.max_moment}")
     d = normalize_density(args.b1, args.b2, args.b3)
     out.meta.update(b1=d.b1, b2=d.b2, b3=d.b3, log_norm=d.log_norm,
                     quadrature_tol=_QUADRATURE_TOL)

@@ -58,6 +58,8 @@ _LN2_HI = 6.93147180369123816490e-01
 _LN2_LO = 1.90821492927058770002e-10
 # hs_check: normal CDFs are read within this many noise widths of each point
 _HS_CUTOFF = 8.5
+# the law's running product is taken in blocks of this many factors
+_PRODUCT_BLOCK = 512
 
 
 @dataclass
@@ -140,13 +142,18 @@ def _ratio_row(m: int, inv_a: float, size: int) -> np.ndarray:
     divided by c_s, run down from 1/rho_{m+1} = 0: each step damps the
     rounding of the last.  rho_0 = 1/rho_1 by symmetry, and entries above m
     are inf.  For beta <= 600 and m <= 2^20 every entry is below about 4e266,
-    so no rescaling is needed.
+    so no rescaling is needed.  The counters m + s + 1, m - s + 1 and s are floats, exact below 2^53,
+    so each step rounds as it would with Python ints.
     """
     rho = [math.inf] * size
     inv = 0.0  # 1 / rho_{s+1}
+    up, down, t = 2.0 * m + 1.0, 1.0, float(m)  # m + s + 1, m - s + 1, s
     for s in range(m, 0, -1):
-        rho[s] = ((m + s + 1) * inv + s * inv_a) / (m - s + 1)
-        inv = 1.0 / rho[s]
+        rho[s] = r = (up * inv + t * inv_a) / down
+        inv = 1.0 / r
+        up -= 1.0
+        down += 1.0
+        t -= 1.0
     if m >= 0:
         rho[0] = inv
     return np.array(rho)
@@ -171,16 +178,31 @@ def _mirrored(x: np.ndarray) -> np.ndarray:
 
 def _running_products(factors: np.ndarray, expos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """1, f_0, f_0 f_1, ... for factors f_i = factors[i] * 2^expos[i], as
-    mantissas and binary exponents (value = mantissa * 2^exponent)."""
-    mant = [1.0]
-    expo = [0]
-    here, e = 1.0, 0
-    for f, fe in zip(factors.tolist(), expos.tolist()):
-        here, k = math.frexp(here * f)
-        e += k + fe
-        mant.append(here)
-        expo.append(e)
-    return np.array(mant), np.array(expo)
+    mantissas and binary exponents (value = mantissa * 2^exponent).
+
+    Each factor is split as m_i 2^k_i with m_i in [0.5, 1), and the m_i are
+    multiplied by ``np.cumprod`` in blocks of at most 512, each started from
+    the last mantissa of the one before.  A block's partial products stay
+    above 2^-513, in the normal range, where scaling by a power of two
+    commutes with rounding: each is the sequential product (mantissa times
+    f_i, renormalised) times a power of two, rounded the same way.  So the
+    result is bit for bit that of the sequential loop ``here, k =
+    frexp(here * f_i)`` wherever that loop stays in the normal range, as it
+    does for the law's factors, which lie in [0.7, 6e266].
+    """
+    mant, expo = np.frexp(factors)
+    expo = np.cumsum(expo + expos)
+    here, carry = 1.0, 0
+    for lo in range(0, mant.size, _PRODUCT_BLOCK):
+        block = mant[lo : lo + _PRODUCT_BLOCK]
+        block[0] *= here
+        np.cumprod(block, out=block)
+        expo[lo : lo + _PRODUCT_BLOCK] += carry
+        here, k = math.frexp(block[-1])
+        carry += k
+    mant, k = np.frexp(mant)
+    expo += k
+    return np.concatenate(([1.0], mant)), np.concatenate(([0], expo))
 
 
 def _check_size(n: int, rows: int) -> None:
@@ -240,23 +262,36 @@ def build_joint_law(params: ModelParams, n: int, *, cap: int = DEFAULT_N_CAP) ->
 
 
 def _fsum_largest_first(terms: np.ndarray) -> float:
-    """``math.fsum`` of the terms, fed in order of decreasing magnitude.
+    """``math.fsum`` of terms >= 0, fed in decreasing order.
 
     fsum is correctly rounded, so the order does not change the result, only
     the cost: fed in s order, terms spanning 1e-321..1 grow fsum's list of
     partial sums long.  At n = 8192 a sum takes ~1-2 ms largest first against
     7-17 ms in s order.
     """
-    return math.fsum(terms[np.argsort(-np.abs(terms))].tolist())
+    return math.fsum(np.sort(terms)[::-1].tolist())
+
+
+def _moment_terms(probs: np.ndarray, w: np.ndarray, k: int) -> np.ndarray:
+    """probs * w^k for even k >= 2: w^2 is formed once and each term is
+    probs w^2 times w^2 k/2 - 1 more times.  fl(w w) is exactly even in w, so
+    the terms at -s and s agree bit for bit."""
+    w2 = w * w
+    terms = probs * w2
+    for _ in range(k // 2 - 1):
+        terms *= w2
+    return terms
 
 
 def moment(law: JointLaw, gamma: float, k: int) -> float:
     """E[W^k] for W = S_n / n^(1-gamma), accumulated with exact summation.
 
-    The terms P(s) w^k are summed by ``math.fsum``, correctly rounded, and
-    fed largest first: in s order fsum is about ten times slower on these
-    terms, which span hundreds of orders of magnitude.  The result is the
-    same in any order.  The law is symmetric in s, so odd k is exactly zero.
+    The law is symmetric in s and the terms P(s) w^k exactly even
+    (``_moment_terms``), so odd k is exactly zero and even k is twice the
+    correctly rounded ``math.fsum`` over s > 0: the same double as an fsum
+    over all 2n + 1 terms.  The terms are fed largest first: in s order fsum
+    is about ten times slower on terms that span hundreds of orders of
+    magnitude.
     """
     _check_gamma(gamma)
     if not (0 <= k <= 12):
@@ -265,8 +300,9 @@ def moment(law: JointLaw, gamma: float, k: int) -> float:
         return 0.0
     if k == 0:
         return 1.0
-    w = law.w_values(gamma)
-    return _fsum_largest_first(law.s_probs * w**k)
+    n = law.n
+    return 2.0 * _fsum_largest_first(
+        _moment_terms(law.s_probs[n + 1 :], law.w_values(gamma)[n + 1 :], k))
 
 
 def _check_gamma(gamma: float) -> None:

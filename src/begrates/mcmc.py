@@ -115,7 +115,8 @@ def run_chain(
                 m_series.append(n_plus + n_minus)
 
     w = np.array(s_series) / float(n) ** (1.0 - gamma)
-    moments = {k: _batch_means(w**k) for k in (1, 2, 4)}
+    w2 = w * w
+    moments = {1: _batch_means(w), 2: _batch_means(w2), 4: _batch_means(w2 * w2)}
     m_frac = _batch_means(np.array(m_series) / n)
     trace = None
     if keep_trace:

@@ -91,6 +91,14 @@ def step_table(law: JointLaw, gamma: float) -> StepTable:
 # regression residual
 
 
+def _drift(w: np.ndarray, psi_coeffs: tuple[float, float, float]) -> np.ndarray:
+    """-psi(w) = q1 w + q3 w^3 + q5 w^5 in the Horner form w (q1 + w^2 (q3 +
+    w^2 q5)) of ``PolyDensity.psi``, which is exactly odd in w."""
+    q1, q3, q5 = psi_coeffs
+    w2 = w * w
+    return w * (q1 + w2 * (q3 + w2 * q5))
+
+
 def regression_decompose(
     steps: StepTable, lam: float, psi_coeffs: tuple[float, float, float]
 ) -> float:
@@ -100,10 +108,8 @@ def regression_decompose(
     is affine in M on each (s, M) class, like the step mean it is read from.
     """
     law = steps.law
-    q1, q3, q5 = psi_coeffs
     m0, m1 = steps.class_moment(1)
-    w = law.w_values(steps.gamma)
-    r0 = m0 - lam * (q1 * w + q3 * w**3 + q5 * w**5)  # R = r0 + m1 M on each class
+    r0 = m0 - lam * _drift(law.w_values(steps.gamma), psi_coeffs)  # R = r0 + m1 M per class
     # E[R^2 | s] unexpanded, so the small residual does not cancel away
     m_var = np.maximum(law.m_second - law.m_mean**2, 0.0)
     return math.sqrt(law.expect((r0 + m1 * law.m_mean) ** 2 + m1**2 * m_var))
@@ -171,7 +177,6 @@ def evaluate_bound(
     exact_dk = kolmogorov_distance(law, gamma, density.cdf_at_sorted)
     steps = step_table(law, gamma)
     lam, psi_coeffs = regression_at(case, n)
-    q1, q3, q5 = psi_coeffs
 
     m2 = moment(law, gamma, 2)
     c = _drift_scale(psi_coeffs, lambda k: m2 if k == 2 else moment(law, gamma, k))
@@ -179,8 +184,9 @@ def evaluate_bound(
 
     var_cond = variance_term(steps)
     r_l2 = regression_decompose(steps, lam, psi_coeffs)
-    w = law.w_values(gamma)
-    e_abs_psi = _fsum_largest_first(law.s_probs * np.abs(q1 * w + q3 * w**3 + q5 * w**5))
+    # |psi| is exactly even, so E|psi(W)| is twice its sum over s > 0
+    w = law.w_values(gamma)[n + 1 :]
+    e_abs_psi = 2.0 * _fsum_largest_first(law.s_probs[n + 1 :] * np.abs(_drift(w, psi_coeffs)))
     tail = steps.tail(A)
 
     try:  # A**3 overflows past A ~ 5.6e102

@@ -144,6 +144,34 @@ def mpmath_joint_law(params: ModelParams, n: int, dps: int = 40, *, rounded: boo
         return tuple(np.array([float(x) for x in row]) for row in rows)
 
 
+def sequential_ratio_row(m: int, inv_a: float, size: int) -> np.ndarray:
+    """``exact._ratio_row`` as first written: the same recurrence, one Python
+    step a ratio, with the counters m + s + 1, m - s + 1 and s as ints."""
+    rho = [math.inf] * size
+    inv = 0.0  # 1 / rho_{s+1}
+    for s in range(m, 0, -1):
+        rho[s] = ((m + s + 1) * inv + s * inv_a) / (m - s + 1)
+        inv = 1.0 / rho[s]
+    if m >= 0:
+        rho[0] = inv
+    return np.array(rho)
+
+
+def sequential_running_products(factors: np.ndarray,
+                                expos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``exact._running_products`` as first written: one product a factor,
+    renormalised by ``math.frexp`` after each."""
+    mant = [1.0]
+    expo = [0]
+    here, e = 1.0, 0
+    for f, fe in zip(factors.tolist(), expos.tolist()):
+        here, k = math.frexp(here * f)
+        e += k + fe
+        mant.append(here)
+        expo.append(e)
+    return np.array(mant), np.array(expo)
+
+
 def branch_regression_at(case, n: int) -> tuple[float, tuple[float, float, float]]:
     """(lambda, (q1, q3, q5)) restated theorem by theorem, as the reference
     for the pattern-driven ``cases.regression_at``.

@@ -25,6 +25,8 @@ from oracles import (
     grid_scan_kolmogorov,
     mpmath_joint_law,
     rowmajor_segment_integrals,
+    sequential_ratio_row,
+    sequential_running_products,
     traced_peak,
 )
 from test_acceptance import REGION_REPS, SIX_POINTS
@@ -167,6 +169,53 @@ class TestGeneratingFunctionLaw:
         assert worst <= 8.0 * math.ulp(math.lgamma(n + 1.0))
 
 
+class TestBlockedLaw:
+    """The running product is taken in numpy blocks and the ratio rows with
+    float counters; on the law's own inputs both are bit for bit the
+    sequential loops of ``oracles``, so P(s), log Z and E[M | s], E[M^2 | s]
+    are too."""
+
+    @staticmethod
+    def _check(params, n, monkeypatch):
+        products, row, seen = exact._running_products, exact._ratio_row, []
+
+        def same(got, want):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+        def checked_products(factors, expos):
+            got = products(factors, expos)
+            for g, w in zip(got, sequential_running_products(factors, expos)):
+                same(g, w)
+            seen.append("products")
+            return got
+
+        def checked_row(m, inv_a, size):
+            got = row(m, inv_a, size)
+            same(got, sequential_ratio_row(m, inv_a, size))
+            seen.append(m)
+            return got
+
+        monkeypatch.setattr(exact, "_running_products", checked_products)
+        monkeypatch.setattr(exact, "_ratio_row", checked_row)
+        law = build_joint_law(params, n)
+        law.m_mean
+        assert seen == [n, "products", n - 1, n - 2]
+
+    # the block edges of 512 factors, and n = 8192
+    @pytest.mark.parametrize("n", [1, 2, 3, 511, 512, 513, 1025, 8192])
+    @pytest.mark.parametrize("params", SIX_POINTS, ids=str)
+    def test_six_points(self, params, n, monkeypatch):
+        self._check(params, n, monkeypatch)
+
+    # beta at its cap; beta K = 1e17; beta K = 6e5, past 2^19, where the
+    # tilt's exponent floor of -2^20 acts
+    @pytest.mark.parametrize("n", [3, 513, 1025])
+    @pytest.mark.parametrize("params", [ModelParams(600.0, 0.8), ModelParams(1.0, 1e17),
+                                        ModelParams(2.0, 3e5)], ids=str)
+    def test_extreme_inputs(self, params, n, monkeypatch):
+        self._check(params, n, monkeypatch)
+
+
 class TestLazyCountRows:
     """P(s) reads only the ratio row of order n; the rows of orders n-1 and
     n-2 are built once, on the first read of m_mean or m_second."""
@@ -220,19 +269,61 @@ class TestMoments:
 
     @pytest.mark.parametrize("n", [64, 1024, 8192])
     def test_bit_identical_to_plain_fsum(self, n):
-        # fsum is correctly rounded, so feeding the terms largest first
-        # changes its cost, never its result.  Odd orders are exactly 0 by
-        # symmetry (a plain sum would leave rounding noise: numpy's
-        # vectorised power does not always give (-x)**k == -(x**k))
+        # fsum is correctly rounded and the terms are exactly even, so twice
+        # the sum over s > 0, fed largest first, is the plain fsum in s order
+        # over all 2n + 1 terms, built by the same rule: w^2 once, then k/2
+        # products of P(s) by it.  Odd orders are exactly 0 by symmetry
         for case in case_catalog():
             law = build_joint_law(params_at(case, n), n)
             w = law.w_values(case.gamma)
+            w2 = w * w
+            terms = law.s_probs * w2
             for k in range(1, 13):
                 got = moment(law, case.gamma, k)
                 if k % 2:
                     assert got == 0.0, (case.case_id, k)
                 else:
-                    assert got == math.fsum((law.s_probs * w**k).tolist()), (case.case_id, k)
+                    assert got == math.fsum(terms.tolist()), (case.case_id, k)
+                    terms = terms * w2
+
+    @pytest.mark.parametrize("n", [64, 1024])
+    def test_terms_exactly_even(self, n):
+        # the terms at -s and s agree bit for bit; numpy's power does not
+        # keep that ((-w)**4 != w**4 on 45 of the 1024 pairs of the fixed-C
+        # lattice s / n^(5/6) at n = 1024), and a moment doubled from s > 0
+        # would then differ from the sum over all s
+        for case in case_catalog():
+            law = build_joint_law(params_at(case, n), n)
+            w = law.w_values(case.gamma)
+            for k in range(2, 13, 2):
+                terms = exact._moment_terms(law.s_probs, w, k)
+                assert terms[n - 1 :: -1].tobytes() == terms[n + 1 :].tobytes(), (case.case_id, k)
+
+    @pytest.mark.parametrize("n", [64, 1024])
+    @pytest.mark.parametrize("region", sorted(REGION_REPS))
+    def test_against_mpmath_on_the_laws_own_probs(self, region, n):
+        # With P(s) and D = n^(1-gamma) taken as exact, a term P(s) (s/D)^k
+        # passes 2k roundings (w = s/D, raised to the k-th; w w, to the
+        # (k/2)-th; the k/2 products), every term has one sign, and fsum
+        # rounds once more: so the moment is within gamma_(2k+1) =
+        # (2k+1) u / (1 - (2k+1) u) of the 40-digit sum, relatively.  A
+        # rounding below the normal range adds at most 2^-1075 instead, at
+        # most 2k per term, later scaled by at most max(1, w_n)^k
+        import mpmath as mp
+
+        params, gamma = REGION_REPS[region]
+        law = build_joint_law(params, n)
+        D = float(n) ** (1.0 - gamma)
+        u = 2.0**-53
+        with mp.workdps(40):
+            w = [mp.mpf(s) / mp.mpf(D) for s in range(1, n + 1)]
+            probs = [mp.mpf(p) for p in law.s_probs[n + 1 :].tolist()]
+            for k in range(2, 13, 2):
+                want = 2 * mp.fsum(p * x**k for p, x in zip(probs, w))
+                g = (2 * k + 1) * u / (1.0 - (2 * k + 1) * u)
+                tiny = 2 * n * 2 * k * 2.0**-1075 * max(1.0, n / D) ** k
+                got = moment(law, gamma, k)
+                assert abs(mp.mpf(got) - want) <= g * want + tiny, (k, got, want)
 
     def test_validation(self):
         law = build_joint_law(POINT_A, 10)

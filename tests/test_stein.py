@@ -259,8 +259,9 @@ class TestStepRowsAgainstMpmath:
             assert np.all(np.abs(got[1] - want[1]) <= tol[p][1])
 
         # ||R~ - R||_2 bounds the change of the norm.  The class mean
-        # r0 + m1 E[M|s] adds the row errors, the drift's (w and its powers
-        # up to w^5 and the 3-term sum: 20 eps of sum |q_k w^k|) and 3
+        # r0 + m1 E[M|s] adds the row errors, the drift's (w, w^2 and the
+        # Horner steps: at most 12 roundings a term, within 20 eps of
+        # sum |q_k w^k|) and 3
         # roundings of r0 and the sum.  The within-class variance loses
         # 3 eps E[M^2|s] to cancellation, and the squares, the pairwise sum
         # over 2n + 1 classes and the square root (log2(2n + 1) + 8) eps.
@@ -336,8 +337,9 @@ class TestEvaluateBound:
     @pytest.mark.parametrize("case_id", SHAPE_CASES)
     @pytest.mark.parametrize("n", [64, 256])
     def test_psi_term_is_the_plain_exact_sum(self, case_id, n):
-        # E|psi(W)| is summed largest term first; fsum is correctly rounded,
-        # so it must equal the sum in s order bit for bit
+        # E|psi(W)| is twice a sum over s > 0, fed largest term first; fsum
+        # is correctly rounded and the drift's Horner form exactly odd, so it
+        # must equal the sum in s order over all s bit for bit
         case = case_by_id(case_id)
         law = build_joint_law(params_at(case, n), n)
         density = comparison_density(case, n, {k: moment(law, case.gamma, k) for k in (2, 4, 6)})
@@ -345,8 +347,30 @@ class TestEvaluateBound:
         report = evaluate_bound(law, case.gamma, case, density, unit)
         q1, q3, q5 = regression_at(case, n)[1]
         w = law.w_values(case.gamma)
-        plain = math.fsum(law.s_probs * np.abs(q1 * w + q3 * w**3 + q5 * w**5))
+        w2 = w * w
+        plain = math.fsum(law.s_probs * np.abs(w * (q1 + w2 * (q3 + w2 * q5))))
         assert report.terms["psi_term"] == 1.5 * report.a_halfwidth * plain
+
+    @pytest.mark.parametrize("n", [64, 1024])
+    def test_drift_rows_exactly_odd(self, n, monkeypatch):
+        # every drift row of a bound (regression_decompose's and E|psi(W)|'s)
+        # negates bit for bit under w -> -w; numpy's power breaks that
+        # (w**3 and w**5 are not always odd), and E|psi(W)|, doubled from
+        # s > 0, would then differ from the sum over all s
+        drift, rows = stein._drift, []
+
+        def checked(w, psi_coeffs):
+            got = drift(w, psi_coeffs)
+            rows.append((-got).tobytes() == drift(-w, psi_coeffs).tobytes())
+            return got
+
+        monkeypatch.setattr(stein, "_drift", checked)
+        unit = SteinConstants(d1=1.0, d2=1.0, d3=1.0, d4=1.0, grid_spec={})
+        for case in case_catalog():
+            law = build_joint_law(params_at(case, n), n)
+            mm = {k: moment(law, case.gamma, k) for k in (2, 4, 6)}
+            evaluate_bound(law, case.gamma, case, comparison_density(case, n, mm), unit)
+        assert rows == [True] * (2 * len(case_catalog()))
 
     def test_positive_drift_scale_required(self):
         # with k = -1 the drift of C8.1.k- at n = 64 has
