@@ -142,8 +142,8 @@ def _ratio_row(m: int, inv_a: float, size: int) -> np.ndarray:
     divided by c_s, run down from 1/rho_{m+1} = 0: each step damps the
     rounding of the last.  rho_0 = 1/rho_1 by symmetry, and entries above m
     are inf.  For beta <= 600 and m <= 2^20 every entry is below about 4e266,
-    so no rescaling is needed.  The counters m + s + 1, m - s + 1 and s are floats, exact below 2^53,
-    so each step rounds as it would with Python ints.
+    so no rescaling is needed.  The counters m + s + 1, m - s + 1 and s are
+    floats, exact below 2^53, so each step rounds as it would with ints.
     """
     rho = [math.inf] * size
     inv = 0.0  # 1 / rho_{s+1}
