@@ -1,8 +1,9 @@
 """Catalog of the 42 convergence-rate cases for the rescaled spin sum.
 
-Each case fixes a scaling exponent gamma, a parameter schedule (or a fixed
-(beta, K)), the shape of the comparison density, and a predicted Kolmogorov
-rate exponent r with d_K <= const * n^-r.  The catalog covers:
+Each case fixes a scaling exponent gamma, a parameter schedule (or its
+theorem's fixed (beta, K)), the shape of the comparison density, and a
+predicted Kolmogorov rate exponent r with d_K <= const * n^-r.  The catalog
+covers:
 
   * 3 fixed-parameter cases (region A, critical curve, tricritical point),
   * 1 sequence case converging into the interior of region A,
@@ -11,12 +12,14 @@ rate exponent r with d_K <= const * n^-r.  The catalog covers:
 
 Multi-branch rate tables contribute one catalog entry per branch; cases whose
 mixed density changes shape with the sign of k or b contribute one entry per
-sign.  Each fact is stated once: one row of ``_THEOREMS`` per theorem holds
-its density pattern, its parameter kind, its hypothesis as a predicate and as
-text, and the terms of the minimum that gives its rate; ``predicted_rate``
-checks a case against its row whenever the case is built and takes r as that
-minimum; ``regression_at`` takes lambda = n^(2 gamma - 2) and the active
-regression coefficients from gamma and the density pattern.
+sign.  Each fact is stated once: a case states its id, subcase, gamma and
+schedule, its theorem is the id up to the first ".", and one row of
+``_THEOREMS`` per theorem holds its density pattern, its parameter kind, its
+hypothesis as a predicate and as text, the terms of the minimum that gives
+its rate, its fixed point and the top of its default ladder;
+``predicted_rate`` checks a case against its row whenever the case is built
+and takes r as that minimum; ``regression_at`` takes lambda = n^(2 gamma - 2)
+and the active regression coefficients from gamma and the density pattern.
 """
 
 from __future__ import annotations
@@ -57,21 +60,31 @@ class _Theorem(NamedTuple):
     """What one theorem fixes: the active exponent monomials of its limit
     density; whether (beta_n, K_n) is a fixed point (seq-A drifts onto its
     point by itself), a fixed-beta or a moving-beta schedule; its hypothesis
-    on (gamma, schedule), as a predicate and as text; and the exponents other
-    than gamma of the minimum that gives its rate."""
+    on (gamma, schedule), as a predicate and as text; the exponents other
+    than gamma of the minimum that gives its rate; the fixed point, for the
+    fixed-point theorems; and the top power of two of the default ladder."""
 
     pattern: str
     kind: str
     holds: Callable[[float, Schedule | None], bool]
     hypothesis: str
     terms: Callable[[float, Schedule | None], tuple] = lambda g, s: ()
+    point: ModelParams | None = None
+    top: int = 12
 
 
-_FIXED_A = _Theorem("x2", "fixed-point", lambda g, s: _eq(g, 0.5), "gamma=1/2")
+# the fixed points: region A, the critical curve, the tricritical point
+_POINT_A = ModelParams(1.0, 0.6)
+_POINT_B = ModelParams(1.0, critical_K(1.0))
+_POINT_C = ModelParams(BETA_C, critical_K(BETA_C))
+
+_FIXED_A = _Theorem("x2", "fixed-point", lambda g, s: _eq(g, 0.5), "gamma=1/2", point=_POINT_A)
 _THEOREMS = {
     "fixed-A": _FIXED_A, "seq-A": _FIXED_A,
-    "fixed-B": _Theorem("x4", "fixed-point", lambda g, s: _eq(g, 0.25), "gamma=1/4"),
-    "fixed-C": _Theorem("x6", "fixed-point", lambda g, s: _eq(g, 1.0 / 6.0), "gamma=1/6"),
+    "fixed-B": _Theorem(
+        "x4", "fixed-point", lambda g, s: _eq(g, 0.25), "gamma=1/4", point=_POINT_B),
+    "fixed-C": _Theorem(
+        "x6", "fixed-point", lambda g, s: _eq(g, 1.0 / 6.0), "gamma=1/6", point=_POINT_C, top=13),
     "B1": _Theorem(
         "x2+x4", "fixed-beta", lambda g, s: _eq(g, 0.25) and _eq(s.delta2, 0.5),
         "gamma=1/4, delta2=1/2"),
@@ -84,77 +97,80 @@ _THEOREMS = {
     "C1": _Theorem(
         "x2+x4+x6", "moving-beta",
         lambda g, s: _eq(g, 1.0 / 6.0) and _eq(s.delta1, 1.0 / 3.0) and _eq(s.delta2, 2.0 / 3.0),
-        "gamma=1/6, delta1=1/3, delta2=2/3"),
+        "gamma=1/6, delta1=1/3, delta2=2/3", top=13),
     "C2": _Theorem(
         "x2", "moving-beta", lambda g, s: 0.25 < g < 0.5 and _eq(2 * g, 1 - s.delta2),
-        "2 gamma = 1 - delta2, gamma in (1/4, 1/2)", lambda g, s: (4 * g + s.delta1 - 1.0,)),
+        "2 gamma = 1 - delta2, gamma in (1/4, 1/2)",
+        lambda g, s: (4 * g + s.delta1 - 1.0,), top=13),
     "C3": _Theorem(
         "x2", "moving-beta",
         lambda g, s: (1.0 / 6.0 < g <= 0.25 and _eq(2 * g, 1 - s.delta2)
                       and s.delta1 > 2 * s.delta2 - 1.0),
         "2 gamma = 1 - delta2, gamma in (1/6, 1/4], delta1 > 2 delta2 - 1",
-        lambda g, s: (6 * g - 1.0, 4 * g + s.delta1 - 1.0)),
+        lambda g, s: (6 * g - 1.0, 4 * g + s.delta1 - 1.0), top=13),
     "C4": _Theorem(
         "x6", "moving-beta",
         lambda g, s: _eq(g, 1.0 / 6.0) and s.delta1 > 1.0 / 3.0 and s.delta2 > 2.0 / 3.0,
         "gamma=1/6, delta1 > 1/3, delta2 > 2/3",
-        lambda g, s: (s.delta1 - 1.0 / 3.0, s.delta2 - 2.0 / 3.0)),
+        lambda g, s: (s.delta1 - 1.0 / 3.0, s.delta2 - 2.0 / 3.0), top=13),
     "C5": _Theorem(
         "x4", "moving-beta",
         lambda g, s: (1.0 / 6.0 < g < 0.25 and _eq(4 * g, 1 - s.delta1)
                       and 2 * s.delta2 > s.delta1 + 1.0 and s.b > 0),
         "4 gamma = 1 - delta1, gamma in (1/6, 1/4), 2 delta2 > delta1 + 1, b > 0",
-        lambda g, s: (2 * g + s.delta2 - 1.0, 6 * g - 1.0)),
+        lambda g, s: (2 * g + s.delta2 - 1.0, 6 * g - 1.0), top=13),
     "C6": _Theorem(
         "x4+x6", "moving-beta",
         lambda g, s: _eq(g, 1.0 / 6.0) and _eq(s.delta1, 1.0 / 3.0) and s.delta2 > 2.0 / 3.0,
-        "gamma=1/6, delta1=1/3, delta2 > 2/3", lambda g, s: (s.delta2 - 2.0 / 3.0,)),
+        "gamma=1/6, delta1=1/3, delta2 > 2/3", lambda g, s: (s.delta2 - 2.0 / 3.0,), top=13),
     "C7": _Theorem(
         "x2+x6", "moving-beta",
         lambda g, s: _eq(g, 1.0 / 6.0) and s.delta1 > 1.0 / 3.0 and _eq(s.delta2, 2.0 / 3.0),
-        "gamma=1/6, delta1 > 1/3, delta2=2/3", lambda g, s: (s.delta1 - 1.0 / 3.0,)),
+        "gamma=1/6, delta1 > 1/3, delta2=2/3", lambda g, s: (s.delta1 - 1.0 / 3.0,), top=13),
     "C8": _Theorem(
         "x2+x4", "moving-beta",
         lambda g, s: (1.0 / 6.0 < g < 0.25 and _eq(4 * g, 1 - s.delta1)
                       and _eq(2 * s.delta2, s.delta1 + 1.0) and s.b > 0),
         "4 gamma = 1 - delta1, 2 delta2 = delta1 + 1, gamma in (1/6, 1/4), b > 0",
-        lambda g, s: (6 * g - 1.0,)),
+        lambda g, s: (6 * g - 1.0,), top=13),
 }
-
-# default fixed-parameter points
-_POINT_A = ModelParams(1.0, 0.6)
-_POINT_B = ModelParams(1.0, critical_K(1.0))
-_POINT_C = ModelParams(BETA_C, critical_K(BETA_C))
 
 
 @dataclass(frozen=True)
 class CaseSpec:
-    """One convergence-rate case.
+    """One convergence-rate case: its id, its subcase text, gamma and, for a
+    schedule theorem, the schedule.
 
-    ``ladder_max_exp`` is the top power of two of the default ladder.  The
-    theorem's row of ``_THEOREMS`` gives, on construction, the
-    ``density_pattern`` ("x2", "x2+x4", ...), the ``parameter_kind`` and the
-    ``validity`` text of its hypothesis; ``predicted_exponent``, the r in
-    d_K <= const * n^-r, is computed by ``predicted_rate``, so a case that
-    does not fit its theorem cannot be built.
+    The ``theorem`` is the id up to its first ".", and its row of
+    ``_THEOREMS`` gives, on construction, the ``fixed_params`` (the
+    theorem's point; None under a schedule), ``ladder_max_exp`` (the top
+    power of two of the default ladder), the ``density_pattern`` ("x2",
+    "x2+x4", ...), the ``parameter_kind`` and the ``validity`` text of its
+    hypothesis; ``predicted_exponent``, the r in d_K <= const * n^-r, is
+    computed by ``predicted_rate``, so a case that does not fit its theorem
+    cannot be built.
     """
 
     case_id: str
-    theorem: str
     subcase: str
     gamma: float
     schedule: Schedule | None = None
-    fixed_params: ModelParams | None = None
-    ladder_max_exp: int = 12
+    theorem: str = field(init=False)
+    fixed_params: ModelParams | None = field(init=False)
+    ladder_max_exp: int = field(init=False)
     density_pattern: str = field(init=False)
     parameter_kind: str = field(init=False)
     validity: str = field(init=False)
     predicted_exponent: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.theorem not in _THEOREMS:
-            raise InvalidCaseParametersError(f"unknown theorem tag {self.theorem!r}")
-        row = _THEOREMS[self.theorem]
+        theorem = self.case_id.partition(".")[0]
+        if theorem not in _THEOREMS:
+            raise InvalidCaseParametersError(f"unknown theorem tag {theorem!r}")
+        row = _THEOREMS[theorem]
+        object.__setattr__(self, "theorem", theorem)
+        object.__setattr__(self, "fixed_params", row.point)
+        object.__setattr__(self, "ladder_max_exp", row.top)
         object.__setattr__(self, "density_pattern", row.pattern)
         object.__setattr__(self, "parameter_kind", row.kind)
         object.__setattr__(self, "validity", row.hypothesis)
@@ -215,8 +231,8 @@ def predicted_rate(case: CaseSpec) -> float:
     """Rate exponent r such that d_K <= const * n^-r for this case.
 
     Reads the theorem's row of ``_THEOREMS``.  First checks that the case
-    carries exactly one of ``fixed_params`` and ``schedule``, of the row's
-    kind, then the row's hypothesis on gamma, delta1 and delta2; raises
+    carries a schedule exactly when the row's kind is one, and of that kind,
+    then the row's hypothesis on gamma, delta1 and delta2; raises
     InvalidCaseParametersError when either fails.  r is the minimum of gamma
     and the row's rate terms; a case whose r is not positive is refused the
     same way.  Each B and C hypothesis implies the paper's standing
@@ -225,7 +241,7 @@ def predicted_rate(case: CaseSpec) -> float:
     g, s, row = case.gamma, case.schedule, _THEOREMS[case.theorem]
     carried = ("fixed-point" if s is None
                else "moving-beta" if s.beta_fixed is None else "fixed-beta")
-    if (s is None) == (case.fixed_params is None) or carried != row.kind:
+    if carried != row.kind:
         raise InvalidCaseParametersError(
             f"{case.case_id}: {case.theorem} needs a {row.kind} parameter set")
     if not row.holds(g, s):
@@ -247,72 +263,46 @@ def _build_catalog() -> list[CaseSpec]:
     Defaults sit at interior points of each branch's validity region; sign
     variants carry |k| = |b| = 1.
     """
-    cases: list[CaseSpec] = []
-
-    cases.append(CaseSpec(
-        case_id="fixed-A", theorem="fixed-A", subcase="(beta, K) in region A",
-        gamma=0.5, fixed_params=_POINT_A))
-    cases.append(CaseSpec(
-        case_id="fixed-B", theorem="fixed-B", subcase="(beta, K_c(beta)), beta < log 4",
-        gamma=0.25, fixed_params=_POINT_B))
-    cases.append(CaseSpec(
-        case_id="fixed-C", theorem="fixed-C", subcase="tricritical point",
-        gamma=1.0 / 6.0, fixed_params=_POINT_C, ladder_max_exp=13))
-    cases.append(CaseSpec(
-        case_id="seq-A", theorem="seq-A", subcase="bounded sequence into region A",
-        gamma=0.5, fixed_params=_POINT_A))
+    cases = [
+        CaseSpec("fixed-A", "(beta, K) in region A", 0.5),
+        CaseSpec("fixed-B", "(beta, K_c(beta)), beta < log 4", 0.25),
+        CaseSpec("fixed-C", "tricritical point", 1.0 / 6.0),
+        CaseSpec("seq-A", "bounded sequence into region A", 0.5),
+    ]
 
     # family B: K_n onto the critical curve at fixed beta = 1.0
     for sign, tag in ((1.0, "k+"), (-1.0, "k-")):
-        cases.append(CaseSpec(
-            case_id=f"B1.{tag}", theorem="B1", subcase=f"critical speed, {tag}",
-            gamma=0.25, schedule=Schedule(beta_fixed=1.0, k=sign, delta2=0.5)))
-    cases.append(CaseSpec(
-        case_id="B2.1", theorem="B2", subcase="gamma in (1/4, 1/3]",
-        gamma=0.3, schedule=Schedule(beta_fixed=1.0, k=1.0, delta2=0.4)))
-    cases.append(CaseSpec(
-        case_id="B2.2", theorem="B2", subcase="gamma in [1/3, 1/2)",
-        gamma=0.4, schedule=Schedule(beta_fixed=1.0, k=1.0, delta2=0.2)))
-    cases.append(CaseSpec(
-        case_id="B3.1", theorem="B3", subcase="delta2 in (1/2, 3/4)",
-        gamma=0.25, schedule=Schedule(beta_fixed=1.0, k=1.0, delta2=0.6)))
-    cases.append(CaseSpec(
-        case_id="B3.2", theorem="B3", subcase="delta2 >= 3/4",
-        gamma=0.25, schedule=Schedule(beta_fixed=1.0, k=1.0, delta2=1.0)))
+        cases.append(CaseSpec(f"B1.{tag}", f"critical speed, {tag}", 0.25,
+                              Schedule(beta_fixed=1.0, k=sign, delta2=0.5)))
+    b23 = [
+        ("B2.1", 0.3, 0.4, "gamma in (1/4, 1/3]"),
+        ("B2.2", 0.4, 0.2, "gamma in [1/3, 1/2)"),
+        ("B3.1", 0.25, 0.6, "delta2 in (1/2, 3/4)"),
+        ("B3.2", 0.25, 1.0, "delta2 >= 3/4"),
+    ]
+    for cid, g, d2, desc in b23:
+        cases.append(CaseSpec(cid, desc, g, Schedule(beta_fixed=1.0, k=1.0, delta2=d2)))
 
     # family C: (beta_n, K_n) into the tricritical point
     third, two_thirds = 1.0 / 3.0, 2.0 / 3.0
     for k in (1.0, -1.0):
         for b in (1.0, -1.0):
             tag = f"k{'+' if k > 0 else '-'}b{'+' if b > 0 else '-'}"
-            cases.append(CaseSpec(
-                case_id=f"C1.{tag}", theorem="C1", subcase=f"critical speeds, {tag}",
-                gamma=1.0 / 6.0,
-                schedule=Schedule(k=k, b=b, delta1=third, delta2=two_thirds),
-                ladder_max_exp=13))
+            cases.append(CaseSpec(f"C1.{tag}", f"critical speeds, {tag}", 1.0 / 6.0,
+                                  Schedule(k=k, b=b, delta1=third, delta2=two_thirds)))
 
-    c2 = [
+    c23 = [
         ("C2.1", 0.3, 0.05, "gamma in (1/4, 1/3], delta1 < 1 - 3 gamma"),
         ("C2.2", 0.3, 0.30, "gamma in (1/4, 1/3], delta1 >= 1 - 3 gamma"),
         ("C2.3", 0.4, 0.20, "gamma in [1/3, 1/2)"),
-    ]
-    for cid, g, d1, desc in c2:
-        cases.append(CaseSpec(
-            case_id=cid, theorem="C2", subcase=desc, gamma=g,
-            schedule=Schedule(k=1.0, b=1.0, delta1=d1, delta2=1.0 - 2.0 * g),
-            ladder_max_exp=13))
-
-    c3 = [
         ("C3.1", 0.19, 0.34, "gamma in (1/6, 1/5], 1-4g < delta1 < 2g"),
         ("C3.2", 0.19, 0.50, "gamma in (1/6, 1/5], delta1 >= 2 gamma"),
         ("C3.3", 0.22, 0.25, "gamma in [1/5, 1/4], 1-4g < delta1 < 1-3g"),
         ("C3.4", 0.22, 0.50, "gamma in [1/5, 1/4], delta1 >= 1 - 3 gamma"),
     ]
-    for cid, g, d1, desc in c3:
+    for cid, g, d1, desc in c23:
         cases.append(CaseSpec(
-            case_id=cid, theorem="C3", subcase=desc, gamma=g,
-            schedule=Schedule(k=1.0, b=1.0, delta1=d1, delta2=1.0 - 2.0 * g),
-            ladder_max_exp=13))
+            cid, desc, g, Schedule(k=1.0, b=1.0, delta1=d1, delta2=1.0 - 2.0 * g)))
 
     c4 = [
         ("C4.1", 0.40, 0.80, "delta1 in (1/3,1/2), delta2 in (2/3,5/6), d1 <= d2-1/3"),
@@ -323,9 +313,7 @@ def _build_catalog() -> list[CaseSpec]:
     ]
     for cid, d1, d2, desc in c4:
         cases.append(CaseSpec(
-            case_id=cid, theorem="C4", subcase=desc, gamma=1.0 / 6.0,
-            schedule=Schedule(k=1.0, b=1.0, delta1=d1, delta2=d2),
-            ladder_max_exp=13))
+            cid, desc, 1.0 / 6.0, Schedule(k=1.0, b=1.0, delta1=d1, delta2=d2)))
 
     c5 = [
         ("C5.1", 0.18, 0.68, "gamma in (1/6, 1/5), delta2 < 4 gamma"),
@@ -335,29 +323,21 @@ def _build_catalog() -> list[CaseSpec]:
     ]
     for cid, g, d2, desc in c5:
         cases.append(CaseSpec(
-            case_id=cid, theorem="C5", subcase=desc, gamma=g,
-            schedule=Schedule(k=1.0, b=1.0, delta1=1.0 - 4.0 * g, delta2=d2),
-            ladder_max_exp=13))
+            cid, desc, g, Schedule(k=1.0, b=1.0, delta1=1.0 - 4.0 * g, delta2=d2)))
 
     for br, d2 in (("1", 0.75), ("2", 1.0)):
         for b in (1.0, -1.0):
             tag = "b+" if b > 0 else "b-"
             cases.append(CaseSpec(
-                case_id=f"C6.{br}.{tag}", theorem="C6",
-                subcase=f"delta2 {'in (2/3, 5/6)' if br == '1' else '>= 5/6'}, {tag}",
-                gamma=1.0 / 6.0,
-                schedule=Schedule(k=1.0, b=b, delta1=third, delta2=d2),
-                ladder_max_exp=13))
+                f"C6.{br}.{tag}", f"delta2 {'in (2/3, 5/6)' if br == '1' else '>= 5/6'}, {tag}",
+                1.0 / 6.0, Schedule(k=1.0, b=b, delta1=third, delta2=d2)))
 
     for br, d1 in (("1", 0.45), ("2", 0.70)):
         for k in (1.0, -1.0):
             tag = "k+" if k > 0 else "k-"
             cases.append(CaseSpec(
-                case_id=f"C7.{br}.{tag}", theorem="C7",
-                subcase=f"delta1 {'in (1/3, 1/2)' if br == '1' else '>= 1/2'}, {tag}",
-                gamma=1.0 / 6.0,
-                schedule=Schedule(k=k, b=1.0, delta1=d1, delta2=two_thirds),
-                ladder_max_exp=13))
+                f"C7.{br}.{tag}", f"delta1 {'in (1/3, 1/2)' if br == '1' else '>= 1/2'}, {tag}",
+                1.0 / 6.0, Schedule(k=k, b=1.0, delta1=d1, delta2=two_thirds)))
 
     # the k < 0 side of C8 sits above the critical curve at finite n; a unit
     # offset leaves E[W (-psi(W))] negative at desk sizes, so those defaults
@@ -367,11 +347,9 @@ def _build_catalog() -> list[CaseSpec]:
             tag = "k+" if k > 0 else "k-"
             d1 = 1.0 - 4.0 * g
             cases.append(CaseSpec(
-                case_id=f"C8.{br}.{tag}", theorem="C8",
-                subcase=f"gamma {'in (1/6, 1/5]' if br == '1' else 'in [1/5, 1/4)'}, {tag}",
-                gamma=g,
-                schedule=Schedule(k=k, b=1.0, delta1=d1, delta2=(d1 + 1.0) / 2.0),
-                ladder_max_exp=13))
+                f"C8.{br}.{tag}",
+                f"gamma {'in (1/6, 1/5]' if br == '1' else 'in [1/5, 1/4)'}, {tag}", g,
+                Schedule(k=k, b=1.0, delta1=d1, delta2=(d1 + 1.0) / 2.0)))
 
     return cases
 

@@ -17,7 +17,7 @@ from begrates.cases import (
 )
 from begrates.errors import InvalidCaseParametersError, ValidationError
 from begrates.exact import build_joint_law, moment
-from begrates.model import BETA_C, Schedule, critical_K, g_derivs_at_zero
+from begrates.model import BETA_C, ModelParams, Schedule, critical_K, g_derivs_at_zero
 from oracles import branch_regression_at, stein_solution, with_schedule
 
 SIXTH, TWELFTH = 1.0 / 6.0, 1.0 / 12.0
@@ -64,6 +64,20 @@ class TestCatalogShape:
         assert fam["C1"] == 4 and fam["C2"] == 3 and fam["C3"] == 4
         assert fam["C4"] == 5 and fam["C5"] == 4
         assert fam["C6"] == 4 and fam["C7"] == 4 and fam["C8"] == 4
+
+    def test_theorem_point_and_ladder_top(self):
+        # a case states its id, subcase, gamma and schedule; its theorem,
+        # fixed point and ladder top come from the theorem's row
+        points = {
+            "fixed-A": ModelParams(1.0, 0.6), "seq-A": ModelParams(1.0, 0.6),
+            "fixed-B": ModelParams(1.0, critical_K(1.0)),
+            "fixed-C": ModelParams(BETA_C, critical_K(BETA_C)),
+        }
+        for case in case_catalog():
+            assert case.theorem == case.case_id.split(".")[0], case.case_id
+            tricritical = case.theorem == "fixed-C" or case.parameter_kind == "moving-beta"
+            assert case.ladder_max_exp == (13 if tricritical else 12), case.case_id
+            assert case.fixed_params == points.get(case.theorem), case.case_id
 
     def test_ids_unique(self):
         ids = [c.case_id for c in case_catalog()]
@@ -186,7 +200,7 @@ class TestRatesAsMinima:
 
     def test_unknown_theorem_tag_is_rejected(self):
         with pytest.raises(InvalidCaseParametersError, match="unknown theorem tag 'D1'"):
-            CaseSpec(case_id="D1.1", theorem="D1", subcase="", gamma=0.5)
+            CaseSpec("D1.1", "", 0.5)
 
 
 class TestTheoremTable:
@@ -248,16 +262,24 @@ class TestTheoremKinds:
             replace(case_by_id("B3.1"), schedule=moving_beta)
 
     def test_schedule_theorem_without_a_schedule_is_rejected(self):
-        with pytest.raises(InvalidCaseParametersError, match="B1 needs a fixed-beta"):
-            CaseSpec(case_id="B1.x", theorem="B1", subcase="", gamma=0.25)
+        with pytest.raises(InvalidCaseParametersError, match="B1.x: B1 needs a fixed-beta"):
+            CaseSpec("B1.x", "", 0.25)
 
-    def test_fixed_point_theorem_without_a_point_is_rejected(self):
-        with pytest.raises(InvalidCaseParametersError, match="fixed-A needs a fixed-point"):
-            CaseSpec(case_id="fixed-A.x", theorem="fixed-A", subcase="", gamma=0.5)
+    def test_fixed_point_theorem_with_a_schedule_is_rejected(self):
+        schedule = Schedule(beta_fixed=1.0, k=1.0, delta2=0.5)
+        with pytest.raises(InvalidCaseParametersError,
+                           match="fixed-A.x: fixed-A needs a fixed-point"):
+            CaseSpec("fixed-A.x", "", 0.5, schedule)
 
     def test_density_pattern_is_not_an_argument(self):
         with pytest.raises(ValueError, match="density_pattern"):
             replace(case_by_id("C4.1"), density_pattern="x2")
+        # nor is any other fact the theorem's row gives
+        schedule = case_by_id("C4.1").schedule
+        for name, value in (("theorem", "C4"), ("fixed_params", ModelParams(1.0, 0.6)),
+                            ("ladder_max_exp", 13)):
+            with pytest.raises(TypeError, match=name):
+                CaseSpec("C4.1", "", SIXTH, schedule, **{name: value})
 
 
 class TestParamsAt:

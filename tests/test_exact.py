@@ -270,9 +270,11 @@ class TestMoments:
     @pytest.mark.parametrize("n", [64, 1024, 8192])
     def test_bit_identical_to_plain_fsum(self, n):
         # fsum is correctly rounded and the terms are exactly even, so twice
-        # the sum over s > 0, fed largest first, is the plain fsum in s order
-        # over all 2n + 1 terms, built by the same rule: w^2 once, then k/2
-        # products of P(s) by it.  Odd orders are exactly 0 by symmetry
+        # the sum over s > 0 is the plain fsum over all 2n + 1 terms, built
+        # by the same rule: w^2 once, then k/2 products of P(s) by it.  The
+        # order fsum is fed in changes only its cost, so the reference is fed
+        # largest first too (in s order it takes ten times as long at
+        # n = 8192).  Odd orders are exactly 0 by symmetry
         for case in case_catalog():
             law = build_joint_law(params_at(case, n), n)
             w = law.w_values(case.gamma)
@@ -283,7 +285,7 @@ class TestMoments:
                 if k % 2:
                     assert got == 0.0, (case.case_id, k)
                 else:
-                    assert got == math.fsum(terms.tolist()), (case.case_id, k)
+                    assert got == math.fsum(np.sort(terms)[::-1].tolist()), (case.case_id, k)
                     terms = terms * w2
 
     @pytest.mark.parametrize("n", [64, 1024])
@@ -484,16 +486,35 @@ class TestPairCovariance:
             pair_covariance(POINT_A, 1)
 
     def test_region_a_against_mpmath(self):
-        # the two O(1) terms cancel to a covariance of ~1e-8, so every
-        # rounding in the per-slice moments is magnified ~1e8; the reference
-        # stays at 40 digits from the mpmath law through the cancellation
+        # The covariance is (V - y) / (n(n-1)), V = Var(M), y = n q (1 - q),
+        # and in region A V and y cancel to ~1e-4 of either.  Three budgets,
+        # each over |V - y|:
+        # - with E[M|s] and E[M^2|s] rounded once to doubles, each
+        #   conditional variance E[M^2|s] - E[M|s]^2 is off by up to
+        #   4 u E[M|s]^2 (E[M^2|s] rounded, E[M|s] rounded, doubled by the
+        #   square, the square rounded), so V by 4 u E[E[M|s]^2];
+        # - P(s) is a running product of n ratios, so off by up to n u
+        #   relatively, which moves V - y by up to n u (V + |1 - 2q| E[M]);
+        # - every other rounding, the N = 2n + 1 term sums and q(1 - q)
+        #   included, is relative to V or y, at most
+        #   (log2 N + 6) u (1 + q/(1-q)), so it is magnified by the final
+        #   subtraction's condition number (V + y) / |V - y|.
+        # The bound reads 1.1e-8 here.  The reference stays at 40 digits
+        # from the mpmath law through the cancellation
         import mpmath as mp
 
-        n = 4096
+        n, u = 4096, 2.0**-53
         with mp.workdps(40):
             probs, m_mean, m_second = mpmath_joint_law(POINT_A, n, rounded=False)
             mult = [1] + [2] * n  # s and -s share P(s) and the moments of M
             em = mp.fsum(c * p * m for c, p, m in zip(mult, probs, m_mean))
             em2 = mp.fsum(c * p * m for c, p, m in zip(mult, probs, m_second))
-            want = float((em2 - em) / (n * (n - 1)) - (em / n) ** 2)
-        assert abs(pair_covariance(POINT_A, n) - want) <= 3e-8 * abs(want)
+            mean_sq = mp.fsum(c * p * m * m for c, p, m in zip(mult, probs, m_mean))
+            q = em / n
+            var, y = em2 - em**2, n * q * (1 - q)
+            want = float((var - y) / (n * (n - 1)))
+            per_slice = 4 * u * mean_sq
+            from_probs = n * u * (var + abs(1 - 2 * q) * em)
+            final = (math.log2(2 * n + 1) + 6) * u * (1 + q / (1 - q)) * (var + y)
+            tol = float((per_slice + from_probs + final) / abs(var - y)) + 3 * u
+        assert abs(pair_covariance(POINT_A, n) - want) <= tol * abs(want)
