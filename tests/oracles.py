@@ -157,6 +157,60 @@ def sequential_ratio_row(m: int, inv_a: float, size: int) -> np.ndarray:
     return np.array(rho)
 
 
+def mpmath_ratio_row(m: int, a: float, size: int) -> list:
+    """rho_s = c_{s-1} / c_s for s = 0..size-1, c_s = [x^s](1 + a(x + 1/x))^m
+    with the double ``a`` taken exactly, as mpf (inf above m): the ratio
+    recurrence run in mpmath at the caller's ``workdps``."""
+    import mpmath as mp
+
+    inv_a = 1 / mp.mpf(a)
+    rho = [mp.inf] * size
+    inv = mp.mpf(0)
+    for s in range(m, 0, -1):
+        rho[s] = ((m + s + 1) * inv + s * inv_a) / (m - s + 1)
+        inv = 1 / rho[s]
+    if m >= 0:
+        rho[0] = inv
+    return rho
+
+
+def mpmath_raised_row(rho, a: float, top: float, m: int) -> list:
+    """The identity of ``exact._raised_row`` in mpmath at the caller's
+    ``workdps``: rho^(m+1)_s = rho_s D_{s-1} / D_s for 1 <= s <= m, with
+    D_s = 1 + a rho_s + a / rho_{s+1}, then rho^(m+1)_{m+1} = top and
+    rho^(m+1)_0 = 1 / rho^(m+1)_1.  rho holds floats or mpf; a and top are
+    taken exactly."""
+    import mpmath as mp
+
+    rho = [mp.mpf(x) for x in rho]
+    a = mp.mpf(a)
+    den = [1 + a * rho[s] + a / rho[s + 1] for s in range(m + 1)]
+    out = [mp.inf] * len(rho)
+    for s in range(1, m + 1):
+        out[s] = rho[s] * den[s - 1] / den[s]
+    out[m + 1] = mp.mpf(top)
+    out[0] = 1 / out[1]
+    return out
+
+
+def max_relative_gap(got: np.ndarray, want) -> float:
+    """max |got_s / want_s - 1| for a float row against a float row or a
+    list of mpf (compared in mpmath at the caller's ``workdps``).  Entries
+    where either row is 0 or inf must agree exactly.  Two floats within a
+    factor 2 subtract exactly, so a float gap is rounded only once."""
+    import mpmath as mp
+
+    floats = np.array([float(w) for w in want])
+    regular = (0.0 < floats) & (floats < math.inf)
+    assert np.array_equal(got[~regular], floats[~regular]), "0 or inf entries differ"
+    got = got[regular]
+    assert ((0.0 < got) & (got < math.inf)).all()
+    if isinstance(want, np.ndarray):
+        return float((np.abs(got - want[regular]) / want[regular]).max(initial=0.0))
+    exact = [w for w, keep in zip(want, regular.tolist()) if keep]
+    return float(max((abs(g / w - 1) for g, w in zip(got.tolist(), exact)), default=mp.mpf(0)))
+
+
 def sequential_running_products(factors: np.ndarray,
                                 expos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``exact._running_products`` as first written: one product a factor,

@@ -23,7 +23,10 @@ from oracles import (
     dense_smoothed_cdf,
     enumerated_joint_law,
     grid_scan_kolmogorov,
+    max_relative_gap,
     mpmath_joint_law,
+    mpmath_ratio_row,
+    mpmath_raised_row,
     rowmajor_segment_integrals,
     sequential_ratio_row,
     sequential_running_products,
@@ -118,7 +121,8 @@ class TestGeneratingFunctionLaw:
 
     @pytest.mark.parametrize(
         "params,n",
-        [(ModelParams(BETA_C, critical_K(BETA_C)), 4096), (ModelParams(2.0, 1.2), 4096)]
+        [(ModelParams(BETA_C, critical_K(BETA_C)), 4096), (ModelParams(2.0, 1.2), 4096),
+         (ModelParams(BETA_C, critical_K(BETA_C)), 8192)]
         # large beta K, where e^(-beta K (2s-1)/n) alone underflows
         + [(params, n) for params in (ModelParams(400.0, 1.0), ModelParams(600.0, 0.8),
                                       ModelParams(300.0, 1.3), ModelParams(1.0, 500.0))
@@ -170,10 +174,10 @@ class TestGeneratingFunctionLaw:
 
 
 class TestBlockedLaw:
-    """The running product is taken in numpy blocks and the ratio rows with
-    float counters; on the law's own inputs both are bit for bit the
-    sequential loops of ``oracles``, so P(s), log Z and E[M | s], E[M^2 | s]
-    are too."""
+    """The running product is taken in numpy blocks and the one ratio row
+    with float counters; on the law's own inputs both are bit for bit the
+    sequential loops of ``oracles``.  The loop runs once, at order n-2, and
+    reading the M rows runs it no more."""
 
     @staticmethod
     def _check(params, n, monkeypatch):
@@ -199,7 +203,7 @@ class TestBlockedLaw:
         monkeypatch.setattr(exact, "_ratio_row", checked_row)
         law = build_joint_law(params, n)
         law.m_mean
-        assert seen == [n, "products", n - 1, n - 2]
+        assert seen == [n - 2, "products"]
 
     # the block edges of 512 factors, and n = 8192
     @pytest.mark.parametrize("n", [1, 2, 3, 511, 512, 513, 1025, 8192])
@@ -216,9 +220,80 @@ class TestBlockedLaw:
         self._check(params, n, monkeypatch)
 
 
+class TestRaisedRow:
+    """The rows of orders n-1 and n are the loop's row of order n-2 raised
+    once and twice by ``exact._raised_row``.  Its budget is derived from its
+    roundings, as factors: x is within F of y when x / y lies in [1/F, F],
+    and one rounding is within 1 / (1 - u).  Each D_s is within 3 roundings
+    of the identity on the given row, the ratio D_{s-1} / D_s within 7, the
+    raised entry within 8 and rho_0 = 1 / rho_1 within 9, so one step is
+    within S = (1 - u)^-9 of the identity on its own input.  An entry of the
+    identity's output is rho_s D_{s-1} / D_s with each D a positive sum, so
+    inputs within F move it by at most F^3; rho_0 as much and the top entry
+    (m+1) e^beta not at all.  So the k-th raised row is within
+    F_k = F_{k-1}^3 S, F_0 = 1, of the identity applied k times to the
+    loop's row, and |got / want - 1| <= F_k - 1."""
+
+    BETAS = (0.01, 0.5, 1.0, math.log(4.0), 5.0, 100.0, 600.0)
+    STEP = (1.0 - 2.0**-53) ** -9
+
+    @staticmethod
+    def _raised(n, beta):
+        """The loop's row of order n-2 and the rows of orders n-1 and n."""
+        inv_a, a = math.exp(beta), math.exp(-beta)
+        held = sequential_ratio_row(n - 2, inv_a, n + 3)
+        one = exact._raised_row(held, a, inv_a, n - 2)
+        return held, one, exact._raised_row(one, a, inv_a, n - 1)
+
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_within_the_rounding_budget_of_the_identity(self, beta):
+        # n = 1 starts from the all-inf row of order -1: its one step sets
+        # only rho_0 = 0, the order-0 row, exactly
+        import mpmath as mp
+
+        inv_a, a = math.exp(beta), math.exp(-beta)
+        with mp.workdps(40):
+            for n in (1, 2, 3, 4, 66, 1025):
+                held, one, two = self._raised(n, beta)
+                want, factor = held, 1.0
+                for k, got in ((1, one), (2, two)):
+                    want = mpmath_raised_row(want, a, (n - 2 + k) * inv_a, n - 3 + k)
+                    factor = factor**3 * self.STEP
+                    assert max_relative_gap(got, want) <= factor - 1.0, (n, k)
+
+    # n = 8192 at the smallest beta, where the loop's own error grows most
+    # with n, at the tricritical beta and at the cap
+    @pytest.mark.parametrize(
+        "beta, sizes",
+        [pytest.param(beta, (1, 2, 3, 4, 66, 1025), id=f"{beta:.4g}-small") for beta in BETAS]
+        + [pytest.param(beta, (8192,), id=f"{beta:.4g}-8192")
+           for beta in (0.01, math.log(4.0), 600.0)])
+    def test_against_the_sequential_rows(self, beta, sizes):
+        # The loop's rows of orders n-2+k are within e_k of the 40-digit rows
+        # X of (1 + a(x + 1/x))^m, so within the factor 1 / (1 - e_k)
+        # (measured by the oracle; the loop reads e^beta, not 1/a, and that
+        # shows in the e's too).  The identity maps X_m to X_{m+1} exactly,
+        # with (m+1)/a on top where the code puts (m+1) e^beta, a factor
+        # a e^beta within 1 / (1 - |a e^beta - 1|) of 1.  So the raised rows
+        # are within F_k = F_{k-1}^3 S / (1 - |a e^beta - 1|) of X_{n-2+k},
+        # F_0 = 1 / (1 - e_0), and within F_k / (1 - e_k) of the loop's own
+        # row of that order
+        import mpmath as mp
+
+        inv_a, a = math.exp(beta), math.exp(-beta)
+        with mp.workdps(40):
+            top = 1.0 / (1.0 - float(abs(mp.mpf(a) * mp.mpf(inv_a) - 1)))
+            for n in sizes:
+                for k, got in enumerate(self._raised(n, beta)):
+                    seq = sequential_ratio_row(n - 2 + k, inv_a, n + 3)
+                    e = max_relative_gap(seq, mpmath_ratio_row(n - 2 + k, a, n + 3))
+                    factor = 1.0 / (1.0 - e) if k == 0 else factor**3 * self.STEP * top
+                    assert max_relative_gap(got, seq) <= factor / (1.0 - e) - 1.0, (n, k)
+
+
 class TestLazyCountRows:
-    """P(s) reads only the ratio row of order n; the rows of orders n-1 and
-    n-2 are built once, on the first read of m_mean or m_second."""
+    """``_ratio_row`` runs once per law, at order n-2; m_mean and m_second
+    are built from that kept row, once, on the first read of either."""
 
     @pytest.fixture
     def ratio_rows(self, monkeypatch):
@@ -234,21 +309,21 @@ class TestLazyCountRows:
 
     def test_rung_reads_one_row(self, ratio_rows):
         run_rung(case_by_id("fixed-C"), 64)
-        assert ratio_rows == [64]
+        assert ratio_rows == [62]
 
-    def test_bound_and_covariance_read_three(self, ratio_rows):
+    def test_bound_and_covariance_read_one_row(self, ratio_rows):
         run_rung(case_by_id("fixed-C"), 64, bound=True)
-        assert sorted(ratio_rows) == [62, 63, 64]
+        assert ratio_rows == [62]
         ratio_rows.clear()
         pair_covariance(POINT_A, 64)
-        assert sorted(ratio_rows) == [62, 63, 64]
+        assert ratio_rows == [62]
 
     def test_second_read_builds_nothing(self, ratio_rows):
         law = build_joint_law(POINT_A, 64)
         m_mean = law.m_mean
-        assert len(ratio_rows) == 3
+        assert ratio_rows == [62]
         assert law.m_mean is m_mean and law.m_second is law.m_second
-        assert len(ratio_rows) == 3
+        assert ratio_rows == [62]
 
 
 class TestMoments:
@@ -326,6 +401,32 @@ class TestMoments:
                 tiny = 2 * n * 2 * k * 2.0**-1075 * max(1.0, n / D) ** k
                 got = moment(law, gamma, k)
                 assert abs(mp.mpf(got) - want) <= g * want + tiny, (k, got, want)
+
+    def test_bound_rung_sums_each_moment_once(self, monkeypatch):
+        # run_rung sums E[W^2], E[W^4] and E[W^6]; evaluate_bound's E[W^2]
+        # and drift moments read the law's kept doubles
+        orders = []
+        terms = exact._moment_terms
+
+        def counted(probs, w, k):
+            orders.append(k)
+            return terms(probs, w, k)
+
+        monkeypatch.setattr(exact, "_moment_terms", counted)
+        for case_id in ("fixed-A", "fixed-C", "C6.1.b+"):
+            orders.clear()
+            run_rung(case_by_id(case_id), 256, bound=True)
+            assert sorted(orders) == [2, 4, 6], case_id
+
+    def test_kept_moment_is_a_fresh_sum(self):
+        # each (gamma, k) is its own entry, and a second read returns the
+        # double a fresh law sums
+        law = build_joint_law(POINT_A, 1024)
+        first = {(gamma, k): moment(law, gamma, k) for gamma in (0.25, 0.5) for k in (2, 4, 6)}
+        assert len(set(first.values())) == len(first)
+        fresh = build_joint_law(POINT_A, 1024)
+        for (gamma, k), value in first.items():
+            assert moment(law, gamma, k) == value == moment(fresh, gamma, k), (gamma, k)
 
     def test_validation(self):
         law = build_joint_law(POINT_A, 10)
